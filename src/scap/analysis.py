@@ -240,12 +240,30 @@ def measure_sparsity(
     model: FfnStack, specs: dict[HookPoint, PruneSpec], eval_stream
 ) -> SparsityReport:
     """Run the pruned stack over a stream, tallying masks and op counts."""
+    return _evaluate(model, specs, list(eval_stream))[0]
+
+
+def reconstruction_error(
+    model: FfnStack, specs: dict[HookPoint, PruneSpec], eval_stream,
+    dense_outputs: list[np.ndarray] | None = None,
+) -> float:
+    """Relative L2 distance between pruned and dense stack outputs."""
+    batches = list(eval_stream)  # a one-shot iterable feeds both passes
+    if dense_outputs is None:
+        dense_outputs = [model.forward(batch) for batch in batches]
+    return _evaluate(model, specs, batches, dense_outputs)[1]
+
+
+def _evaluate(model, specs, batches, dense_outputs=None):
+    """One pruned pass over the batches: the SparsityReport and the relative
+    L2 error against ``dense_outputs`` (0.0 when they are not given)."""
     sparse = model.apply_prune_specs(specs)
     pruned = {h.label: 0 for h in model.hook_points()}
     total = dict.fromkeys(pruned, 0)
     macs = dense_macs = rows = 0
-    for batch in eval_stream:
-        _, records = sparse.forward(batch)
+    num = den = 0.0
+    for i, batch in enumerate(batches):
+        y_sparse, records = sparse.forward(batch)
         rows += batch.shape[0]
         for b, rec in enumerate(records):
             for site in SITES:
@@ -254,6 +272,11 @@ def measure_sparsity(
                 total[label] += rec.total[site]
             macs += rec.ops.macs
             dense_macs += rec.dense_macs
+        if dense_outputs is not None:
+            y_dense = dense_outputs[i].astype(np.float64)
+            diff = y_sparse.astype(np.float64) - y_dense
+            num += float(np.sum(diff * diff))
+            den += float(np.sum(y_dense**2))
     if rows == 0:
         raise ValueError("evaluation stream is empty")
     hooks = {}
@@ -287,24 +310,7 @@ def measure_sparsity(
         macs=macs,
         dense_macs=dense_macs,
         sample_count=rows,
-    )
-
-
-def reconstruction_error(
-    model: FfnStack, specs: dict[HookPoint, PruneSpec], eval_stream,
-    dense_outputs: list[np.ndarray] | None = None,
-) -> float:
-    """Relative L2 distance between pruned and dense stack outputs."""
-    sparse = model.apply_prune_specs(specs)
-    if dense_outputs is None:
-        dense_outputs = [model.forward(batch) for batch in eval_stream]
-    num = den = 0.0
-    for batch, y_dense in zip(eval_stream, dense_outputs):
-        y_sparse, _ = sparse.forward(batch)
-        diff = y_sparse.astype(np.float64) - y_dense.astype(np.float64)
-        num += float(np.sum(diff * diff))
-        den += float(np.sum(y_dense.astype(np.float64) ** 2))
-    return float(np.sqrt(num / den)) if den else 0.0
+    ), float(np.sqrt(num / den)) if den else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -453,11 +459,11 @@ def pareto_sweep(
     Up/Gate statistics are collected once on dense captures; for each Up
     target a second calibration pass collects the Down-input distribution
     with that pruning applied (see ``plan_specs``). Every grid point then
-    measures sparsity and reconstruction error on shared held-out data, and
-    the non-dominated subset under (maximize ffn_sparsity, maximize quality)
-    is reported. Grid points run on a thread pool capped by the SCAP_THREADS
-    environment variable; results are merged in grid order, so output is
-    scheduling-independent.
+    measures sparsity and reconstruction error in one pruned pass over shared
+    held-out data, and the non-dominated subset under (maximize ffn_sparsity,
+    maximize quality) is reported. Grid points run on a thread pool capped by
+    the SCAP_THREADS environment variable; results are merged in grid order,
+    so output is scheduling-independent.
     """
     calib_batches = list(calib_stream)
     first = calibrate(model, calib_batches, capacity=capacity, seed=seed)
@@ -495,8 +501,7 @@ def pareto_sweep(
                 estimator=estimator,
             )
         )
-        report = measure_sparsity(model, specs, eval_batches)
-        err = reconstruction_error(model, specs, eval_batches, dense_outputs)
+        report, err = _evaluate(model, specs, eval_batches, dense_outputs)
         quality = eval_fn(model, specs) if eval_fn is not None else -err
         return SweepEntry(su, sd, report, err, quality)
 
@@ -595,8 +600,7 @@ def mode_centering_ablation(
                 for hook in model.hook_points()
                 if hook.site == DOWN_INPUT
             }
-            report = measure_sparsity(model, specs, eval_batches)
-            err = reconstruction_error(model, specs, eval_batches, dense_outputs)
+            report, err = _evaluate(model, specs, eval_batches, dense_outputs)
             row[tag] = (report.site_sparsity[DOWN_INPUT], err)
         points.append(
             AblationPoint(

@@ -176,15 +176,15 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(command=command, values=values)
 
 
-def _floats(text: str) -> list[float]:
+def _floats(text: str, kind=float) -> list:
     try:
-        return [float(tok) for tok in str(text).split(",") if tok.strip()]
+        return [kind(tok) for tok in str(text).split(",") if tok.strip()]
     except ValueError as exc:
-        raise CliError(f"expected comma-separated numbers, got {text!r}") from exc
+        raise CliError(f"expected comma-separated {kind.__name__}s, got {text!r}") from exc
 
 
 def _ints(text: str) -> list[int]:
-    return [int(v) for v in _floats(text)]
+    return _floats(text, int)
 
 
 def _out_dir(cfg: RunConfig) -> Path:

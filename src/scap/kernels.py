@@ -11,19 +11,21 @@ Three sparse schemes plus dense references:
 * ``scap_gelu_mlp``: the non-GLU variant with optional mode shift on the
   hidden activation, compensated through the Down bias.
 
-Sparse execution is realized as gather-then-GEMV per batch row: pruned input
-channels skip their entire weight row. ``OpCount.macs`` therefore counts
-exactly the multiply-accumulates performed, which stands in for wall-clock
-cost at desk scale.
+Sparse execution is one float64-accumulated GEMM per projection over the
+union of weight rows that any batch row keeps, with pruned elements zeroed.
+``OpCount.macs`` counts kept-channel MACs, the multiply-accumulates a
+row-skipping kernel would perform; it is an operation count, not a time.
+Wall-clock is measured by the benchmark in ``perfbench/``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import FLOAT, ShapeError, gelu, matmul, silu
+from .tensor import FLOAT, ShapeError, gelu, matmul, matmul_rows, silu
 
 
 @dataclass
@@ -115,25 +117,30 @@ def sparse_fc(
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Mode-shifted, input-pruned FC: the reusable sparse-by-input primitive.
 
-    Shifts ``x`` by ``eta``, masks elements whose magnitude strictly exceeds
-    ``tau``, then computes a gather-then-GEMV per row over surviving channels
-    only and adds ``bias_fused``. Returns (output, kept mask, macs performed).
+    Shifts ``x`` by finite ``eta`` and keeps elements whose magnitude strictly
+    exceeds finite ``tau >= 0``. One float64-accumulated GEMM multiplies them
+    by the weight rows that any batch row keeps, then adds ``bias_fused``.
+    Returns (output, kept mask, kept-channel MACs).
     """
     _check_input(x, weight.shape[0])
-    oc = weight.shape[1]
+    check_threshold(tau, eta)
     x_eta = x - FLOAT(eta)
     kept = np.abs(x_eta) > tau
-    w64 = weight.astype(np.float64)
-    out = np.zeros((x.shape[0], oc), dtype=np.float64)
-    macs = 0
-    for i in range(x.shape[0]):
-        idx = np.flatnonzero(kept[i])
-        if idx.size:
-            out[i] = x_eta[i, idx].astype(np.float64) @ w64[idx, :]
-            macs += idx.size * oc
+    rows = np.flatnonzero(kept.any(axis=0))
+    x_kept = np.where(kept[:, rows], x_eta[:, rows], FLOAT(0)).astype(np.float64)
+    out = matmul_rows(x_kept, weight, rows)
     if bias_fused is not None:
         out += bias_fused
-    return out.astype(FLOAT), kept, macs
+    return out.astype(FLOAT), kept, int(kept.sum()) * weight.shape[1]
+
+
+def check_threshold(tau: float, eta: float = 0.0) -> None:
+    """Reject a pruning threshold that is NaN, infinite or negative, or a
+    non-finite mode shift; NaN would otherwise prune every channel."""
+    if not (math.isfinite(tau) and tau >= 0):
+        raise ValueError(f"tau must be finite and >= 0, got {tau}")
+    if not math.isfinite(eta):
+        raise ValueError(f"eta must be finite, got {eta}")
 
 
 def dense_macs_swiglu(batch: int, d: int, h: int) -> int:
@@ -171,28 +178,19 @@ def cats_swiglu(
     surviving channels are reused, not recomputed.
     """
     _check_input(x, w.d)
-    if tau_silu < 0:
-        raise ValueError("tau_silu must be >= 0")
+    check_threshold(tau_silu)
     n, d, h = x.shape[0], w.d, w.h
     v = silu(matmul(x, w.w_gate))
     kept = np.abs(v) >= tau_silu
-    w_up64 = w.w_up.astype(np.float64)
-    w_down64 = w.w_down.astype(np.float64)
-    x64 = x.astype(np.float64)
-    y = np.zeros((n, d), dtype=np.float64)
-    macs = n * d * h
-    skipped = 0
-    for i in range(n):
-        idx = np.flatnonzero(kept[i])
-        if idx.size:
-            x1 = (x64[i] @ w_up64[:, idx]) * v[i, idx]
-            y[i] = x1 @ w_down64[idx, :]
-            macs += 2 * d * idx.size
-        skipped += 2 * (h - idx.size)
+    rows = np.flatnonzero(kept.any(axis=0))
+    # the mask picks Up output columns and the matching Down input rows
+    up = matmul_rows(x.astype(np.float64), w.w_up[:, rows])
+    y = matmul_rows(np.where(kept[:, rows], up * v[:, rows], 0.0), w.w_down, rows)
+    k = int(kept.sum())
     count = OpCount(
-        macs=macs,
-        channels_skipped=skipped,
-        elements_pruned=int(n * h - kept.sum()),
+        macs=n * d * h + 2 * d * k,
+        channels_skipped=2 * (n * h - k),
+        elements_pruned=n * h - k,
     )
     return y.astype(FLOAT), count
 
@@ -220,15 +218,13 @@ def scap_swiglu(
 def _scap_swiglu_full(tau_x, tau_gated, x, w, eta_x=0.0, eta_gated=0.0):
     """scap_swiglu returning the Up/Gate and Down masks for instrumentation."""
     _check_input(x, w.d)
-    if tau_x < 0 or tau_gated < 0:
-        raise ValueError("thresholds must be >= 0")
     n, d, h = x.shape[0], w.d, w.h
-    comp_up = _fused_compensation(w.w_up, eta_x)
-    comp_gate = _fused_compensation(w.w_gate, eta_x)
-    comp_down = _fused_compensation(w.w_down, eta_gated)
+    comp_up = fused_compensation(w.w_up, eta_x)
+    comp_gate = fused_compensation(w.w_gate, eta_x)
+    comp_down = fused_compensation(w.w_down, eta_gated)
 
     up, kept_x, macs_up = sparse_fc(x, w.w_up, tau_x, eta_x, comp_up)
-    # shared mask: gate reuses the Up gather, only the weight differs
+    # shared mask: gate prunes the same x with the same tau, only the weight differs
     gate, _, macs_gate = sparse_fc(x, w.w_gate, tau_x, eta_x, comp_gate)
     z = silu(gate) * up
     y, kept_g, macs_down = sparse_fc(z, w.w_down, tau_gated, eta_gated, comp_down)
@@ -262,13 +258,11 @@ def scap_gelu_mlp(
 
 def _scap_gelu_mlp_full(tau_x, tau_h, eta_h, x, w):
     _check_input(x, w.d)
-    if tau_x < 0 or tau_h < 0:
-        raise ValueError("thresholds must be >= 0")
     n, d, h = x.shape[0], w.d, w.h
     up, kept_x, macs_up = sparse_fc(x, w.w_up, tau_x, 0.0, w.b_up.astype(np.float64))
     hidden = gelu(up)
     b_down_fused = w.b_down.astype(np.float64)
-    comp = _fused_compensation(w.w_down, eta_h)
+    comp = fused_compensation(w.w_down, eta_h)
     if comp is not None:
         b_down_fused = b_down_fused + comp
     y, kept_h, macs_down = sparse_fc(hidden, w.w_down, tau_h, eta_h, b_down_fused)
@@ -282,10 +276,11 @@ def _scap_gelu_mlp_full(tau_x, tau_h, eta_h, x, w):
     return y, count, kept_x, kept_h
 
 
-def _fused_compensation(weight: np.ndarray, eta: float) -> np.ndarray | None:
+def fused_compensation(weight: np.ndarray, eta: float) -> np.ndarray | None:
+    """The bias term ``eta * column_sums(weight)`` that undoes a mode shift."""
     if eta == 0.0:
         return None
-    return eta * weight.astype(np.float64).sum(axis=0)
+    return eta * weight.sum(axis=0, dtype=np.float64)
 
 
 def ffn_sparsity(s_x: float, s_gated: float) -> float:

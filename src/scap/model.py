@@ -280,8 +280,8 @@ def _swiglu_block(h_in, w, up_spec, down_spec, record, want_up_mask, want_down_m
     n, d, h = h_in.shape[0], w.d, w.h
     record.dense_macs = kernels.dense_macs_swiglu(n, d, h)
     if up_spec is not None:
-        comp_up = _comp(w.w_up, up_spec.eta)
-        comp_gate = _comp(w.w_gate, up_spec.eta)
+        comp_up = kernels.fused_compensation(w.w_up, up_spec.eta)
+        comp_gate = kernels.fused_compensation(w.w_gate, up_spec.eta)
         up, kept, macs_up = sparse_fc(h_in, w.w_up, up_spec.tau, up_spec.eta, comp_up)
         gate, _, macs_gate = sparse_fc(
             h_in, w.w_gate, up_spec.tau, up_spec.eta, comp_gate
@@ -293,7 +293,7 @@ def _swiglu_block(h_in, w, up_spec, down_spec, record, want_up_mask, want_down_m
         _note_dense(record, UP_GATE_INPUT, n * d, 2 * n * d * h)
     z = silu(gate) * up
     if down_spec is not None:
-        comp_down = _comp(w.w_down, down_spec.eta)
+        comp_down = kernels.fused_compensation(w.w_down, down_spec.eta)
         y, kept_g, macs_down = sparse_fc(
             z, w.w_down, down_spec.tau, down_spec.eta, comp_down
         )
@@ -317,7 +317,7 @@ def _gelu_block(h_in, w, up_spec, down_spec, record, want_up_mask, want_down_mas
     hidden = gelu(up)
     if down_spec is not None:
         b_down64 = w.b_down.astype(np.float64)
-        comp = _comp(w.w_down, down_spec.eta)
+        comp = kernels.fused_compensation(w.w_down, down_spec.eta)
         if comp is not None:
             b_down64 = b_down64 + comp
         y, kept_h, macs_down = sparse_fc(
@@ -328,12 +328,6 @@ def _gelu_block(h_in, w, up_spec, down_spec, record, want_up_mask, want_down_mas
         y = matmul(hidden, w.w_down) + w.b_down
         _note_dense(record, DOWN_INPUT, n * h, n * h * d)
     return y, hidden
-
-
-def _comp(weight, eta):
-    if eta == 0.0:
-        return None
-    return eta * weight.astype(np.float64).sum(axis=0)
 
 
 def _note(record, site, kept, macs, want_mask, skip_factor=1):

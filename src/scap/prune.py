@@ -4,7 +4,7 @@ The pruning operator zeroes activation elements whose magnitude does not
 strictly exceed a calibrated threshold tau. A ``SparseLinear`` freezes a
 weight matrix together with a scalar mode shift eta whose compensating term
 ``eta * column_sums(W)`` is fused into the bias offline, so inference adds
-only a broadcast subtraction before the usual masked GEMV.
+only a broadcast subtraction before the usual masked GEMM.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import OpCount, sparse_fc
+from .kernels import OpCount, check_threshold, sparse_fc
 from .tensor import FLOAT, ShapeError
 
 
@@ -27,8 +27,7 @@ class PruneSpec:
     target_sparsity: float = 0.0
 
     def __post_init__(self):
-        if self.tau < 0:
-            raise ValueError(f"tau must be >= 0, got {self.tau}")
+        check_threshold(self.tau, self.eta)
         if not 0.0 <= self.target_sparsity <= 1.0:
             raise ValueError(f"target_sparsity must lie in [0, 1], got {self.target_sparsity}")
 
@@ -39,8 +38,7 @@ def prune_activations(x: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray
     The comparison is strict: values whose magnitude equals tau exactly are
     pruned. Ties are measure-zero for continuous activations.
     """
-    if tau < 0:
-        raise ValueError(f"tau must be >= 0, got {tau}")
+    check_threshold(tau)
     kept = np.abs(x) > tau
     return np.where(kept, x, FLOAT(0.0)).astype(FLOAT), kept
 
@@ -50,7 +48,8 @@ class SparseLinear:
 
     ``bias_fused = bias + eta * column_sums(weight)`` is computed at
     construction; forward computes ``prune(x - eta, tau) @ W + bias_fused``
-    as a gather-then-GEMV that skips the weight rows of pruned channels.
+    through ``sparse_fc``: one float64-accumulated GEMM over the weight rows
+    that at least one batch row keeps, counting kept-channel MACs.
     """
 
     def __init__(self, weight: np.ndarray, bias: np.ndarray, spec: PruneSpec):
@@ -65,10 +64,9 @@ class SparseLinear:
         self.tau = float(spec.tau)
         self.eta = float(spec.eta)
         self.spec = spec
-        self._bias_orig = bias.astype(np.float64)
-        self._bias64 = self._bias_orig + self.eta * self.weight.astype(
-            np.float64
-        ).sum(axis=0)
+        self._bias64 = bias.astype(np.float64) + self.eta * self.weight.sum(
+            axis=0, dtype=np.float64
+        )
         self.bias_fused = self._bias64.astype(FLOAT)
         self.bias_fused.setflags(write=False)
 
@@ -85,24 +83,6 @@ class SparseLinear:
         y, kept, macs = sparse_fc(x, self.weight, self.tau, self.eta, self._bias64)
         pruned = int(kept.size - kept.sum())
         return y, OpCount(macs=macs, channels_skipped=pruned, elements_pruned=pruned)
-
-    def forward_dynamic_eta(self, x: np.ndarray) -> np.ndarray:
-        """Reference path realizing the compensating eta*W term at runtime.
-
-        Equivalent to ``forward`` but without bias fusion: the shift
-        compensation is recomputed per call from the original bias. Kept as
-        an oracle for equivalence tests; costs an extra rank-1 term per
-        invocation.
-        """
-        x_eta = x - FLOAT(self.eta)
-        pruned, _ = prune_activations(x_eta, self.tau)
-        comp = self.eta * self.weight.astype(np.float64).sum(axis=0)
-        y = (
-            pruned.astype(np.float64) @ self.weight.astype(np.float64)
-            + comp
-            + self._bias_orig
-        )
-        return y.astype(FLOAT)
 
 
 def build_sparse_linear(

@@ -399,3 +399,15 @@ def test_reconstruction_error_grows_with_target():
         for s in (0.2, 0.5, 0.8)
     ]
     assert errs[0] < errs[1] < errs[2]
+
+
+def test_reconstruction_error_accepts_one_shot_iterable():
+    model = _swiglu_model(seed=13)
+    calres = calibrate(
+        model, synthetic_stream(16, 4, 64, seed=25), capacity=1 << 14, seed=25
+    )
+    specs = make_specs(model, calres, {UP_GATE_INPUT: 0.5, DOWN_INPUT: 0.5})
+    stream = synthetic_stream(16, 4, 64, seed=26)
+    err = reconstruction_error(model, specs, stream)
+    assert err > 0.0
+    assert reconstruction_error(model, specs, (b for b in stream)) == err

@@ -145,3 +145,9 @@ def test_sweep_csv_has_pareto_column(tmp_path):
     assert lines[2].split(",")[-1] == "1"  # single grid point is the front
     report = load_report(out / "sweep.json")
     assert report["payload"]["pareto_indices"] == [0]
+
+
+def test_non_integer_batch_sizes_rejected(tmp_path, capsys):
+    args = ["overlap", "--out", tmp_path / "o", "--batch-sizes", "1.7"] + FAST
+    assert _run(args) == 1
+    assert "ints" in capsys.readouterr().err

@@ -135,13 +135,23 @@ def test_forward_ones_input_matches_dense_oracle():
     np.testing.assert_allclose(y, matmul(x, w) + b, atol=1e-5)
 
 
+def _dynamic_eta_reference(w, b, spec, x):
+    """The layer without bias fusion: the eta * column_sums(W) compensation
+    is recomputed per call and added to the original bias."""
+    pruned, _ = prune_activations(x - np.float32(spec.eta), spec.tau)
+    w64 = w.astype(np.float64)
+    y = pruned.astype(np.float64) @ w64 + spec.eta * w64.sum(axis=0) + b
+    return y.astype(np.float32)
+
+
 def test_forward_matches_dynamic_eta_oracle():
     rng = np.random.default_rng(4)
     w, b = _random_layer(rng, 32, 16)
-    layer = build_sparse_linear(w, b, _spec(tau=0.4, eta=0.8))
+    spec = _spec(tau=0.4, eta=0.8)
+    layer = build_sparse_linear(w, b, spec)
     x = rng.standard_normal((6, 32)).astype(np.float32)
     y, _ = layer.forward(x)
-    np.testing.assert_allclose(y, layer.forward_dynamic_eta(x), atol=1e-5)
+    np.testing.assert_allclose(y, _dynamic_eta_reference(w, b, spec, x), atol=1e-5)
 
 
 def test_opcount_exact():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from scap.tensor import DataError, ShapeError, as_matrix, as_vector, gelu, matmul, silu
+from scap.tensor import CAST_BLOCK_BYTES, DataError, ShapeError, as_matrix, as_vector, gelu, matmul, silu
 
 
 def _matmul_oracle(x, w):
@@ -39,6 +39,16 @@ def test_matmul_matches_triple_loop_oracle():
     x = rng.standard_normal((5, 7)).astype(np.float32)
     w = rng.standard_normal((7, 3)).astype(np.float32)
     np.testing.assert_allclose(matmul(x, w), _matmul_oracle(x, w), atol=1e-6)
+
+
+def test_matmul_casts_wide_weights_in_blocks():
+    rng = np.random.default_rng(43)
+    x = rng.standard_normal((3, 100)).astype(np.float32)
+    w = rng.standard_normal((100, 4096)).astype(np.float32)
+    assert w.shape[0] > 2 * (CAST_BLOCK_BYTES // (8 * w.shape[1]))
+    ref = x.astype(np.float64) @ w.astype(np.float64)
+    # summation order differs from one GEMM; the gap stays far below an f32 ulp
+    np.testing.assert_allclose(matmul(x, w), ref, rtol=2e-7, atol=1e-12 * np.abs(ref).max())
 
 
 def test_matmul_shape_mismatch():
