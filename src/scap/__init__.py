@@ -38,7 +38,7 @@ from .model import (
     SparseStack,
     init_weights,
 )
-from .prune import PruneSpec, SparseLinear, build_sparse_linear, prune_activations
+from .prune import PruneSpec, SparseLinear, prune_activations
 from .tensor import DataError, ShapeError, as_matrix, as_vector, gelu, matmul, silu
 
 __version__ = "0.1.0"
@@ -65,7 +65,6 @@ __all__ = [
     "UP_GATE_INPUT",
     "as_matrix",
     "as_vector",
-    "build_sparse_linear",
     "cats_swiglu",
     "dense_gelu_mlp",
     "dense_swiglu",

@@ -630,14 +630,6 @@ def iso_error_gain(points: list[AblationPoint]) -> float:
     return best
 
 
-def window_sparsity_gain(values: np.ndarray, tau: float, eta: float) -> float:
-    """Sparsity gained at fixed tau by shifting values by eta before pruning."""
-    v = np.asarray(values, dtype=np.float64).ravel()
-    with_eta = float(np.mean(np.abs(v - eta) <= tau))
-    without = float(np.mean(np.abs(v) <= tau))
-    return with_eta - without
-
-
 # ---------------------------------------------------------------------------
 # tabular emission
 

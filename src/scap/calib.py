@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .tensor import DataError
+
 DEFAULT_RESERVOIR_CAPACITY = 1 << 20
 DEFAULT_KDE_GRID_POINTS = 2048
 DEFAULT_SEED = 2025
@@ -135,8 +137,14 @@ class LayerStats:
         return self._raw.values()
 
     def observe(self, activations: np.ndarray) -> "LayerStats":
-        """Fold an activation tensor's elements into both reservoirs."""
+        """Fold an activation tensor's elements into both reservoirs.
+
+        NaN or Inf raises ``DataError`` before anything is recorded; it would
+        otherwise make every threshold NaN.
+        """
         flat = np.asarray(activations, dtype=np.float32).ravel()
+        if not np.all(np.isfinite(flat)):
+            raise DataError(f"{self.layer_id}: activations contain NaN or Inf")
         self._abs.extend(np.abs(flat))
         self._raw.extend(flat)
         return self

@@ -21,6 +21,7 @@ import numpy as np
 from . import analysis, io, kernels
 from .calib import ModeEstimator
 from .model import BlockConfig, init_weights
+from .prune import PruneSpec, compile_ffn
 from .tensor import matmul, silu
 
 COMMON_DEFAULTS = {
@@ -334,12 +335,15 @@ def cmd_bench(cfg: RunConfig) -> list[Path]:
     for s in _floats(cfg.sparsity_grid):
         tau_x = float(np.quantile(np.abs(x), s))
         tau_g = float(np.quantile(np.abs(z_dense), s))
-        _, count, kept_x, kept_g = kernels._scap_swiglu_full(tau_x, tau_g, x, w)
+        run = kernels.swiglu_ffn(
+            x, w, *compile_ffn(w, PruneSpec("x", tau_x), PruneSpec("z", tau_g))
+        )
+        kept_x, kept_g = run.up.kept, run.down.kept
         obs = kernels.ffn_sparsity(
             1.0 - kept_x.sum() / kept_x.size, 1.0 - kept_g.sum() / kept_g.size
         )
         add_row(
-            "scap", s, obs, count.macs,
+            "scap", s, obs, run.ops.macs,
             lambda a=tau_x, b=tau_g: kernels.scap_swiglu(a, b, x, w),
         )
 

@@ -107,8 +107,8 @@ def load_tensors(path) -> tuple[dict[str, np.ndarray], dict]:
         header = json.loads(data[8 : 8 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ManifestError(f"header is not valid JSON: {exc}") from exc
-    if not isinstance(header, dict) or "tensors" not in header:
-        raise ManifestError("header missing 'tensors' manifest")
+    if not isinstance(header, dict) or not isinstance(header.get("tensors"), dict):
+        raise ManifestError("header missing 'tensors' manifest object")
     if header.get("version") != WEIGHTS_VERSION:
         raise UnsupportedVersionError(
             f"unsupported container version: {header.get('version')!r}"
@@ -158,13 +158,17 @@ def save_model(model, path) -> None:
 
 
 def load_model(path):
-    """Reconstruct an FfnStack saved with ``save_model``, bitwise."""
+    """Reconstruct an FfnStack saved with ``save_model``, bitwise; a
+    container whose config or tensors describe no model raises ManifestError."""
     from .model import FfnStack
 
     tensors, config = load_tensors(path)
-    if not config:
-        raise ManifestError("container carries no model config")
-    return FfnStack.from_tensors(tensors, config)
+    if not config or not isinstance(config, dict):
+        raise ManifestError("container carries no model config object")
+    try:
+        return FfnStack.from_tensors(tensors, config)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ManifestError(f"container does not describe a model: {exc!r}") from exc
 
 
 def save_report(report: dict, path) -> None:

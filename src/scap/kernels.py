@@ -11,8 +11,11 @@ Three sparse schemes plus dense references:
 * ``scap_gelu_mlp``: the non-GLU variant with optional mode shift on the
   hidden activation, compensated through the Down bias.
 
-Sparse execution is one float64-accumulated GEMM per projection over the
-union of weight rows that any batch row keeps, with pruned elements zeroed.
+All but CATS, and every block of a model stack, run through ``swiglu_ffn``
+or ``gelu_ffn``, the one path per FFN kind, with each site dense or a
+``SparseLinear`` from ``prune.compile_ffn``. Sparse execution is one
+float64-accumulated GEMM per projection over the union of weight rows that
+any batch row keeps, with pruned elements zeroed.
 ``OpCount.macs`` counts kept-channel MACs, the multiply-accumulates a
 row-skipping kernel would perform; it is an operation count, not a time.
 Wall-clock is measured by the benchmark in ``perfbench/``.
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -153,18 +157,14 @@ def dense_macs_gelu_mlp(batch: int, d: int, h: int) -> int:
 
 def dense_swiglu(x: np.ndarray, w: SwiGluWeights) -> tuple[np.ndarray, OpCount]:
     """Reference (silu(x W_gate) * (x W_up)) W_down with full MAC count."""
-    _check_input(x, w.d)
-    z = silu(matmul(x, w.w_gate)) * matmul(x, w.w_up)
-    y = matmul(z, w.w_down)
-    return y, OpCount(macs=dense_macs_swiglu(x.shape[0], w.d, w.h))
+    run = swiglu_ffn(x, w)
+    return run.y, run.ops
 
 
 def dense_gelu_mlp(x: np.ndarray, w: GeluMlpWeights) -> tuple[np.ndarray, OpCount]:
     """Reference gelu(x W_up + b_up) W_down + b_down with full MAC count."""
-    _check_input(x, w.d)
-    hidden = gelu(matmul(x, w.w_up) + w.b_up)
-    y = matmul(hidden, w.w_down) + w.b_down
-    return y, OpCount(macs=dense_macs_gelu_mlp(x.shape[0], w.d, w.h))
+    run = gelu_ffn(x, w)
+    return run.y, run.ops
 
 
 def cats_swiglu(
@@ -195,6 +195,80 @@ def cats_swiglu(
     return y.astype(FLOAT), count
 
 
+class SiteRun(NamedTuple):
+    """One pruning site of one FFN forward."""
+
+    kept: np.ndarray  # kept mask of the site's input, all True when dense
+    macs: int  # summed over the projections that read the input
+    fan_out: int  # projections reading the input: 2 for SwiGLU Up/Gate
+
+    @property
+    def pruned(self) -> int:
+        return int(self.kept.size - self.kept.sum())
+
+    @property
+    def ops(self) -> OpCount:
+        pruned = self.pruned
+        return OpCount(self.macs, self.fan_out * pruned, pruned)
+
+
+class FfnRun(NamedTuple):
+    """One FFN block forward: output, Down input, and both sites."""
+
+    y: np.ndarray
+    down_in: np.ndarray
+    up: SiteRun
+    down: SiteRun
+
+    @property
+    def ops(self) -> OpCount:
+        return self.up.ops + self.down.ops
+
+
+def _fc(x, layer, weight, bias=None):
+    """One FC: the compiled ``SparseLinear`` layer, or dense when it is None."""
+    if layer is not None:
+        return layer.fc(x)
+    y = matmul(x, weight)
+    if bias is not None:
+        y = y + bias
+    return y, np.ones(x.shape, dtype=bool), x.size * weight.shape[1]
+
+
+def swiglu_ffn(x: np.ndarray, w: SwiGluWeights, up=None, down=None) -> FfnRun:
+    """The SwiGLU block (silu(x W_gate) * (x W_up)) W_down, dense or pruned.
+
+    ``up`` is the (Up, Gate) pair of compiled ``SparseLinear`` layers sharing
+    one mask of ``x``, ``down`` the compiled Down layer pruning the gated
+    intermediate; None, in or for either, is dense. See ``prune.compile_ffn``.
+    """
+    up_layer, gate_layer = up or (None, None)
+    u, kept_x, macs_up = _fc(x, up_layer, w.w_up)
+    # shared mask: gate prunes the same x with the same spec, only the weight differs
+    gate, _, macs_gate = _fc(x, gate_layer, w.w_gate)
+    z = silu(gate) * u
+    y, kept_z, macs_down = _fc(z, down, w.w_down)
+    return FfnRun(y, z, SiteRun(kept_x, macs_up + macs_gate, 2), SiteRun(kept_z, macs_down, 1))
+
+
+def gelu_ffn(x: np.ndarray, w: GeluMlpWeights, up=None, down=None) -> FfnRun:
+    """The GELU MLP block gelu(x W_up + b_up) W_down + b_down, dense or pruned.
+
+    ``up`` and ``down`` are None (dense) or compiled ``SparseLinear`` layers
+    whose fused biases carry ``b_up`` and ``b_down``.
+    """
+    u, kept_x, macs_up = _fc(x, up, w.w_up, w.b_up)
+    hidden = gelu(u)
+    y, kept_h, macs_down = _fc(hidden, down, w.w_down, w.b_down)
+    return FfnRun(y, hidden, SiteRun(kept_x, macs_up, 1), SiteRun(kept_h, macs_down, 1))
+
+
+def _compile(w, up: tuple[float, float], down: tuple[float, float]):
+    from .prune import PruneSpec, compile_ffn  # prune builds on this module
+
+    return compile_ffn(w, PruneSpec("up_gate_input", *up), PruneSpec("down_input", *down))
+
+
 def scap_swiglu(
     tau_x: float,
     tau_gated: float,
@@ -211,32 +285,8 @@ def scap_swiglu(
     mode shift is compensated by fusing ``eta * column_sums(W)`` into that
     projection's (otherwise zero) bias, preserving functional equivalence.
     """
-    y, count, _, _ = _scap_swiglu_full(tau_x, tau_gated, x, w, eta_x, eta_gated)
-    return y, count
-
-
-def _scap_swiglu_full(tau_x, tau_gated, x, w, eta_x=0.0, eta_gated=0.0):
-    """scap_swiglu returning the Up/Gate and Down masks for instrumentation."""
-    _check_input(x, w.d)
-    n, d, h = x.shape[0], w.d, w.h
-    comp_up = fused_compensation(w.w_up, eta_x)
-    comp_gate = fused_compensation(w.w_gate, eta_x)
-    comp_down = fused_compensation(w.w_down, eta_gated)
-
-    up, kept_x, macs_up = sparse_fc(x, w.w_up, tau_x, eta_x, comp_up)
-    # shared mask: gate prunes the same x with the same tau, only the weight differs
-    gate, _, macs_gate = sparse_fc(x, w.w_gate, tau_x, eta_x, comp_gate)
-    z = silu(gate) * up
-    y, kept_g, macs_down = sparse_fc(z, w.w_down, tau_gated, eta_gated, comp_down)
-
-    kx = int(kept_x.sum())
-    kg = int(kept_g.sum())
-    count = OpCount(
-        macs=macs_up + macs_gate + macs_down,
-        channels_skipped=2 * (n * d - kx) + (n * h - kg),
-        elements_pruned=(n * d - kx) + (n * h - kg),
-    )
-    return y, count, kept_x, kept_g
+    run = swiglu_ffn(x, w, *_compile(w, (tau_x, eta_x), (tau_gated, eta_gated)))
+    return run.y, run.ops
 
 
 def scap_gelu_mlp(
@@ -252,35 +302,8 @@ def scap_gelu_mlp(
     ``eta_h``, pruned with ``tau_h``, and fed to Down whose bias absorbs the
     compensating ``eta_h * column_sums(w_down)`` term.
     """
-    y, count, _, _ = _scap_gelu_mlp_full(tau_x, tau_h, eta_h, x, w)
-    return y, count
-
-
-def _scap_gelu_mlp_full(tau_x, tau_h, eta_h, x, w):
-    _check_input(x, w.d)
-    n, d, h = x.shape[0], w.d, w.h
-    up, kept_x, macs_up = sparse_fc(x, w.w_up, tau_x, 0.0, w.b_up.astype(np.float64))
-    hidden = gelu(up)
-    b_down_fused = w.b_down.astype(np.float64)
-    comp = fused_compensation(w.w_down, eta_h)
-    if comp is not None:
-        b_down_fused = b_down_fused + comp
-    y, kept_h, macs_down = sparse_fc(hidden, w.w_down, tau_h, eta_h, b_down_fused)
-    kx = int(kept_x.sum())
-    kh = int(kept_h.sum())
-    count = OpCount(
-        macs=macs_up + macs_down,
-        channels_skipped=(n * d - kx) + (n * h - kh),
-        elements_pruned=(n * d - kx) + (n * h - kh),
-    )
-    return y, count, kept_x, kept_h
-
-
-def fused_compensation(weight: np.ndarray, eta: float) -> np.ndarray | None:
-    """The bias term ``eta * column_sums(weight)`` that undoes a mode shift."""
-    if eta == 0.0:
-        return None
-    return eta * weight.sum(axis=0, dtype=np.float64)
+    run = gelu_ffn(x, w, *_compile(w, (tau_x, 0.0), (tau_h, eta_h)))
+    return run.y, run.ops
 
 
 def ffn_sparsity(s_x: float, s_gated: float) -> float:

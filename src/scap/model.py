@@ -9,9 +9,12 @@ sites per block expose the activations that pruning targets:
 * ``down_input``: the tensor entering the Down projection (the gated
   intermediate for SwiGLU, the GELU output for the MLP).
 
-``apply_prune_specs`` returns a sparse view of the stack whose forwards route
-through the instrumented kernels; hook points without a spec keep the exact
-dense code path, bit for bit.
+Every block runs through the one FFN path of its kind, ``kernels.swiglu_ffn``
+or ``kernels.gelu_ffn``. ``apply_prune_specs`` compiles each spec once into
+the ``SparseLinear`` layer of its site, fusing any mode-shift compensation
+into that layer's bias, and returns a sparse view whose forwards reuse those
+layers; hook points without a spec keep the exact dense code path, bit for
+bit.
 """
 
 from __future__ import annotations
@@ -22,9 +25,9 @@ from typing import Iterable, Mapping, NamedTuple
 import numpy as np
 
 from . import kernels
-from .kernels import GeluMlpWeights, OpCount, SwiGluWeights, sparse_fc
-from .prune import PruneSpec
-from .tensor import FLOAT, ShapeError, gelu, matmul, silu
+from .kernels import GeluMlpWeights, OpCount, SwiGluWeights
+from .prune import PruneSpec, compile_ffn
+from .tensor import FLOAT, ShapeError
 
 UP_GATE_INPUT = "up_gate_input"
 DOWN_INPUT = "down_input"
@@ -104,7 +107,7 @@ class FfnStack:
         ]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        y, _, _ = _run_stack(self, x, {}, (), ())
+        y, _, _ = _run_stack(self, x, None, (), ())
         return y
 
     def forward_with_hooks(
@@ -112,12 +115,17 @@ class FfnStack:
     ) -> tuple[np.ndarray, dict[HookPoint, np.ndarray]]:
         hooks = list(hooks)
         _validate_hooks(self, hooks)
-        y, captured, _ = _run_stack(self, x, {}, hooks, ())
+        y, captured, _ = _run_stack(self, x, None, hooks, ())
         return y, captured
 
     def apply_prune_specs(self, specs: Mapping[HookPoint, PruneSpec]) -> "SparseStack":
+        """Compile each spec once into the ``SparseLinear`` layer of its site."""
         _validate_hooks(self, specs.keys())
-        return SparseStack(self, dict(specs))
+        sites = [
+            compile_ffn(w, specs.get(HookPoint(b, UP_GATE_INPUT)), specs.get(HookPoint(b, DOWN_INPUT)))
+            for b, w in enumerate(self.blocks)
+        ]
+        return SparseStack(self, dict(specs), sites)
 
     def to_tensors(self) -> tuple[dict[str, np.ndarray], dict]:
         tensors = {}
@@ -165,17 +173,18 @@ class FfnStack:
 class SparseStack:
     """Sparse view of an FfnStack: specified hook points prune, others stay dense."""
 
-    def __init__(self, base: FfnStack, specs: dict[HookPoint, PruneSpec]):
+    def __init__(self, base: FfnStack, specs: dict[HookPoint, PruneSpec], sites: list):
         self.base = base
         self.config = base.config
         self.specs = specs
+        self.sites = sites  # per block: compiled (Up/Gate, Down) sites, None = dense
 
     def forward(
         self, x: np.ndarray, collect_masks: Iterable[HookPoint] = ()
     ) -> tuple[np.ndarray, list[BlockRecord]]:
         collect_masks = list(collect_masks)
         _validate_hooks(self.base, collect_masks)
-        y, _, records = _run_stack(self.base, x, self.specs, (), collect_masks)
+        y, _, records = _run_stack(self.base, x, self.sites, (), collect_masks)
         return y, records
 
     def forward_with_hooks(
@@ -184,7 +193,7 @@ class SparseStack:
         """Capture the (pre-prune) tensors flowing into hook points."""
         hooks = list(hooks)
         _validate_hooks(self.base, hooks)
-        y, captured, _ = _run_stack(self.base, x, self.specs, hooks, ())
+        y, captured, _ = _run_stack(self.base, x, self.sites, hooks, ())
         return y, captured
 
 
@@ -241,109 +250,37 @@ def _validate_hooks(model: FfnStack, hooks) -> None:
             raise ValueError(f"invalid hook point: {hook!r}")
 
 
-def _run_stack(model, x, specs, capture_hooks, mask_hooks):
-    """One forward through all blocks with optional pruning/instrumentation."""
+def _run_stack(model, x, sites, capture_hooks, mask_hooks):
+    """One forward through all blocks with optional pruning/instrumentation.
+
+    ``sites`` holds each block's compiled (Up/Gate, Down) sites, or is None
+    for the dense stack.
+    """
     if x.ndim != 2 or x.shape[1] != model.config.d_model:
         raise ShapeError(
             f"input shape {x.shape} incompatible with d_model={model.config.d_model}"
         )
-    capture_hooks = set(capture_hooks)
-    mask_hooks = set(mask_hooks)
+    if model.config.ffn == "swiglu":
+        ffn, dense_macs = kernels.swiglu_ffn, kernels.dense_macs_swiglu
+    else:
+        ffn, dense_macs = kernels.gelu_ffn, kernels.dense_macs_gelu_mlp
     captured = {}
     records = []
     cur = x
     for b, weights in enumerate(model.blocks):
         h_in = _rmsnorm(cur, model.gains[b]) if model.gains is not None else cur
-        record = BlockRecord()
-        up_hook = HookPoint(b, UP_GATE_INPUT)
-        down_hook = HookPoint(b, DOWN_INPUT)
-        if up_hook in capture_hooks:
-            captured[up_hook] = h_in.copy()
-        if model.config.ffn == "swiglu":
-            ffn_out, down_in = _swiglu_block(
-                h_in, weights, specs.get(up_hook), specs.get(down_hook), record,
-                up_hook in mask_hooks, down_hook in mask_hooks,
-            )
-        else:
-            ffn_out, down_in = _gelu_block(
-                h_in, weights, specs.get(up_hook), specs.get(down_hook), record,
-                up_hook in mask_hooks, down_hook in mask_hooks,
-            )
-        if down_hook in capture_hooks:
-            captured[down_hook] = down_in.copy()
-        cur = (cur + ffn_out).astype(FLOAT) if model.config.residual else ffn_out
+        run = ffn(h_in, weights, *(sites[b] if sites else (None, None)))
+        record = BlockRecord(
+            ops=run.ops, dense_macs=dense_macs(h_in.shape[0], weights.d, weights.h)
+        )
+        for site, tensor, site_run in zip(SITES, (h_in, run.down_in), (run.up, run.down)):
+            hook = HookPoint(b, site)
+            if hook in capture_hooks:
+                captured[hook] = tensor.copy()
+            record.pruned[site] = site_run.pruned
+            record.total[site] = site_run.kept.size
+            if hook in mask_hooks:
+                record.masks[site] = site_run.kept
+        cur = (cur + run.y).astype(FLOAT) if model.config.residual else run.y
         records.append(record)
     return cur, captured, records
-
-
-def _swiglu_block(h_in, w, up_spec, down_spec, record, want_up_mask, want_down_mask):
-    n, d, h = h_in.shape[0], w.d, w.h
-    record.dense_macs = kernels.dense_macs_swiglu(n, d, h)
-    if up_spec is not None:
-        comp_up = kernels.fused_compensation(w.w_up, up_spec.eta)
-        comp_gate = kernels.fused_compensation(w.w_gate, up_spec.eta)
-        up, kept, macs_up = sparse_fc(h_in, w.w_up, up_spec.tau, up_spec.eta, comp_up)
-        gate, _, macs_gate = sparse_fc(
-            h_in, w.w_gate, up_spec.tau, up_spec.eta, comp_gate
-        )
-        _note(record, UP_GATE_INPUT, kept, macs_up + macs_gate, want_up_mask, skip_factor=2)
-    else:
-        up = matmul(h_in, w.w_up)
-        gate = matmul(h_in, w.w_gate)
-        _note_dense(record, UP_GATE_INPUT, n * d, 2 * n * d * h)
-    z = silu(gate) * up
-    if down_spec is not None:
-        comp_down = kernels.fused_compensation(w.w_down, down_spec.eta)
-        y, kept_g, macs_down = sparse_fc(
-            z, w.w_down, down_spec.tau, down_spec.eta, comp_down
-        )
-        _note(record, DOWN_INPUT, kept_g, macs_down, want_down_mask)
-    else:
-        y = matmul(z, w.w_down)
-        _note_dense(record, DOWN_INPUT, n * h, n * h * d)
-    return y, z
-
-
-def _gelu_block(h_in, w, up_spec, down_spec, record, want_up_mask, want_down_mask):
-    n, d, h = h_in.shape[0], w.d, w.h
-    record.dense_macs = kernels.dense_macs_gelu_mlp(n, d, h)
-    b_up64 = w.b_up.astype(np.float64)
-    if up_spec is not None:
-        up, kept, macs_up = sparse_fc(h_in, w.w_up, up_spec.tau, up_spec.eta, b_up64)
-        _note(record, UP_GATE_INPUT, kept, macs_up, want_up_mask)
-    else:
-        up = matmul(h_in, w.w_up) + w.b_up
-        _note_dense(record, UP_GATE_INPUT, n * d, n * d * h)
-    hidden = gelu(up)
-    if down_spec is not None:
-        b_down64 = w.b_down.astype(np.float64)
-        comp = kernels.fused_compensation(w.w_down, down_spec.eta)
-        if comp is not None:
-            b_down64 = b_down64 + comp
-        y, kept_h, macs_down = sparse_fc(
-            hidden, w.w_down, down_spec.tau, down_spec.eta, b_down64
-        )
-        _note(record, DOWN_INPUT, kept_h, macs_down, want_down_mask)
-    else:
-        y = matmul(hidden, w.w_down) + w.b_down
-        _note_dense(record, DOWN_INPUT, n * h, n * h * d)
-    return y, hidden
-
-
-def _note(record, site, kept, macs, want_mask, skip_factor=1):
-    pruned = int(kept.size - kept.sum())
-    record.pruned[site] = pruned
-    record.total[site] = int(kept.size)
-    record.ops = record.ops + OpCount(
-        macs=macs,
-        channels_skipped=skip_factor * pruned,
-        elements_pruned=pruned,
-    )
-    if want_mask:
-        record.masks[site] = kept
-
-
-def _note_dense(record, site, elements, macs):
-    record.pruned[site] = 0
-    record.total[site] = elements
-    record.ops = record.ops + OpCount(macs=macs)

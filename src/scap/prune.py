@@ -4,7 +4,9 @@ The pruning operator zeroes activation elements whose magnitude does not
 strictly exceed a calibrated threshold tau. A ``SparseLinear`` freezes a
 weight matrix together with a scalar mode shift eta whose compensating term
 ``eta * column_sums(W)`` is fused into the bias offline, so inference adds
-only a broadcast subtraction before the usual masked GEMM.
+only a broadcast subtraction before the usual masked GEMM. ``compile_ffn``
+turns one FFN block's specs into the ``SparseLinear`` sites that
+``kernels.swiglu_ffn`` and ``kernels.gelu_ffn`` execute.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import OpCount, check_threshold, sparse_fc
+from .kernels import OpCount, SiteRun, SwiGluWeights, check_threshold, sparse_fc
 from .tensor import FLOAT, ShapeError
 
 
@@ -47,27 +49,31 @@ class SparseLinear:
     """Frozen FC layer with mode-centered, input-pruned execution.
 
     ``bias_fused = bias + eta * column_sums(weight)`` is computed at
-    construction; forward computes ``prune(x - eta, tau) @ W + bias_fused``
-    through ``sparse_fc``: one float64-accumulated GEMM over the weight rows
-    that at least one batch row keeps, counting kept-channel MACs.
+    construction (a missing bias counts as zero); forward computes
+    ``prune(x - eta, tau) @ W + bias_fused`` through ``sparse_fc``: one
+    float64-accumulated GEMM over the weight rows that at least one batch row
+    keeps, counting kept-channel MACs. The weight is held by reference, as a
+    read-only view, never copied.
     """
 
-    def __init__(self, weight: np.ndarray, bias: np.ndarray, spec: PruneSpec):
+    def __init__(self, weight: np.ndarray, bias: np.ndarray | None, spec: PruneSpec):
         if weight.ndim != 2:
             raise ShapeError("weight must be 2-D (in_channels x out_channels)")
-        if bias.shape != (weight.shape[1],):
+        if bias is not None and bias.shape != (weight.shape[1],):
             raise ShapeError(
                 f"bias length {bias.shape} does not match out_channels {weight.shape[1]}"
             )
-        self.weight = weight.astype(FLOAT)
+        self.weight = np.asarray(weight, dtype=FLOAT).view()
         self.weight.setflags(write=False)
         self.tau = float(spec.tau)
         self.eta = float(spec.eta)
         self.spec = spec
-        self._bias64 = bias.astype(np.float64) + self.eta * self.weight.sum(
-            axis=0, dtype=np.float64
-        )
-        self.bias_fused = self._bias64.astype(FLOAT)
+        bias64 = None if bias is None else bias.astype(np.float64)
+        if self.eta != 0.0:
+            comp = self.eta * self.weight.sum(axis=0, dtype=np.float64)
+            bias64 = comp if bias64 is None else bias64 + comp
+        self._bias64 = bias64  # None adds nothing, as a zero bias would
+        self.bias_fused = (np.zeros(self.out_channels) if bias64 is None else bias64).astype(FLOAT)
         self.bias_fused.setflags(write=False)
 
     @property
@@ -78,15 +84,28 @@ class SparseLinear:
     def out_channels(self) -> int:
         return self.weight.shape[1]
 
+    def fc(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+        """``sparse_fc`` with this layer's weight, tau, eta and fused bias:
+        (output, kept mask, kept-channel MACs)."""
+        return sparse_fc(x, self.weight, self.tau, self.eta, self._bias64)
+
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, OpCount]:
         """Sparse forward pass; OpCount.macs == out_channels * kept channels."""
-        y, kept, macs = sparse_fc(x, self.weight, self.tau, self.eta, self._bias64)
-        pruned = int(kept.size - kept.sum())
-        return y, OpCount(macs=macs, channels_skipped=pruned, elements_pruned=pruned)
+        y, kept, macs = self.fc(x)
+        return y, SiteRun(kept, macs, 1).ops
 
 
-def build_sparse_linear(
-    weight: np.ndarray, bias: np.ndarray, spec: PruneSpec
-) -> SparseLinear:
-    """Construct the deployable layer, fusing spec.eta into the bias."""
-    return SparseLinear(weight, bias, spec)
+def compile_ffn(w, up: PruneSpec | None, down: PruneSpec | None):
+    """One FFN block's (Up/Gate, Down) sites as ``SparseLinear`` layers.
+
+    A site without a spec compiles to None and runs dense. The SwiGLU Up and
+    Gate projections share their input site, so its first site is the
+    (Up, Gate) pair compiled from the one spec.
+    """
+
+    def layer(weight, bias, spec):
+        return None if spec is None else SparseLinear(weight, bias, spec)
+
+    if isinstance(w, SwiGluWeights):
+        return (layer(w.w_up, None, up), layer(w.w_gate, None, up)), layer(w.w_down, None, down)
+    return layer(w.w_up, w.b_up, up), layer(w.w_down, w.b_down, down)

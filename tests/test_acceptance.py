@@ -26,16 +26,22 @@ from scap.calib import LayerStats
 from scap.cli import main as cli_main
 from scap.kernels import (
     SwiGluWeights,
-    _scap_swiglu_full,
     cats_swiglu,
     dense_macs_swiglu,
     dense_swiglu,
     ffn_sparsity,
     scap_swiglu,
+    swiglu_ffn,
 )
 from scap.model import DOWN_INPUT, UP_GATE_INPUT, BlockConfig, init_weights
-from scap.prune import PruneSpec, build_sparse_linear
+from scap.prune import PruneSpec, SparseLinear, compile_ffn
 from scap.tensor import matmul, silu
+
+
+def _scap_masks(tau_x, tau_g, x, w):
+    """OpCount and the (Up/Gate, Down) kept masks from the one SwiGLU path."""
+    run = swiglu_ffn(x, w, *compile_ffn(w, PruneSpec("x", tau_x), PruneSpec("g", tau_g)))
+    return run.ops, run.up.kept, run.down.kept
 
 
 def _report(criterion: str, detail: str) -> None:
@@ -55,7 +61,7 @@ def test_criterion_01_mode_centering_functional_equivalence():
         b = rng.standard_normal(oc).astype(np.float32)
         eta = float(rng.uniform(-2.0, 2.0))
         x = rng.standard_normal((4, ic)).astype(np.float32)
-        layer = build_sparse_linear(w, b, PruneSpec("l", tau=0.0, eta=eta))
+        layer = SparseLinear(w, b, PruneSpec("l", tau=0.0, eta=eta))
         y, _ = layer.forward(x)
         dense = matmul(x, w) + b
         worst = max(worst, float(np.max(np.abs(y.astype(np.float64) - dense))))
@@ -141,7 +147,7 @@ def test_criterion_05_mac_proportionality():
     for s in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6):
         tau_x = float(np.quantile(np.abs(x), s))
         tau_g = float(np.quantile(np.abs(z), s))
-        _, count, kept_x, kept_g = _scap_swiglu_full(tau_x, tau_g, x, w)
+        count, kept_x, kept_g = _scap_masks(tau_x, tau_g, x, w)
         obs_ffn = ffn_sparsity(
             1.0 - kept_x.sum() / kept_x.size, 1.0 - kept_g.sum() / kept_g.size
         )
@@ -161,7 +167,7 @@ def test_criterion_05_mac_proportionality():
     # targets (0.42, 0.617) versus CATS savings at s_silu = 0.5
     tau_x = float(np.quantile(np.abs(x), 0.42))
     tau_g = float(np.quantile(np.abs(z), 0.617))
-    _, count_scap, _, _ = _scap_swiglu_full(tau_x, tau_g, x, w)
+    count_scap, _, _ = _scap_masks(tau_x, tau_g, x, w)
     savings_scap = 1.0 - count_scap.macs / dense
     v = silu(matmul(x, w.w_gate))
     _, count_cats = cats_swiglu(float(np.quantile(np.abs(v), 0.5)), x, w)

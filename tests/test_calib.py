@@ -13,6 +13,7 @@ from scap.calib import (
     merge,
     report_entry,
 )
+from scap.tensor import DataError
 
 KDE = ModeEstimator(kind="kde")
 MEAN = ModeEstimator(kind="mean")
@@ -33,6 +34,18 @@ def test_observe_counts_elements():
     st_ = LayerStats("l", capacity=16, seed=1)
     st_.observe(np.ones((2, 2), dtype=np.float32))
     assert st_.seen_count == 4
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_observe_rejects_non_finite_before_recording(bad):
+    st_ = _stats([0.5, -1.0, 2.0], capacity=4, seed=1)
+    raw, seen = st_.raw_reservoir.copy(), st_.seen_count
+    with pytest.raises(DataError):
+        st_.observe(np.array([[1.0, bad], [3.0, 4.0]], dtype=np.float32))
+    assert st_.seen_count == seen
+    np.testing.assert_array_equal(st_.raw_reservoir, raw)
+    np.testing.assert_array_equal(st_.abs_reservoir, np.abs(raw))
+    assert st_.quantile_threshold(0.5) == 1.0
 
 
 def test_below_capacity_reservoir_is_exhaustive():

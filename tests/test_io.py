@@ -80,6 +80,43 @@ def test_save_bytes_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def _break_manifest(header, case):
+    if case == "manifest not a dict":
+        header["tensors"] = list(header["tensors"])
+    elif case == "config not a dict":
+        header["config"] = ["swiglu"]
+    elif case == "missing tensor":
+        del header["tensors"]["block0.w_up"]
+    elif case == "unknown config key":
+        header["config"]["colour"] = 1
+    elif case == "bad ffn value":
+        header["config"]["ffn"] = "relu"
+    elif case == "wrong-shaped tensor":  # same byte_len, transposed shape
+        header["tensors"]["block0.w_up"]["shape"] = [16, 8]
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "manifest not a dict",
+        "config not a dict",
+        "missing tensor",
+        "unknown config key",
+        "bad ffn value",
+        "wrong-shaped tensor",
+    ],
+)
+def test_malformed_model_container_raises_manifest_error(tmp_path, case):
+    path = tmp_path / "m.scap"
+    save_model(init_weights(BlockConfig(d_model=8, d_hidden=16, n_blocks=1), seed=4), path)
+    data, hlen, header = _container_parts(path)
+    _break_manifest(header, case)
+    raw = json.dumps(header).encode()
+    path.write_bytes(struct.pack("<Q", len(raw)) + raw + data[8 + hlen :])
+    with pytest.raises(ManifestError):
+        load_model(path)
+
+
 def test_overlapping_offsets_rejected(tmp_path):
     path = tmp_path / "bad.scap"
     blob = np.zeros(8, dtype="<f4").tobytes()

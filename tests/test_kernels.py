@@ -6,18 +6,18 @@ import pytest
 from scap.kernels import (
     GeluMlpWeights,
     SwiGluWeights,
-    _scap_gelu_mlp_full,
-    _scap_swiglu_full,
     cats_swiglu,
     dense_gelu_mlp,
     dense_macs_swiglu,
     dense_swiglu,
     ffn_sparsity,
+    gelu_ffn,
     mlp_ffn_sparsity,
     scap_gelu_mlp,
     scap_swiglu,
+    swiglu_ffn,
 )
-from scap.prune import prune_activations
+from scap.prune import PruneSpec, compile_ffn, prune_activations
 from scap.tensor import ShapeError, gelu, matmul, silu
 
 
@@ -27,6 +27,13 @@ def _swiglu(rng, d, h):
         (rng.standard_normal((d, h)) / np.sqrt(d)).astype(np.float32),
         (rng.standard_normal((h, d)) / np.sqrt(h)).astype(np.float32),
     )
+
+
+def _scap_masks(tau_x, tau_z, x, w, eta_z=0.0):
+    """OpCount and the (Up/Gate, Down) kept masks from the one FFN path."""
+    ffn = swiglu_ffn if isinstance(w, SwiGluWeights) else gelu_ffn
+    run = ffn(x, w, *compile_ffn(w, PruneSpec("x", tau_x), PruneSpec("z", tau_z, eta_z)))
+    return run.ops, run.up.kept, run.down.kept
 
 
 def _gelu_mlp(rng, d, h, bias_offset=0.0):
@@ -169,7 +176,7 @@ def test_scap_table_row_sparsity_accounting():
     tau_x = float(np.quantile(np.abs(x), 0.42))
     z = silu(matmul(x, w.w_gate)) * matmul(x, w.w_up)
     tau_g = float(np.quantile(np.abs(z), 0.617))
-    _, count, kept_x, kept_g = _scap_swiglu_full(tau_x, tau_g, x, w)
+    count, kept_x, kept_g = _scap_masks(tau_x, tau_g, x, w)
     s_x = 1.0 - kept_x.sum() / kept_x.size
     s_g = 1.0 - kept_g.sum() / kept_g.size
     assert ffn_sparsity(s_x, s_g) == pytest.approx(0.485, abs=0.01)
@@ -181,7 +188,7 @@ def test_scap_single_row_mac_example():
     rng = np.random.default_rng(10)
     w = _swiglu(rng, d, h)
     x = np.concatenate([np.full(32, 0.01), np.full(32, 3.0)]).astype(np.float32)[None, :]
-    _, count, kept_x, kept_g = _scap_swiglu_full(1.0, 0.0, x, w)
+    count, kept_x, kept_g = _scap_masks(1.0, 0.0, x, w)
     assert int(kept_x.sum()) == 32  # exactly half the input channels survive
     assert count.macs == 2 * 32 * h + int(kept_g.sum()) * d
 
@@ -195,7 +202,7 @@ def test_scap_mac_proportionality_identity():
         tau_x = float(np.quantile(np.abs(x), s))
         z = silu(matmul(x, w.w_gate)) * matmul(x, w.w_up)
         tau_g = float(np.quantile(np.abs(z), s))
-        _, count, kept_x, kept_g = _scap_swiglu_full(tau_x, tau_g, x, w)
+        count, kept_x, kept_g = _scap_masks(tau_x, tau_g, x, w)
         s_x = 1.0 - kept_x.sum() / kept_x.size
         s_g = 1.0 - kept_g.sum() / kept_g.size
         ratio = count.macs / dense_macs_swiglu(n, d, h)
@@ -206,8 +213,8 @@ def test_scap_masks_decoupled():
     rng = np.random.default_rng(12)
     w = _swiglu(rng, 16, 48)
     x = rng.standard_normal((6, 16)).astype(np.float32)
-    _, _, mask_a, _ = _scap_swiglu_full(0.5, 0.1, x, w)
-    _, _, mask_b, gated_b = _scap_swiglu_full(0.5, 0.9, x, w)
+    _, mask_a, _ = _scap_masks(0.5, 0.1, x, w)
+    _, mask_b, gated_b = _scap_masks(0.5, 0.9, x, w)
     np.testing.assert_array_equal(mask_a, mask_b)  # tau_gated cannot touch Up/Gate
     # the down mask is a pure function of (gated tensor, tau, eta)
     up, _, _ = _sparse_up(x, w, 0.5)
@@ -255,7 +262,7 @@ def test_gelu_mlp_mode_centered_down_sparsity():
     hidden = gelu(matmul(x, w.w_up) + w.b_up)
     eta = float(np.median(hidden))
     tau_h = float(np.quantile(np.abs(hidden.astype(np.float64) - eta), 0.574))
-    _, count, _, kept_h = _scap_gelu_mlp_full(0.0, tau_h, eta, x, w)
+    count, _, kept_h = _scap_masks(0.0, tau_h, x, w, eta_z=eta)
     observed = 1.0 - kept_h.sum() / kept_h.size
     assert observed == pytest.approx(0.574, abs=0.01)
     assert count.macs == d * h * n + int(kept_h.sum()) * d

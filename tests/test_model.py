@@ -77,8 +77,9 @@ def test_empty_specs_bitwise_identical():
     assert all(rec.ops.elements_pruned == 0 for rec in records)
 
 
-def test_tau_zero_specs_match_dense_within_fusion_rounding():
-    cfg = BlockConfig(d_model=16, d_hidden=48, n_blocks=3)
+@pytest.mark.parametrize("ffn", ["swiglu", "gelu"])
+def test_tau_zero_specs_match_dense_within_fusion_rounding(ffn):
+    cfg = BlockConfig(ffn=ffn, d_model=16, d_hidden=48, n_blocks=3)
     model = init_weights(cfg, seed=10)
     x = _input(np.random.default_rng(11), 16, 16)
     stream = synthetic_stream(16, 4, 64, seed=12)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scap.calib import LayerStats
-from scap.prune import PruneSpec, build_sparse_linear, prune_activations
+from scap.prune import PruneSpec, SparseLinear, prune_activations
 from scap.tensor import ShapeError, matmul
 
 
@@ -76,20 +76,20 @@ def test_pruning_monotone_in_tau(values, t1, t2):
 def test_eta_zero_keeps_bias_exactly():
     rng = np.random.default_rng(0)
     w, b = _random_layer(rng, 6, 4)
-    layer = build_sparse_linear(w, b, _spec(tau=0.1, eta=0.0))
+    layer = SparseLinear(w, b, _spec(tau=0.1, eta=0.0))
     assert np.array_equal(layer.bias_fused, b)
 
 
 def test_bias_fusion_column_sums():
     w = np.ones((3, 2), dtype=np.float32)
     b = np.zeros(2, dtype=np.float32)
-    layer = build_sparse_linear(w, b, _spec(eta=2.0))
+    layer = SparseLinear(w, b, _spec(eta=2.0))
     np.testing.assert_array_equal(layer.bias_fused, np.array([6.0, 6.0], np.float32))
 
 
 def test_construction_shape_mismatch():
     with pytest.raises(ShapeError):
-        build_sparse_linear(
+        SparseLinear(
             np.zeros((3, 2), np.float32), np.zeros(3, np.float32), _spec()
         )
 
@@ -109,7 +109,7 @@ def test_forward_dense_fallback():
     rng = np.random.default_rng(1)
     w, b = _random_layer(rng, 8, 4)
     x = rng.standard_normal((5, 8)).astype(np.float32)
-    y, _ = build_sparse_linear(w, b, _spec()).forward(x)
+    y, _ = SparseLinear(w, b, _spec()).forward(x)
     np.testing.assert_allclose(y, matmul(x, w) + b, atol=1e-6)
 
 
@@ -122,14 +122,14 @@ def test_forward_mode_centering_equivalence():
         w, b = _random_layer(rng, ic, oc)
         eta = float(rng.uniform(-2, 2))
         x = rng.standard_normal((4, ic)).astype(np.float32)
-        y, _ = build_sparse_linear(w, b, _spec(eta=eta)).forward(x)
+        y, _ = SparseLinear(w, b, _spec(eta=eta)).forward(x)
         np.testing.assert_allclose(y, matmul(x, w) + b, atol=1e-5)
 
 
 def test_forward_ones_input_matches_dense_oracle():
     rng = np.random.default_rng(3)
     w, b = _random_layer(rng, 8, 4)
-    layer = build_sparse_linear(w, b, _spec(eta=0.37))
+    layer = SparseLinear(w, b, _spec(eta=0.37))
     x = np.ones((1, 8), dtype=np.float32)
     y, _ = layer.forward(x)
     np.testing.assert_allclose(y, matmul(x, w) + b, atol=1e-5)
@@ -148,7 +148,7 @@ def test_forward_matches_dynamic_eta_oracle():
     rng = np.random.default_rng(4)
     w, b = _random_layer(rng, 32, 16)
     spec = _spec(tau=0.4, eta=0.8)
-    layer = build_sparse_linear(w, b, spec)
+    layer = SparseLinear(w, b, spec)
     x = rng.standard_normal((6, 32)).astype(np.float32)
     y, _ = layer.forward(x)
     np.testing.assert_allclose(y, _dynamic_eta_reference(w, b, spec, x), atol=1e-5)
@@ -157,7 +157,7 @@ def test_forward_matches_dynamic_eta_oracle():
 def test_opcount_exact():
     rng = np.random.default_rng(5)
     w, b = _random_layer(rng, 128, 64)
-    layer = build_sparse_linear(w, b, _spec(tau=0.7))
+    layer = SparseLinear(w, b, _spec(tau=0.7))
     x = rng.standard_normal((3, 128)).astype(np.float32)
     y, count = layer.forward(x)
     kept = int(np.sum(np.abs(x) > 0.7))
@@ -171,7 +171,7 @@ def test_half_pruned_row_mac_example():
     w = np.ones((128, 64), dtype=np.float32)
     b = np.zeros(64, dtype=np.float32)
     x = np.concatenate([np.full(64, 0.1), np.full(64, 2.0)]).astype(np.float32)[None, :]
-    _, count = build_sparse_linear(w, b, _spec(tau=1.0)).forward(x)
+    _, count = SparseLinear(w, b, _spec(tau=1.0)).forward(x)
     assert count.macs == 64 * 64  # OC times surviving channels
 
 
@@ -182,10 +182,10 @@ def test_output_error_grows_with_tau_in_aggregate():
     rng = np.random.default_rng(6)
     w, b = _random_layer(rng, 64, 32)
     x = rng.standard_normal((256, 64)).astype(np.float32)
-    dense, _ = build_sparse_linear(w, b, _spec()).forward(x)
+    dense, _ = SparseLinear(w, b, _spec()).forward(x)
     errors = []
     for tau in (0.0, 0.2, 0.4, 0.8, 1.2, 2.0):
-        y, _ = build_sparse_linear(w, b, _spec(tau=tau)).forward(x)
+        y, _ = SparseLinear(w, b, _spec(tau=tau)).forward(x)
         errors.append(float(np.mean((y.astype(np.float64) - dense) ** 2)))
     for e_lo, e_hi in zip(errors, errors[1:]):
         assert e_hi >= e_lo - 1e-3 * max(e_lo, 1e-12)
@@ -194,6 +194,6 @@ def test_output_error_grows_with_tau_in_aggregate():
 def test_weight_is_immutable():
     rng = np.random.default_rng(7)
     w, b = _random_layer(rng, 4, 4)
-    layer = build_sparse_linear(w, b, _spec())
+    layer = SparseLinear(w, b, _spec())
     with pytest.raises(ValueError):
         layer.weight[0, 0] = 5.0
