@@ -125,6 +125,8 @@ def load_tensors(path) -> tuple[dict[str, np.ndarray], dict]:
             raise ManifestError(f"tensor {name!r}: malformed entry") from exc
         if dtype != "f32":
             raise ManifestError(f"tensor {name!r}: unsupported dtype {dtype!r}")
+        if any(v < 0 for v in shape):
+            raise ManifestError(f"tensor {name!r}: negative dimension in shape {shape}")
         expect = 4 * int(np.prod(shape, dtype=np.int64)) if shape else 4
         if length != expect:
             raise ManifestError(

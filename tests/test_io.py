@@ -93,6 +93,8 @@ def _break_manifest(header, case):
         header["config"]["ffn"] = "relu"
     elif case == "wrong-shaped tensor":  # same byte_len, transposed shape
         header["tensors"]["block0.w_up"]["shape"] = [16, 8]
+    elif case == "negative dimensions":  # same byte_len
+        header["tensors"]["block0.w_up"]["shape"] = [-8, -16]
 
 
 @pytest.mark.parametrize(
@@ -104,6 +106,7 @@ def _break_manifest(header, case):
         "unknown config key",
         "bad ffn value",
         "wrong-shaped tensor",
+        "negative dimensions",
     ],
 )
 def test_malformed_model_container_raises_manifest_error(tmp_path, case):
