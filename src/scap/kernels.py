@@ -238,9 +238,10 @@ def _fc(x, layer, weight, bias=None):
 def swiglu_ffn(x: np.ndarray, w: SwiGluWeights, up=None, down=None) -> FfnRun:
     """The SwiGLU block (silu(x W_gate) * (x W_up)) W_down, dense or pruned.
 
-    ``up`` is the (Up, Gate) pair of compiled ``SparseLinear`` layers sharing
-    one mask of ``x``, ``down`` the compiled Down layer pruning the gated
-    intermediate; None, in or for either, is dense. See ``prune.compile_ffn``.
+    ``up`` is the (Up, Gate) pair of compiled ``SparseLinear`` layers, which
+    share one mask of ``x``; ``down`` is the compiled Down layer, which prunes
+    the gated intermediate. None for a layer or the pair runs it dense. See
+    ``prune.compile_ffn``.
     """
     up_layer, gate_layer = up or (None, None)
     u, kept_x, macs_up = _fc(x, up_layer, w.w_up)

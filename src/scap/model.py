@@ -122,7 +122,7 @@ class FfnStack:
         """Compile each spec once into the ``SparseLinear`` layer of its site."""
         _validate_hooks(self, specs.keys())
         sites = [
-            compile_ffn(w, specs.get(HookPoint(b, UP_GATE_INPUT)), specs.get(HookPoint(b, DOWN_INPUT)))
+            compile_ffn(w, *(specs.get(HookPoint(b, site)) for site in SITES))
             for b, w in enumerate(self.blocks)
         ]
         return SparseStack(self, dict(specs), sites)
