@@ -1,9 +1,9 @@
 """Activation-statistics collection and threshold / mode-shift calibration.
 
 ``LayerStats`` accumulates a bounded uniform sample of the activation values
-flowing through one pruning location (plus a parallel sample of their
-magnitudes) via seeded reservoir sampling, so calibrations over arbitrarily
-long streams stay within a fixed memory budget. From the reservoirs we derive
+flowing through one pruning location via seeded reservoir sampling, so
+calibrations over arbitrarily long streams stay within a fixed memory budget.
+From the reservoir we derive
 
 * ``quantile_threshold``: tau as the target-sparsity quantile of |X|,
 * ``estimate_mode``: eta as the empirical mean, median, or the argmax of a
@@ -104,9 +104,9 @@ class _Reservoir:
 class LayerStats:
     """Per-layer calibration accumulator.
 
-    Holds two reservoirs over the same element stream: one of |X| for
-    threshold quantiles, one of raw X for mode estimation. Sampling is
-    driven by generators spawned deterministically from ``seed``.
+    Holds one reservoir of raw X for mode estimation; its magnitudes are a
+    uniform sample of |X| for threshold quantiles. Sampling is driven by a
+    generator spawned deterministically from ``seed``.
     """
 
     def __init__(
@@ -120,8 +120,8 @@ class LayerStats:
         self.layer_id = layer_id
         self.capacity = capacity
         self.seed = int(seed)
-        abs_ss, raw_ss = np.random.SeedSequence(self.seed).spawn(2)
-        self._abs = _Reservoir(capacity, np.random.default_rng(abs_ss))
+        # spawned child 1 keeps the raw sample, and so every eta, byte-stable
+        raw_ss = np.random.SeedSequence(self.seed).spawn(2)[1]
         self._raw = _Reservoir(capacity, np.random.default_rng(raw_ss))
 
     @property
@@ -130,14 +130,14 @@ class LayerStats:
 
     @property
     def abs_reservoir(self) -> np.ndarray:
-        return self._abs.values()
+        return np.abs(self._raw.values())
 
     @property
     def raw_reservoir(self) -> np.ndarray:
         return self._raw.values()
 
     def observe(self, activations: np.ndarray) -> "LayerStats":
-        """Fold an activation tensor's elements into both reservoirs.
+        """Fold an activation tensor's elements into the reservoir.
 
         NaN or Inf raises ``DataError`` before anything is recorded; it would
         otherwise make every threshold NaN.
@@ -145,15 +145,14 @@ class LayerStats:
         flat = np.asarray(activations, dtype=np.float32).ravel()
         if not np.all(np.isfinite(flat)):
             raise DataError(f"{self.layer_id}: activations contain NaN or Inf")
-        self._abs.extend(np.abs(flat))
         self._raw.extend(flat)
         return self
 
     def quantile_threshold(self, target_sparsity: float) -> float:
-        """tau = linear-interpolation quantile of the |X| reservoir."""
+        """tau = linear-interpolation quantile of the reservoir's magnitudes."""
         if not 0.0 <= target_sparsity <= 1.0:
             raise ValueError(f"target_sparsity must lie in [0, 1], got {target_sparsity}")
-        if self._abs.filled == 0:
+        if self._raw.filled == 0:
             raise CalibrationError(f"{self.layer_id}: no observations recorded")
         return float(np.quantile(self.abs_reservoir, target_sparsity))
 
@@ -200,9 +199,8 @@ def merge(a: LayerStats, b: LayerStats) -> LayerStats:
     mix_rng = np.random.default_rng(
         np.random.SeedSequence([a.seed, b.seed, 0x6D31])
     )
-    for res_out, res_a, res_b in ((out._abs, a._abs, b._abs), (out._raw, a._raw, b._raw)):
-        merged = _merge_reservoirs(res_a, res_b, a.capacity, mix_rng)
-        res_out._replace(merged, res_a.seen + res_b.seen)
+    merged = _merge_reservoirs(a._raw, b._raw, a.capacity, mix_rng)
+    out._raw._replace(merged, a._raw.seen + b._raw.seen)
     return out
 
 

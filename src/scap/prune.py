@@ -52,8 +52,8 @@ class SparseLinear:
     construction (a missing bias counts as zero); forward computes
     ``prune(x - eta, tau) @ W + bias_fused`` through ``sparse_fc``: one
     float64-accumulated GEMM over the weight rows that at least one batch row
-    keeps, counting kept-channel MACs. The weight is held by reference, as a
-    read-only view, never copied.
+    keeps, counting kept-channel MACs. A float32 weight is held by reference,
+    as a read-only view, never copied.
     """
 
     def __init__(self, weight: np.ndarray, bias: np.ndarray | None, spec: PruneSpec):
@@ -72,7 +72,7 @@ class SparseLinear:
         if self.eta != 0.0:
             comp = self.eta * self.weight.sum(axis=0, dtype=np.float64)
             bias64 = comp if bias64 is None else bias64 + comp
-        self._bias64 = bias64  # None adds nothing, as a zero bias would
+        self._bias64 = bias64  # None: sparse_fc skips the bias add
         self.bias_fused = (np.zeros(self.out_channels) if bias64 is None else bias64).astype(FLOAT)
         self.bias_fused.setflags(write=False)
 

@@ -17,11 +17,11 @@ OUT = "out"
 
 GOLDEN = {
     "calibrate": {
-        "calibration.json": "f47f6698ef91a25ef6ee2afe09626525c3df97a479db5e7ac99db957125efe44",
+        "calibration.json": "f7335fd2b154a82e3b0cfa6e8ac9c3aef4c82635c7c861dfa0d54d64a2641718",
     },
     "sweep": {
-        "sweep.json": "51a767f5bd6e645459a084faaeaa3b4d77f0abbde20084647144a22c9bcc4ffd",
-        "sweep.csv": "af9960e02fe0670f3087411c8333b92460ce558ec343826e58ee36f9f5fe07e2",
+        "sweep.json": "72faad811482dd8ac7f6ce9c848eea8f6d41eaa70a2914a43baf6d8304c6bd9f",
+        "sweep.csv": "ac0468d504598a571b2e45617617e0a6b3cf1641fa3094ab619f5ce26425cc3b",
     },
     "bench": {
         "bench.csv": "dd0f1cd0c72310abcad06d5b6ce1b1f2059e32463dfcb86872d83cf88e36c2cd",
@@ -32,8 +32,8 @@ GOLDEN = {
         "overlap.json": "7b7b1c4db5288b4a10658bb13ed82c3e66579d256b0250f586ea3c4be6054bb7",
     },
     "ablate-mode": {
-        "ablation.csv": "8cd038bdb62c387cfbf1d03a6f6bcbdcc46a08a575189a4ef82aa35fbf77022f",
-        "ablation.json": "548ac6a3bfac4af9827989292a3f1e5a451a7265ca86b64977030ecfceb14423",
+        "ablation.csv": "b26f79be1492aeb7d2073db9477f0bf82608c784be0c85ed806155c7e500c5e7",
+        "ablation.json": "8b192a513bd339800d1ef0712cf4b6aa222bec13eee8cda4ce959d0a1f34fe9f",
     },
     "roundtrip-check": {
         "roundtrip.json": "2ae681392f2ed00a72c39702135a35a0461e97d070385e6ddcf6e5843da25669",
