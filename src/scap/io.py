@@ -95,6 +95,13 @@ def save_tensors(tensors: dict[str, np.ndarray], path, extra: dict | None = None
             f.write(raw)
 
 
+def _json_int(v) -> int:
+    """A manifest integer; a float such as 2.7 or 2.0, or a bool, is malformed."""
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise TypeError(f"expected an integer, got {v!r}")
+    return v
+
+
 def load_tensors(path) -> tuple[dict[str, np.ndarray], dict]:
     """Read a container; returns (tensors, config). Validates everything."""
     data = Path(path).read_bytes()
@@ -118,8 +125,8 @@ def load_tensors(path) -> tuple[dict[str, np.ndarray], dict]:
     spans = []
     for name, entry in manifest.items():
         try:
-            shape = tuple(int(v) for v in entry["shape"])
-            off, length = int(entry["byte_offset"]), int(entry["byte_len"])
+            shape = tuple(_json_int(v) for v in entry["shape"])
+            off, length = _json_int(entry["byte_offset"]), _json_int(entry["byte_len"])
             dtype = entry["dtype"]
         except (KeyError, TypeError, ValueError) as exc:
             raise ManifestError(f"tensor {name!r}: malformed entry") from exc
@@ -136,17 +143,14 @@ def load_tensors(path) -> tuple[dict[str, np.ndarray], dict]:
             raise TruncatedBlobError(
                 f"tensor {name!r}: range [{off}, {off + length}) outside blob of {len(blob)} bytes"
             )
-        spans.append((off, off + length, name))
+        spans.append((off, off + length, name, shape))
     spans.sort()
-    for (s0, e0, n0), (s1, e1, n1) in zip(spans, spans[1:]):
+    for (s0, e0, n0, _), (s1, e1, n1, _) in zip(spans, spans[1:]):
         if s1 < e0:
             raise OffsetOverlapError(f"tensors {n0!r} and {n1!r} overlap in the blob")
     tensors = {}
-    for name, entry in manifest.items():
-        off, length = int(entry["byte_offset"]), int(entry["byte_len"])
-        arr = np.frombuffer(blob[off : off + length], dtype="<f4").reshape(
-            tuple(int(v) for v in entry["shape"])
-        )
+    for off, end, name, shape in spans:
+        arr = np.frombuffer(blob[off:end], dtype="<f4").reshape(shape)
         if not np.all(np.isfinite(arr)):
             raise WeightDataError(f"tensor {name!r} contains NaN or Inf")
         tensors[name] = arr.astype(np.float32)

@@ -14,11 +14,15 @@ Three sparse schemes plus dense references:
 All but CATS, and every block of a model stack, run through ``swiglu_ffn``
 or ``gelu_ffn``, the one path per FFN kind, with each site dense or a
 ``SparseLinear`` from ``prune.compile_ffn``. Sparse execution is one
-float64-accumulated GEMM per projection over the union of weight rows that
-any batch row keeps, with pruned elements zeroed.
-``OpCount.macs`` counts kept-channel MACs, the multiply-accumulates a
-row-skipping kernel would perform; it is an operation count, not a time.
-Wall-clock is measured by the benchmark in ``perfbench/``.
+float64-accumulated ``tensor.matmul_rows`` product per projection over the
+union of weight rows that any batch row keeps, with pruned elements zeroed.
+For one row (a decode token) that union is exactly the kept rows, and the
+compiled row kernel reads only those rows of the weight; a batch runs
+blocked BLAS GEMMs over the union.
+``OpCount.macs`` counts kept-channel MACs: at one row the multiply-accumulates
+the row kernel performs, at a batch fewer than the union GEMM computes. It is
+an operation count, not a time. Wall-clock is measured by the benchmark in
+``perfbench/``.
 """
 
 from __future__ import annotations
@@ -122,8 +126,9 @@ def sparse_fc(
     """Mode-shifted, input-pruned FC: the reusable sparse-by-input primitive.
 
     Shifts ``x`` by finite ``eta`` and keeps elements whose magnitude strictly
-    exceeds finite ``tau >= 0``. One float64-accumulated GEMM multiplies them
-    by the weight rows that any batch row keeps, then adds ``bias_fused``.
+    exceeds finite ``tau >= 0``. One float64-accumulated ``matmul_rows``
+    product multiplies them by the weight rows that any batch row keeps (the
+    row kernel for one row), then adds ``bias_fused``.
     Returns (output, kept mask, kept-channel MACs).
     """
     _check_input(x, weight.shape[0])

@@ -95,6 +95,14 @@ def _break_manifest(header, case):
         header["tensors"]["block0.w_up"]["shape"] = [16, 8]
     elif case == "negative dimensions":  # same byte_len
         header["tensors"]["block0.w_up"]["shape"] = [-8, -16]
+    elif case == "fractional dimension":  # int() would read (8, 16)
+        header["tensors"]["block0.w_up"]["shape"] = [8.7, 16]
+    elif case == "float dimension":
+        header["tensors"]["block0.w_up"]["shape"] = [8.0, 16]
+    elif case == "bool dimension":  # int() would read (8, 16, 1)
+        header["tensors"]["block0.w_up"]["shape"] = [8, 16, True]
+    elif case == "float byte_len":
+        header["tensors"]["block0.w_up"]["byte_len"] = 512.0
 
 
 @pytest.mark.parametrize(
@@ -107,6 +115,10 @@ def _break_manifest(header, case):
         "bad ffn value",
         "wrong-shaped tensor",
         "negative dimensions",
+        "fractional dimension",
+        "float dimension",
+        "bool dimension",
+        "float byte_len",
     ],
 )
 def test_malformed_model_container_raises_manifest_error(tmp_path, case):

@@ -85,6 +85,7 @@ def _case(n, d, oc, tau, eta, bias=False, seed=0):
 @example(_case(4, 6, 5, tau=0.0, eta=0.0, bias=True))  # every channel kept
 @example(_case(0, 6, 5, tau=0.5, eta=0.3))  # empty batch
 @example(_case(5, 8, 7, tau=0.4, eta=-0.7, bias=True))  # mode shift
+@example(_case(1, 19, 7, tau=0.3, eta=0.2, bias=True))  # one row: the row kernel
 def test_sparse_fc_matches_rowwise_reference(case):
     _check_against_reference(*case)
 

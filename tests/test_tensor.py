@@ -1,18 +1,28 @@
-"""Dense core: matmul against a triple-loop oracle, activation values."""
+"""Dense core: matmul against a triple-loop oracle, the row kernel against a
+sequential loop, activation values."""
 
 import math
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from scap import tensor
 from scap.tensor import (
     CAST_BLOCK_BYTES,
     DataError,
+    KernelError,
     ShapeError,
     as_matrix,
     as_vector,
     gelu,
     matmul,
+    matmul_rows,
     silu,
 )
 
@@ -64,6 +74,130 @@ def test_matmul_casts_wide_weights_in_blocks():
 def test_matmul_shape_mismatch():
     with pytest.raises(ShapeError):
         matmul(np.zeros((2, 3), np.float32), np.zeros((4, 2), np.float32))
+
+
+def _sequential_rows(x64, w, rows):
+    """Reference: one f64 accumulator per output, one weight row at a time."""
+    acc = np.zeros(w.shape[1])
+    for i, r in enumerate(range(w.shape[0]) if rows is None else rows):
+        acc += x64[0, i] * w[r].astype(np.float64)
+    return acc
+
+
+def _row_case(k, m, n_rows, zeros=0, seed=0):
+    """x64 (1, n) and w (k, m), with the first ``zeros`` x entries 0; all
+    rows when ``n_rows`` is None, else ``n_rows`` ascending rows."""
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal((k, m)).astype(np.float32)
+    rows = None if n_rows is None else np.sort(rng.choice(k, n_rows, replace=False))
+    x64 = rng.standard_normal((1, k if rows is None else n_rows))
+    x64[0, :zeros] = 0.0
+    return x64, w, rows
+
+
+def _int64(values):
+    return np.array(values, dtype=np.int64)
+
+
+@st.composite
+def _one_row_product(draw):
+    k = draw(st.integers(1, 40))
+    m = draw(st.integers(0, 12))
+    w = draw(hnp.arrays(np.float32, (k, m), elements=st.floats(-4, 4, width=32)))
+    rows = draw(st.none() | st.lists(st.integers(0, k - 1), max_size=40).map(_int64))
+    n = k if rows is None else rows.size
+    x64 = draw(hnp.arrays(np.float64, (1, n), elements=st.just(0.0) | st.floats(-4, 4)))
+    return x64, w, rows
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_one_row_product())
+@example(_row_case(5, 7, 0))  # no rows: a zero output
+@example(_row_case(9, 7, 7))  # tail rows only
+@example(_row_case(30, 13, 8))  # one full block of 8
+@example(_row_case(40, 13, 8 * 3 + 5, zeros=6))  # blocks, a tail and zero x entries
+@example(_row_case(21, 6, None))  # rows=None reads every row
+def test_one_row_product_equals_sequential_loop(case):
+    x64, w, rows = case
+    out = matmul_rows(x64, w, rows)
+    assert out.shape == (1, w.shape[1]) and out.dtype == np.float64
+    assert np.array_equal(out[0], _sequential_rows(x64, w, rows))
+
+
+def test_one_row_product_reads_non_contiguous_weights():
+    x64, w, rows = _row_case(20, 11, 13, seed=1)
+    wt = np.asfortranarray(w)
+    assert np.array_equal(matmul_rows(x64, wt, rows)[0], _sequential_rows(x64, w, rows))
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize(
+    "rows,x_cols",
+    [
+        ([6], 1),  # one past the last row
+        ([-1], 1),  # numpy would wrap this to the last row
+        ([[0, 1]], 2),  # 2-D
+        ([0.0, 1.0], 2),  # not integers
+        ([True, False], 2),  # a mask, not row numbers
+        ([0, 1], 3),  # x has a column per row
+    ],
+)
+def test_matmul_rows_rejects_bad_rows(batch, rows, x_cols):
+    w = np.ones((6, 4), np.float32)
+    with pytest.raises(ShapeError):
+        matmul_rows(np.ones((batch, x_cols)), w, np.array(rows))
+
+
+def test_matmul_rows_rejects_non_float32_weights():
+    with pytest.raises(ShapeError):
+        matmul_rows(np.ones((1, 2)), np.ones((2, 3)))
+
+
+@pytest.mark.parametrize(
+    "cc,needle",
+    [
+        (("scap-missing-cc",), "No such file"),
+        (("cc", "-fno-such-flag"), "error"),  # the compiler's stderr
+    ],
+)
+def test_row_kernel_build_failure_raises_kernel_error(monkeypatch, cc, needle):
+    monkeypatch.setattr(tensor, "CC", cc)
+    monkeypatch.setattr(tensor, "_row_gemv_lib", None)
+    with pytest.raises(KernelError) as err:
+        matmul_rows(np.ones((1, 2)), np.ones((2, 3), np.float32))
+    command, _, detail = str(err.value).partition(" ".join(cc))
+    assert command and needle in detail
+
+
+def test_row_kernel_compiles_once_under_concurrent_first_use(monkeypatch):
+    monkeypatch.setattr(tensor, "_row_gemv_lib", None)
+    builds = []
+    run = subprocess.run
+    monkeypatch.setattr(subprocess, "run", lambda *a, **kw: builds.append(a) or run(*a, **kw))
+    x64, w, rows = _row_case(50, 30, 37, seed=2)
+    want = _sequential_rows(x64, w, rows)
+    results = []
+    threads = [
+        threading.Thread(target=lambda: results.append(matmul_rows(x64, w, rows)))
+        for _ in range(6)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(builds) == 1
+    assert len(results) == 6 and all(np.array_equal(r[0], want) for r in results)
+
+
+def test_importing_the_cli_compiles_nothing():
+    code = "import scap.cli, scap.tensor as t; assert t._row_gemv_lib is None"
+    subprocess.run([sys.executable, "-c", code], check=True)
 
 
 def test_silu_values():
