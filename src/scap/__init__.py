@@ -1,7 +1,7 @@
 """Statistical calibrated activation pruning engine.
 
-Calibrates per-layer L1 pruning thresholds and mode shifts from activation
-streams, rewrites FC layers into mode-centered input-pruned sparse layers,
+Calibrates per-site (pooled over blocks) L1 pruning thresholds and mode
+shifts from activation streams, rewrites FC layers into mode-centered input-pruned sparse layers,
 and provides instrumented sparse FFN kernels plus analysis harnesses
 (target-vs-actual sparsity, mode-centering gain, overlap decay, Pareto
 sweeps).

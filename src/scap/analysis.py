@@ -3,6 +3,8 @@
 Everything here runs on synthetic activation streams (the desk-scale
 calibration set is 64 sequences of 256 feature vectors) and emits plain
 dict / CSV-row payloads so results can be persisted byte-identically.
+Calibration is per site (pooled over blocks): each site's statistics, and
+so its ``PruneSpec``, serve that site's hook in every block.
 
 Quality throughout is the negated relative L2 reconstruction error of the
 pruned stack against its dense twin on held-out data; higher is better.
@@ -78,10 +80,9 @@ class CorrelatedBatches:
 
 @dataclass
 class CalibrationResult:
-    """Per-group activation statistics plus the hook -> group aliasing."""
+    """Activation statistics per site, each pooled over every block."""
 
     stats: dict[str, LayerStats]
-    group_of: dict[HookPoint, str]
 
 
 def calibrate(
@@ -89,29 +90,33 @@ def calibrate(
     calib_stream,
     capacity: int = DEFAULT_RESERVOIR_CAPACITY,
     seed: int = DEFAULT_SEED,
-    per_layer: bool = False,
     specs: dict[HookPoint, PruneSpec] | None = None,
 ) -> CalibrationResult:
     """Stream calibration batches through the model, hooks observing.
 
-    By default activations are pooled per location group (all blocks' Up/Gate
-    inputs together, all Down inputs together) so one threshold serves a
-    uniform target per group; ``per_layer=True`` keeps one accumulator per
-    hook instead. Passing ``specs`` routes the capture through the pruned
-    view, so statistics reflect the distributions a deployed model sees.
+    Activations are pooled per site: all blocks' Up/Gate inputs feed one
+    ``LayerStats`` and all Down inputs another, so one threshold serves a
+    uniform target per site. Passing ``specs`` routes the
+    capture through the pruned view, so statistics reflect the distributions
+    a deployed model sees.
     """
     hooks = model.hook_points()
     runner = model if not specs else model.apply_prune_specs(specs)
-    group_of = {h: (h.label if per_layer else h.site) for h in hooks}
-    stats: dict[str, LayerStats] = {}
-    for i, gid in enumerate(sorted(set(group_of.values()))):
-        gseed = int(np.random.SeedSequence([seed, i]).generate_state(1)[0])
-        stats[gid] = LayerStats(gid, capacity=capacity, seed=gseed)
+    stats = {}
+    for i, site in enumerate(sorted(SITES)):
+        site_seed = int(np.random.SeedSequence([seed, i]).generate_state(1)[0])
+        stats[site] = LayerStats(site, capacity=capacity, seed=site_seed)
     for batch in calib_stream:
         _, captured = runner.forward_with_hooks(batch, hooks)
         for h in hooks:
-            stats[group_of[h]].observe(captured[h])
-    return CalibrationResult(stats=stats, group_of=group_of)
+            stats[h.site].observe(captured[h])
+    return CalibrationResult(stats=stats)
+
+
+def _check_sites(targets: dict[str, float]) -> None:
+    unknown = sorted(set(targets) - set(SITES))
+    if unknown:
+        raise ValueError(f"unknown target sites {unknown}; valid sites are {list(SITES)}")
 
 
 def make_specs(
@@ -124,25 +129,21 @@ def make_specs(
     """Derive per-hook PruneSpecs from calibrated statistics.
 
     ``targets`` maps a site name to its target sparsity; sites absent from
-    the map stay dense. Sites listed in ``center_sites`` get a mode shift
-    eta, with tau recalibrated on the shifted magnitudes.
+    the map stay dense, and a name not in ``SITES`` raises ValueError. Sites
+    listed in ``center_sites`` get a mode shift eta, with tau recalibrated on
+    the shifted magnitudes. Each site's spec is computed once and shared by
+    that site's hook in every block.
     """
-    specs = {}
-    for hook in model.hook_points():
-        s = targets.get(hook.site)
-        if s is None:
-            continue
-        st = calibration.stats[calibration.group_of[hook]]
-        if hook.site in center_sites:
-            eta = st.estimate_mode(estimator)
-            tau = st.centered_quantile_threshold(s, eta)
-        else:
-            eta = 0.0
-            tau = st.quantile_threshold(s)
-        specs[hook] = PruneSpec(
+    _check_sites(targets)
+    site_specs = {}
+    for site, s in targets.items():
+        st = calibration.stats[site]
+        eta = st.estimate_mode(estimator) if site in center_sites else 0.0
+        tau = st.centered_quantile_threshold(s, eta)
+        site_specs[site] = PruneSpec(
             layer_id=st.layer_id, tau=tau, eta=eta, target_sparsity=s
         )
-    return specs
+    return {h: site_specs[h.site] for h in model.hook_points() if h.site in site_specs}
 
 
 def plan_specs(
@@ -151,7 +152,6 @@ def plan_specs(
     targets: dict[str, float],
     capacity: int = DEFAULT_RESERVOIR_CAPACITY,
     seed: int = DEFAULT_SEED,
-    per_layer: bool = False,
     center_sites: tuple[str, ...] = (),
     estimator: ModeEstimator = ModeEstimator(),
 ) -> dict[HookPoint, PruneSpec]:
@@ -160,14 +160,13 @@ def plan_specs(
     Pruning the Up/Gate inputs perturbs the gated tensors, so Down
     thresholds quantiled on dense captures land above their target (the
     effect is small at production widths but grows as 1/sqrt(d) at desk
-    scale). The first pass calibrates the Up/Gate group on dense captures;
+    scale). The first pass calibrates the Up/Gate site on dense captures;
     the second re-streams with those specs applied and derives the Down
-    group from the distributions the deployed model will actually prune.
+    site from the distributions the deployed model will actually prune.
     """
+    _check_sites(targets)
     calib_stream = list(calib_stream)
-    first = calibrate(
-        model, calib_stream, capacity=capacity, seed=seed, per_layer=per_layer
-    )
+    first = calibrate(model, calib_stream, capacity=capacity, seed=seed)
     up_targets = {k: v for k, v in targets.items() if k == UP_GATE_INPUT}
     specs = make_specs(
         model, first, up_targets, center_sites=center_sites, estimator=estimator
@@ -179,7 +178,6 @@ def plan_specs(
         calib_stream,
         capacity=capacity,
         seed=seed + 1,
-        per_layer=per_layer,
         specs=specs,
     )
     down_specs = make_specs(
@@ -579,9 +577,7 @@ def mode_centering_ablation(
     output reconstruction error on the same held-out stream.
     """
     calres = calibrate(model, calib_stream, capacity=capacity, seed=seed)
-    down_stats = calres.stats[
-        calres.group_of[HookPoint(0, DOWN_INPUT)]
-    ]
+    down_stats = calres.stats[DOWN_INPUT]
     eta = down_stats.estimate_mode(estimator)
     eval_batches = list(eval_stream)
     dense_outputs = [model.forward(b) for b in eval_batches]

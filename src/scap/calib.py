@@ -1,11 +1,12 @@
 """Activation-statistics collection and threshold / mode-shift calibration.
 
 ``LayerStats`` accumulates a bounded uniform sample of the activation values
-flowing through one pruning location via seeded reservoir sampling, so
-calibrations over arbitrarily long streams stay within a fixed memory budget.
-From the reservoir we derive
+flowing through one pruning site (pooled over blocks) via seeded reservoir
+sampling, so calibrations over arbitrarily long streams stay within a fixed
+memory budget. From the reservoir we derive
 
-* ``quantile_threshold``: tau as the target-sparsity quantile of |X|,
+* ``quantile_threshold``: tau as the target-sparsity quantile of |X|, or of
+  |X - eta| for a mode-shifted pruner (``centered_quantile_threshold``),
 * ``estimate_mode``: eta as the empirical mean, median, or the argmax of a
   Gaussian-kernel density over an evenly spaced grid.
 
@@ -60,53 +61,13 @@ class ModeEstimator:
             raise ValueError("fixed bandwidth must be positive")
 
 
-class _Reservoir:
-    """Uniform sample of a value stream (vectorized Algorithm R)."""
-
-    def __init__(self, capacity: int, rng: np.random.Generator):
-        self.capacity = capacity
-        self._rng = rng
-        self._buf = np.empty(capacity, dtype=np.float32)
-        self.filled = 0
-        self.seen = 0
-
-    def extend(self, values: np.ndarray) -> None:
-        values = np.asarray(values, dtype=np.float32).ravel()
-        n = values.size
-        if n == 0:
-            return
-        take = min(self.capacity - self.filled, n)
-        if take:
-            self._buf[self.filled : self.filled + take] = values[:take]
-            self.filled += take
-            self.seen += take
-            values = values[take:]
-            n -= take
-        if n:
-            # item at stream position t replaces slot j ~ U[0, t) iff j < capacity;
-            # fancy assignment applies duplicates in order, matching sequential R
-            positions = self.seen + 1 + np.arange(n, dtype=np.int64)
-            j = self._rng.integers(0, positions)
-            accept = j < self.capacity
-            self._buf[j[accept]] = values[accept]
-            self.seen += n
-
-    def values(self) -> np.ndarray:
-        return self._buf[: self.filled]
-
-    def _replace(self, values: np.ndarray, seen: int) -> None:
-        values = np.asarray(values, dtype=np.float32)
-        self._buf[: values.size] = values
-        self.filled = values.size
-        self.seen = seen
-
-
 class LayerStats:
-    """Per-layer calibration accumulator.
+    """Calibration accumulator for one pruning site (pooled over blocks).
 
-    Holds one reservoir of raw X for mode estimation; its magnitudes are a
-    uniform sample of |X| for threshold quantiles. Sampling is driven by a
-    generator spawned deterministically from ``seed``.
+    Holds a uniform sample of raw X (vectorized Algorithm R) for mode
+    estimation; its magnitudes are a uniform sample of |X| for threshold
+    quantiles. Sampling is driven by a generator spawned deterministically
+    from ``seed``.
     """
 
     def __init__(
@@ -120,21 +81,19 @@ class LayerStats:
         self.layer_id = layer_id
         self.capacity = capacity
         self.seed = int(seed)
-        # spawned child 1 keeps the raw sample, and so every eta, byte-stable
-        raw_ss = np.random.SeedSequence(self.seed).spawn(2)[1]
-        self._raw = _Reservoir(capacity, np.random.default_rng(raw_ss))
-
-    @property
-    def seen_count(self) -> int:
-        return self._raw.seen
+        # spawned child 1 keeps the sample, and so every tau and eta, byte-stable
+        self._rng = np.random.default_rng(np.random.SeedSequence(self.seed).spawn(2)[1])
+        self._buf = np.empty(capacity, dtype=np.float32)
+        self.filled = 0
+        self.seen_count = 0
 
     @property
     def abs_reservoir(self) -> np.ndarray:
-        return np.abs(self._raw.values())
+        return np.abs(self.raw_reservoir)
 
     @property
     def raw_reservoir(self) -> np.ndarray:
-        return self._raw.values()
+        return self._buf[: self.filled]
 
     def observe(self, activations: np.ndarray) -> "LayerStats":
         """Fold an activation tensor's elements into the reservoir.
@@ -145,27 +104,37 @@ class LayerStats:
         flat = np.asarray(activations, dtype=np.float32).ravel()
         if not np.all(np.isfinite(flat)):
             raise DataError(f"{self.layer_id}: activations contain NaN or Inf")
-        self._raw.extend(flat)
+        take = min(self.capacity - self.filled, flat.size)
+        self._buf[self.filled : self.filled + take] = flat[:take]
+        self.filled += take
+        self.seen_count += take
+        rest = flat[take:]
+        if rest.size:
+            # item at stream position t replaces slot j ~ U[0, t) iff j < capacity;
+            # fancy assignment applies duplicates in order, matching sequential R
+            positions = self.seen_count + 1 + np.arange(rest.size, dtype=np.int64)
+            j = self._rng.integers(0, positions)
+            accept = j < self.capacity
+            self._buf[j[accept]] = rest[accept]
+            self.seen_count += rest.size
         return self
 
     def quantile_threshold(self, target_sparsity: float) -> float:
         """tau = linear-interpolation quantile of the reservoir's magnitudes."""
-        if not 0.0 <= target_sparsity <= 1.0:
-            raise ValueError(f"target_sparsity must lie in [0, 1], got {target_sparsity}")
-        if self._raw.filled == 0:
-            raise CalibrationError(f"{self.layer_id}: no observations recorded")
-        return float(np.quantile(self.abs_reservoir, target_sparsity))
+        return self.centered_quantile_threshold(target_sparsity, 0.0)
 
     def centered_quantile_threshold(self, target_sparsity: float, eta: float) -> float:
-        """tau for a mode-shifted pruner: quantile of |X - eta|."""
+        """tau for a mode-shifted pruner: quantile of |X - eta| (of the float32
+        magnitudes |X| when eta is 0)."""
         if not 0.0 <= target_sparsity <= 1.0:
             raise ValueError(f"target_sparsity must lie in [0, 1], got {target_sparsity}")
-        if self._raw.filled == 0:
+        if self.filled == 0:
             raise CalibrationError(f"{self.layer_id}: no observations recorded")
         if eta == 0.0:
-            return self.quantile_threshold(target_sparsity)
-        shifted = np.abs(self.raw_reservoir.astype(np.float64) - eta)
-        return float(np.quantile(shifted, target_sparsity))
+            magnitudes = self.abs_reservoir
+        else:
+            magnitudes = np.abs(self.raw_reservoir.astype(np.float64) - eta)
+        return float(np.quantile(magnitudes, target_sparsity))
 
     def estimate_mode(self, estimator: ModeEstimator = ModeEstimator()) -> float:
         """eta from the raw reservoir, per the configured estimator."""
@@ -199,18 +168,20 @@ def merge(a: LayerStats, b: LayerStats) -> LayerStats:
     mix_rng = np.random.default_rng(
         np.random.SeedSequence([a.seed, b.seed, 0x6D31])
     )
-    merged = _merge_reservoirs(a._raw, b._raw, a.capacity, mix_rng)
-    out._raw._replace(merged, a._raw.seen + b._raw.seen)
+    merged = _merge_reservoirs(a, b, mix_rng)
+    out._buf[: merged.size] = merged
+    out.filled = merged.size
+    out.seen_count = a.seen_count + b.seen_count
     return out
 
 
-def _merge_reservoirs(ra: _Reservoir, rb: _Reservoir, capacity: int, rng) -> np.ndarray:
-    va, vb = ra.values(), rb.values()
-    k = min(capacity, va.size + vb.size)
+def _merge_reservoirs(a: LayerStats, b: LayerStats, rng) -> np.ndarray:
+    va, vb = a.raw_reservoir, b.raw_reservoir
+    k = min(a.capacity, va.size + vb.size)
     if k == va.size + vb.size:
         return np.concatenate([va, vb])
     # k < va+vb implies both sides non-empty; clamps guard subsampled shards
-    m_a = int(rng.hypergeometric(ra.seen, rb.seen, k))
+    m_a = int(rng.hypergeometric(a.seen_count, b.seen_count, k))
     m_a = min(m_a, va.size)
     m_a = max(m_a, k - vb.size)
     pick_a = rng.choice(va, size=m_a, replace=False) if m_a else va[:0]
@@ -256,7 +227,7 @@ def report_entry(
     sparsity_grid: list[float],
     kde_estimator: ModeEstimator | None = None,
 ) -> dict:
-    """Serializable calibration summary for one layer group."""
+    """Serializable calibration summary for one site."""
     kde_cfg = kde_estimator or ModeEstimator(kind="kde")
     return {
         "layer_id": stats.layer_id,

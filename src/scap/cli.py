@@ -254,7 +254,7 @@ def cmd_calibrate(cfg: RunConfig) -> list[Path]:
         "layers": {
             gid: report_entry(st, grid) for gid, st in sorted(calres.stats.items())
         },
-        "hooks": {h.label: gid for h, gid in calres.group_of.items()},
+        "hooks": {h.label: h.site for h in model.hook_points()},
     }
     path = out / "calibration.json"
     _save_report(cfg, "calibration", payload, path)

@@ -17,6 +17,7 @@ so identical in-memory values always serialize to identical bytes.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -134,7 +135,7 @@ def load_tensors(path) -> tuple[dict[str, np.ndarray], dict]:
             raise ManifestError(f"tensor {name!r}: unsupported dtype {dtype!r}")
         if any(v < 0 for v in shape):
             raise ManifestError(f"tensor {name!r}: negative dimension in shape {shape}")
-        expect = 4 * int(np.prod(shape, dtype=np.int64)) if shape else 4
+        expect = 4 * math.prod(shape)
         if length != expect:
             raise ManifestError(
                 f"tensor {name!r}: byte_len {length} != 4*prod(shape) {expect}"

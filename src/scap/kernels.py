@@ -189,7 +189,7 @@ def cats_swiglu(
     kept = np.abs(v) >= tau_silu
     rows = np.flatnonzero(kept.any(axis=0))
     # the mask picks Up output columns and the matching Down input rows
-    up = matmul_rows(x.astype(np.float64), w.w_up[:, rows])
+    up = matmul_rows(x.astype(np.float64), np.take(w.w_up, rows, axis=1))
     y = matmul_rows(np.where(kept[:, rows], up * v[:, rows], 0.0), w.w_down, rows)
     k = int(kept.sum())
     count = OpCount(

@@ -49,7 +49,8 @@ class SparseLinear:
     """Frozen FC layer with mode-centered, input-pruned execution.
 
     ``bias_fused = bias + eta * column_sums(weight)`` is computed at
-    construction (a missing bias counts as zero); forward computes
+    construction as a read-only float64 array (a missing bias counts as
+    zero; with no bias and eta 0 it is None, nothing to add); forward computes
     ``prune(x - eta, tau) @ W + bias_fused`` through ``sparse_fc``: one
     float64-accumulated GEMM over the weight rows that at least one batch row
     keeps, counting kept-channel MACs. A float32 weight is held by reference,
@@ -67,14 +68,13 @@ class SparseLinear:
         self.weight.setflags(write=False)
         self.tau = float(spec.tau)
         self.eta = float(spec.eta)
-        self.spec = spec
-        bias64 = None if bias is None else bias.astype(np.float64)
+        fused = None if bias is None else bias.astype(np.float64)
         if self.eta != 0.0:
             comp = self.eta * self.weight.sum(axis=0, dtype=np.float64)
-            bias64 = comp if bias64 is None else bias64 + comp
-        self._bias64 = bias64  # None: sparse_fc skips the bias add
-        self.bias_fused = (np.zeros(self.out_channels) if bias64 is None else bias64).astype(FLOAT)
-        self.bias_fused.setflags(write=False)
+            fused = comp if fused is None else fused + comp
+        if fused is not None:
+            fused.setflags(write=False)
+        self.bias_fused = fused
 
     @property
     def in_channels(self) -> int:
@@ -87,7 +87,7 @@ class SparseLinear:
     def fc(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
         """``sparse_fc`` with this layer's weight, tau, eta and fused bias:
         (output, kept mask, kept-channel MACs)."""
-        return sparse_fc(x, self.weight, self.tau, self.eta, self._bias64)
+        return sparse_fc(x, self.weight, self.tau, self.eta, self.bias_fused)
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, OpCount]:
         """Sparse forward pass; OpCount.macs == out_channels * kept channels."""

@@ -16,11 +16,13 @@ from scap.analysis import (
     overlap_sparsity,
     pareto_front,
     pareto_sweep,
+    plan_specs,
     reconstruction_error,
     sweep_rows,
     synthetic_stream,
 )
-from scap.model import DOWN_INPUT, UP_GATE_INPUT, BlockConfig, HookPoint, init_weights
+from scap.calib import LayerStats
+from scap.model import DOWN_INPUT, SITES, UP_GATE_INPUT, BlockConfig, HookPoint, init_weights
 from scap.prune import PruneSpec
 
 
@@ -130,6 +132,56 @@ def test_correlated_batches_validation():
         CorrelatedBatches(8, rho=1.0)
     gen = CorrelatedBatches(8, rho=0.5, seed=1)
     assert gen.batch(4).shape == (4, 8)
+
+
+# ---------------------------------------------------------------------------
+# spec planning
+
+
+@pytest.mark.parametrize("targets", [{"down": 0.5}, {UP_GATE_INPUT: 0.5, "up_gate": 0.5}])
+def test_unknown_target_site_rejected(targets):
+    model = _swiglu_model()
+    stream = synthetic_stream(16, 2, 32, seed=1)
+    calres = calibrate(model, stream, capacity=1 << 12, seed=2)
+    unknown = [k for k in targets if k not in SITES]
+    plans = (
+        lambda: make_specs(model, calres, targets),
+        lambda: plan_specs(model, stream, targets),
+    )
+    for plan in plans:
+        with pytest.raises(ValueError) as exc:
+            plan()
+        for name in (*unknown, *SITES):
+            assert repr(name) in str(exc.value)
+
+
+def test_make_specs_plans_each_site_once(monkeypatch):
+    model = _swiglu_model(blocks=2)
+    calres = calibrate(model, synthetic_stream(16, 2, 32, seed=1), capacity=1 << 12, seed=2)
+    outermost, depth = [], [0]  # a quantile calling the other quantile counts once
+    for name, kind in (
+        ("quantile_threshold", "quantile"),
+        ("centered_quantile_threshold", "quantile"),
+        ("estimate_mode", "mode"),
+    ):
+        def spy(self, *args, _original=getattr(LayerStats, name), _kind=kind):
+            if depth[0] == 0:
+                outermost.append((_kind, self.layer_id))
+            depth[0] += 1
+            try:
+                return _original(self, *args)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(LayerStats, name, spy)
+    specs = make_specs(
+        model, calres, {UP_GATE_INPUT: 0.5, DOWN_INPUT: 0.4}, center_sites=(DOWN_INPUT,)
+    )
+    for site in SITES:
+        assert specs[HookPoint(0, site)] is specs[HookPoint(1, site)]
+    assert sorted(outermost) == sorted(
+        [("quantile", UP_GATE_INPUT), ("mode", DOWN_INPUT), ("quantile", DOWN_INPUT)]
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -103,6 +103,12 @@ def _break_manifest(header, case):
         header["tensors"]["block0.w_up"]["shape"] = [8, 16, True]
     elif case == "float byte_len":
         header["tensors"]["block0.w_up"]["byte_len"] = 512.0
+    elif case == "shape product wraps to zero":  # 2**64 elements, int64 product 0
+        header["tensors"]["block0.w_up"]["shape"] = [2**32, 2**32]
+        header["tensors"]["block0.w_up"]["byte_len"] = 0
+    elif case == "shape product wraps negative":  # 3 * 2**62 elements, int64 product -2**62
+        header["tensors"]["block0.w_up"]["shape"] = [3, 2**62]
+        header["tensors"]["block0.w_up"]["byte_len"] = -(2**64)
 
 
 @pytest.mark.parametrize(
@@ -119,6 +125,8 @@ def _break_manifest(header, case):
         "float dimension",
         "bool dimension",
         "float byte_len",
+        "shape product wraps to zero",
+        "shape product wraps negative",
     ],
 )
 def test_malformed_model_container_raises_manifest_error(tmp_path, case):

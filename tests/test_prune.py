@@ -87,6 +87,14 @@ def test_bias_fusion_column_sums():
     np.testing.assert_array_equal(layer.bias_fused, np.array([6.0, 6.0], np.float32))
 
 
+def test_fused_bias_is_read_only_float64_or_none():
+    w = np.ones((3, 2), dtype=np.float32)
+    assert SparseLinear(w, None, _spec(eta=0.0)).bias_fused is None
+    for bias in (None, np.zeros(2, np.float32)):
+        fused = SparseLinear(w, bias, _spec(eta=2.0)).bias_fused
+        assert fused.dtype == np.float64 and not fused.flags.writeable
+
+
 def test_construction_shape_mismatch():
     with pytest.raises(ShapeError):
         SparseLinear(
