@@ -113,10 +113,10 @@ def calibrate(
     return CalibrationResult(stats=stats)
 
 
-def _check_sites(targets: dict[str, float]) -> None:
-    unknown = sorted(set(targets) - set(SITES))
+def _check_sites(sites, role: str = "target") -> None:
+    unknown = sorted(set(sites) - set(SITES))
     if unknown:
-        raise ValueError(f"unknown target sites {unknown}; valid sites are {list(SITES)}")
+        raise ValueError(f"unknown {role} sites {unknown}; valid sites are {list(SITES)}")
 
 
 def make_specs(
@@ -130,11 +130,12 @@ def make_specs(
 
     ``targets`` maps a site name to its target sparsity; sites absent from
     the map stay dense, and a name not in ``SITES`` raises ValueError. Sites
-    listed in ``center_sites`` get a mode shift eta, with tau recalibrated on
-    the shifted magnitudes. Each site's spec is computed once and shared by
-    that site's hook in every block.
+    listed in ``center_sites`` (which must also name ``SITES``) get a mode
+    shift eta, with tau recalibrated on the shifted magnitudes. Each site's
+    spec is computed once and shared by that site's hook in every block.
     """
     _check_sites(targets)
+    _check_sites(center_sites, "centering")
     site_specs = {}
     for site, s in targets.items():
         st = calibration.stats[site]

@@ -418,7 +418,8 @@ def cmd_roundtrip_check(cfg: RunConfig) -> list[Path]:
     tensors, _ = model.to_tensors()
     loaded_tensors, _ = loaded.to_tensors()
     match = set(tensors) == set(loaded_tensors) and all(
-        tensors[k].tobytes() == loaded_tensors[k].tobytes() for k in tensors
+        np.array_equal(tensors[k].view(np.uint32), loaded_tensors[k].view(np.uint32))
+        for k in tensors
     )
     if not match:
         raise CliError("weight container round-trip mismatch")

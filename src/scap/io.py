@@ -10,6 +10,10 @@ to the blob start. Offsets must be non-overlapping and in-bounds;
 ``byte_len`` must equal ``4 * prod(shape)``. Loading reproduces every tensor
 bitwise and rejects NaN/Inf weights.
 
+Saving and loading both stream: saving writes each tensor's memory straight
+to the file, and loading reads each tensor into its final array, so either
+costs one copy of the weights plus a scratch of about ``CAST_BLOCK_BYTES``.
+
 Reports are JSON with sorted keys and a ``version: "scap-report/1"`` field,
 so identical in-memory values always serialize to identical bytes.
 """
@@ -18,10 +22,13 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from pathlib import Path
 
 import numpy as np
+
+from .tensor import CAST_BLOCK_BYTES
 
 WEIGHTS_VERSION = "scap-weights/1"
 REPORT_VERSION = "scap-report/1"
@@ -67,22 +74,22 @@ def save_tensors(tensors: dict[str, np.ndarray], path, extra: dict | None = None
     """Write named float32 tensors into one container file.
 
     Manifest keys are sorted so identical tensors always produce identical
-    bytes. ``extra`` lands in the header under "config".
+    bytes. ``extra`` lands in the header under "config". C-ordered float32
+    tensors are written from their own memory, without a copy.
     """
+    arrays = {
+        name: np.ascontiguousarray(tensors[name], dtype="<f4") for name in sorted(tensors)
+    }
     manifest = {}
-    chunks = []
     offset = 0
-    for name in sorted(tensors):
-        arr = np.ascontiguousarray(tensors[name], dtype=np.float32)
-        raw = arr.astype("<f4").tobytes()
+    for name, arr in arrays.items():
         manifest[name] = {
             "shape": list(arr.shape),
             "dtype": "f32",
             "byte_offset": offset,
-            "byte_len": len(raw),
+            "byte_len": arr.nbytes,
         }
-        chunks.append(raw)
-        offset += len(raw)
+        offset += arr.nbytes
     header = {
         "version": WEIGHTS_VERSION,
         "config": extra or {},
@@ -92,8 +99,8 @@ def save_tensors(tensors: dict[str, np.ndarray], path, extra: dict | None = None
     with open(path, "wb") as f:
         f.write(struct.pack("<Q", len(header_bytes)))
         f.write(header_bytes)
-        for raw in chunks:
-            f.write(raw)
+        for arr in arrays.values():
+            f.write(arr)
 
 
 def _json_int(v) -> int:
@@ -104,25 +111,42 @@ def _json_int(v) -> int:
 
 
 def load_tensors(path) -> tuple[dict[str, np.ndarray], dict]:
-    """Read a container; returns (tensors, config). Validates everything."""
-    data = Path(path).read_bytes()
-    if len(data) < 8:
-        raise ManifestError("file too short for header length prefix")
-    (header_len,) = struct.unpack("<Q", data[:8])
-    if 8 + header_len > len(data):
-        raise ManifestError("header length exceeds file size")
-    try:
-        header = json.loads(data[8 : 8 + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ManifestError(f"header is not valid JSON: {exc}") from exc
-    if not isinstance(header, dict) or not isinstance(header.get("tensors"), dict):
-        raise ManifestError("header missing 'tensors' manifest object")
-    if header.get("version") != WEIGHTS_VERSION:
-        raise UnsupportedVersionError(
-            f"unsupported container version: {header.get('version')!r}"
-        )
-    manifest = header["tensors"]
-    blob = data[8 + header_len :]
+    """Read a container; returns (tensors, config). Validates everything.
+
+    The manifest is checked against the file size before any tensor is read;
+    then each tensor is read into its own float32 array, a block of about
+    ``CAST_BLOCK_BYTES`` at a time, and each block is checked for NaN/Inf.
+    The result is the only copy of the weights that loading makes.
+    """
+    with open(path, "rb") as f:
+        prefix = f.read(8)
+        if len(prefix) < 8:
+            raise ManifestError("file too short for header length prefix")
+        (header_len,) = struct.unpack("<Q", prefix)
+        size = os.fstat(f.fileno()).st_size
+        if 8 + header_len > size:
+            raise ManifestError("header length exceeds file size")
+        try:
+            header = json.loads(f.read(header_len).decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ManifestError(f"header is not valid JSON: {exc}") from exc
+        if not isinstance(header, dict) or not isinstance(header.get("tensors"), dict):
+            raise ManifestError("header missing 'tensors' manifest object")
+        if header.get("version") != WEIGHTS_VERSION:
+            raise UnsupportedVersionError(
+                f"unsupported container version: {header.get('version')!r}"
+            )
+        blob_start = 8 + header_len
+        spans = _manifest_spans(header["tensors"], size - blob_start)
+        tensors = {}
+        for off, _, name, shape in spans:
+            f.seek(blob_start + off)
+            tensors[name] = _read_tensor(f, name, shape)
+    return tensors, header.get("config", {})
+
+
+def _manifest_spans(manifest: dict, blob_len: int) -> list:
+    """Validated (start, end, name, shape) of every tensor, sorted by offset."""
     spans = []
     for name, entry in manifest.items():
         try:
@@ -140,22 +164,30 @@ def load_tensors(path) -> tuple[dict[str, np.ndarray], dict]:
             raise ManifestError(
                 f"tensor {name!r}: byte_len {length} != 4*prod(shape) {expect}"
             )
-        if off < 0 or off + length > len(blob):
+        if off < 0 or off + length > blob_len:
             raise TruncatedBlobError(
-                f"tensor {name!r}: range [{off}, {off + length}) outside blob of {len(blob)} bytes"
+                f"tensor {name!r}: range [{off}, {off + length}) outside blob of {blob_len} bytes"
             )
         spans.append((off, off + length, name, shape))
     spans.sort()
     for (s0, e0, n0, _), (s1, e1, n1, _) in zip(spans, spans[1:]):
         if s1 < e0:
             raise OffsetOverlapError(f"tensors {n0!r} and {n1!r} overlap in the blob")
-    tensors = {}
-    for off, end, name, shape in spans:
-        arr = np.frombuffer(blob[off:end], dtype="<f4").reshape(shape)
-        if not np.all(np.isfinite(arr)):
+    return spans
+
+
+def _read_tensor(f, name: str, shape: tuple) -> np.ndarray:
+    """Read one tensor at the file's position into a new float32 array."""
+    arr = np.empty(shape, dtype="<f4")
+    flat = arr.reshape(-1)
+    step = CAST_BLOCK_BYTES // 4
+    for lo in range(0, flat.size, step):
+        block = flat[lo : lo + step]
+        if f.readinto(block) != block.nbytes:
+            raise TruncatedBlobError(f"tensor {name!r}: blob ends inside the tensor")
+        if not np.all(np.isfinite(block)):
             raise WeightDataError(f"tensor {name!r} contains NaN or Inf")
-        tensors[name] = arr.astype(np.float32)
-    return tensors, header.get("config", {})
+    return arr
 
 
 def save_model(model, path) -> None:

@@ -27,7 +27,7 @@ import numpy as np
 from . import kernels
 from .kernels import GeluMlpWeights, OpCount, SwiGluWeights
 from .prune import PruneSpec, compile_ffn
-from .tensor import FLOAT, ShapeError
+from .tensor import CAST_BLOCK_BYTES, FLOAT, ShapeError
 
 UP_GATE_INPUT = "up_gate_input"
 DOWN_INPUT = "down_input"
@@ -145,28 +145,20 @@ class FfnStack:
 
     @staticmethod
     def from_tensors(tensors: dict[str, np.ndarray], config_dict: dict) -> "FfnStack":
+        """Wrap the given arrays as the stack's weights; float32 ones are not copied."""
         config = BlockConfig(**config_dict)
+        kind, names = (
+            (SwiGluWeights, ("w_gate", "w_up", "w_down"))
+            if config.ffn == "swiglu"
+            else (GeluMlpWeights, ("w_up", "b_up", "w_down", "b_down"))
+        )
         blocks, gains = [], [] if config.rmsnorm else None
         for i in range(config.n_blocks):
-            if config.ffn == "swiglu":
-                blocks.append(
-                    SwiGluWeights(
-                        tensors[f"block{i}.w_gate"].astype(FLOAT),
-                        tensors[f"block{i}.w_up"].astype(FLOAT),
-                        tensors[f"block{i}.w_down"].astype(FLOAT),
-                    )
-                )
-            else:
-                blocks.append(
-                    GeluMlpWeights(
-                        tensors[f"block{i}.w_up"].astype(FLOAT),
-                        tensors[f"block{i}.b_up"].astype(FLOAT),
-                        tensors[f"block{i}.w_down"].astype(FLOAT),
-                        tensors[f"block{i}.b_down"].astype(FLOAT),
-                    )
-                )
+            blocks.append(
+                kind(*(np.asarray(tensors[f"block{i}.{n}"], dtype=FLOAT) for n in names))
+            )
             if config.rmsnorm:
-                gains.append(tensors[f"block{i}.norm_gain"].astype(FLOAT))
+                gains.append(np.asarray(tensors[f"block{i}.norm_gain"], dtype=FLOAT))
         return FfnStack(config, blocks, gains)
 
 
@@ -198,7 +190,12 @@ class SparseStack:
 
 
 def init_weights(config: BlockConfig, seed: int) -> FfnStack:
-    """Deterministic pseudo-random stack, 1/sqrt(fan_in) weight scaling."""
+    """Deterministic pseudo-random stack, 1/sqrt(fan_in) weight scaling.
+
+    Building costs one copy of the float32 weights plus one float64 scratch
+    buffer of about ``CAST_BLOCK_BYTES``: each matrix is drawn a block of rows
+    at a time straight into its final array.
+    """
     rng = np.random.default_rng(seed)
     d, h = config.d_model, config.d_hidden
     blocks = []
@@ -234,7 +231,22 @@ def init_weights(config: BlockConfig, seed: int) -> FfnStack:
 
 
 def _scaled(rng, fan_in: int, fan_out: int, gain: float = 1.0) -> np.ndarray:
-    return (gain * rng.standard_normal((fan_in, fan_out)) / np.sqrt(fan_in)).astype(FLOAT)
+    """``gain * N(0, 1) / sqrt(fan_in)`` as float32, drawn in row blocks.
+
+    The same float64 operations run in the same order on the same generator
+    stream as one ``(fan_in, fan_out)`` draw, so the bytes are identical.
+    """
+    out = np.empty((fan_in, fan_out), dtype=FLOAT)
+    step = max(1, CAST_BLOCK_BYTES // (8 * fan_out))
+    scratch = np.empty((min(step, fan_in), fan_out))
+    scale = np.sqrt(fan_in)
+    for lo in range(0, fan_in, step):
+        b = scratch[: min(step, fan_in - lo)]
+        rng.standard_normal(out=b)
+        b *= gain
+        b /= scale
+        out[lo : lo + len(b)] = b
+    return out
 
 
 def _rmsnorm(x: np.ndarray, gain: np.ndarray) -> np.ndarray:

@@ -22,7 +22,8 @@ from scipy.special import erf, expit
 
 FLOAT = np.float32
 
-# float64 bytes of weight cast per GEMM; about 1 MiB was fastest measured
+# float64 bytes of weight cast per GEMM; about 1 MiB was fastest measured.
+# Also the scratch size for drawing (model) and reading (io) weights.
 CAST_BLOCK_BYTES = 1 << 20
 
 # builds the row kernel; "-o <library> <source>" is appended. Without

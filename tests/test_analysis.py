@@ -155,6 +155,27 @@ def test_unknown_target_site_rejected(targets):
             assert repr(name) in str(exc.value)
 
 
+def test_unknown_centering_site_rejected():
+    model = _swiglu_model(blocks=1)
+    stream = synthetic_stream(16, 2, 32, seed=1)
+    calres = calibrate(model, stream, capacity=1 << 12, seed=2)
+    targets = {DOWN_INPUT: 0.5}
+    plans = (
+        lambda: make_specs(model, calres, targets, center_sites=("down",)),
+        lambda: plan_specs(model, stream, targets, capacity=1 << 12, center_sites=("down",)),
+        lambda: pareto_sweep(
+            model, stream, stream, [0.3], [0.5], capacity=1 << 12, center_sites=("down",)
+        ),
+    )
+    for plan in plans:
+        with pytest.raises(ValueError) as exc:
+            plan()
+        for name in ("down", *SITES):
+            assert repr(name) in str(exc.value)
+    specs = make_specs(model, calres, targets, center_sites=(DOWN_INPUT,))
+    assert specs[HookPoint(0, DOWN_INPUT)].eta != 0.0
+
+
 def test_make_specs_plans_each_site_once(monkeypatch):
     model = _swiglu_model(blocks=2)
     calres = calibrate(model, synthetic_stream(16, 2, 32, seed=1), capacity=1 << 12, seed=2)

@@ -22,6 +22,7 @@ from scap.io import (
     save_tensors,
 )
 from scap.model import BlockConfig, init_weights
+from scap.tensor import CAST_BLOCK_BYTES
 
 
 def _container_parts(path):
@@ -201,6 +202,15 @@ def test_nan_weights_rejected(tmp_path):
     }
     raw = json.dumps(header).encode()
     path.write_bytes(struct.pack("<Q", len(raw)) + raw + arr.astype("<f4").tobytes())
+    with pytest.raises(WeightDataError):
+        load_tensors(path)
+
+
+def test_non_finite_weight_past_first_read_block_rejected(tmp_path):
+    path = tmp_path / "inf.scap"
+    arr = np.ones(2 * CAST_BLOCK_BYTES // 4 + 3, dtype=np.float32)  # three read blocks
+    arr[-1] = np.inf
+    save_tensors({"a": arr}, path)
     with pytest.raises(WeightDataError):
         load_tensors(path)
 

@@ -13,7 +13,7 @@ from scap.model import (
     init_weights,
 )
 from scap.prune import PruneSpec
-from scap.tensor import ShapeError, gelu, matmul
+from scap.tensor import CAST_BLOCK_BYTES, ShapeError, gelu, matmul
 
 
 def _input(rng, n, d, scale=1.0):
@@ -115,6 +115,47 @@ def test_init_weights_deterministic():
     c, _ = init_weights(cfg, seed=101).to_tensors()
     assert all(np.array_equal(a[k], b[k]) for k in a)
     assert any(not np.array_equal(a[k], c[k]) for k in a)
+
+
+def _one_shot_init(config, seed):
+    """Reference: each matrix drawn whole in float64, then cast to float32."""
+    rng = np.random.default_rng(seed)
+    d, h = config.d_model, config.d_hidden
+
+    def scaled(fan_in, fan_out, gain=1.0):
+        z = rng.standard_normal((fan_in, fan_out))
+        return (gain * z / np.sqrt(fan_in)).astype(np.float32)
+
+    tensors = {}
+    for i in range(config.n_blocks):
+        if config.ffn == "swiglu":
+            tensors[f"block{i}.w_gate"] = scaled(d, h)
+            tensors[f"block{i}.w_up"] = scaled(d, h)
+            tensors[f"block{i}.w_down"] = scaled(h, d)
+        else:
+            b_up = config.up_bias_offset + 0.05 * rng.standard_normal(h)
+            tensors[f"block{i}.b_up"] = b_up.astype(np.float32)
+            tensors[f"block{i}.w_up"] = scaled(d, h, gain=0.75)
+            tensors[f"block{i}.w_down"] = scaled(h, d)
+            tensors[f"block{i}.b_down"] = np.zeros(d, np.float32)
+        if config.rmsnorm:
+            tensors[f"block{i}.norm_gain"] = np.ones(d, np.float32)
+    return tensors
+
+
+@pytest.mark.parametrize("ffn", ["swiglu", "gelu"])
+@pytest.mark.parametrize("d, h, several_blocks", [(8, 16, False), (300, 1000, True)])
+def test_init_weights_matches_one_shot_draw_bytewise(ffn, d, h, several_blocks):
+    for fan_in, fan_out in ((d, h), (h, d)):
+        step = CAST_BLOCK_BYTES // (8 * fan_out)  # rows per drawn block
+        assert several_blocks == (fan_in > 2 * step and fan_in % step > 0)
+    cfg = BlockConfig(ffn=ffn, d_model=d, d_hidden=h, n_blocks=2, up_bias_offset=0.5)
+    got, _ = init_weights(cfg, seed=25).to_tensors()
+    want = _one_shot_init(cfg, seed=25)
+    assert set(got) == set(want)
+    for k in want:
+        assert got[k].dtype == np.float32
+        assert np.array_equal(got[k], want[k]), k
 
 
 def test_fan_in_scaling_keeps_layer_variance_near_unit():
