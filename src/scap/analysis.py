@@ -12,9 +12,8 @@ pruned stack against its dense twin on held-out data; higher is better.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
 
@@ -27,6 +26,7 @@ from .calib import (
 )
 from .model import DOWN_INPUT, SITES, UP_GATE_INPUT, FfnStack, HookPoint
 from .prune import PruneSpec
+from .tensor import max_workers
 
 CALIB_SEQUENCES = 64
 CALIB_SEQUENCE_LEN = 256
@@ -217,15 +217,7 @@ class SparsityReport:
 
     def to_payload(self) -> dict:
         return {
-            "hooks": {
-                label: {
-                    "target_sparsity": obs.target_sparsity,
-                    "observed_sparsity": obs.observed_sparsity,
-                    "pruned": obs.pruned,
-                    "total": obs.total,
-                }
-                for label, obs in self.hooks.items()
-            },
+            "hooks": {label: asdict(obs) for label, obs in self.hooks.items()},
             "site_sparsity": dict(self.site_sparsity),
             "ffn_sparsity": self.ffn_sparsity,
             "macs_ratio": self.macs_ratio,
@@ -293,14 +285,10 @@ def _evaluate(model, specs, batches, dense_outputs=None):
         p = sum(pruned[HookPoint(b, site).label] for b in range(model.config.n_blocks))
         t = sum(total[HookPoint(b, site).label] for b in range(model.config.n_blocks))
         site_sparsity[site] = p / t
-    if model.config.ffn == "swiglu":
-        ffn = kernels.ffn_sparsity(
-            site_sparsity[UP_GATE_INPUT], site_sparsity[DOWN_INPUT]
-        )
-    else:
-        ffn = kernels.mlp_ffn_sparsity(
-            site_sparsity[UP_GATE_INPUT], site_sparsity[DOWN_INPUT]
-        )
+    glu = model.config.ffn == "swiglu"
+    ffn = (kernels.ffn_sparsity if glu else kernels.mlp_ffn_sparsity)(
+        site_sparsity[UP_GATE_INPUT], site_sparsity[DOWN_INPUT]
+    )
     return SparsityReport(
         hooks=hooks,
         site_sparsity=site_sparsity,
@@ -430,13 +418,6 @@ class SweepResult:
         }
 
 
-def _max_workers(n_tasks: int) -> int:
-    cap = os.environ.get("SCAP_THREADS")
-    if cap:
-        return max(1, min(n_tasks, int(cap)))
-    return max(1, min(n_tasks, os.cpu_count() or 1))
-
-
 def pareto_sweep(
     model: FfnStack,
     calib_stream,
@@ -460,10 +441,11 @@ def pareto_sweep(
     with that pruning applied (see ``plan_specs``). Every grid point then
     measures sparsity and reconstruction error in one pruned pass over shared
     held-out data, and the non-dominated subset under (maximize ffn_sparsity,
-    maximize quality) is reported. Grid points run on a thread pool capped by
-    the SCAP_THREADS environment variable; results are merged in grid order,
-    so output is scheduling-independent.
+    maximize quality) is reported. Grid points run on a pool of
+    ``tensor.max_workers`` threads (the usable CPUs, or SCAP_THREADS); results
+    are merged in grid order, so output is scheduling-independent.
     """
+    workers = max_workers(len(grid_up) * len(grid_down))
     calib_batches = list(calib_stream)
     first = calibrate(model, calib_batches, capacity=capacity, seed=seed)
     eval_batches = list(eval_stream)
@@ -504,7 +486,7 @@ def pareto_sweep(
         quality = eval_fn(model, specs) if eval_fn is not None else -err
         return SweepEntry(su, sd, report, err, quality)
 
-    with ThreadPoolExecutor(max_workers=_max_workers(len(points))) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         entries = list(pool.map(run_point, points))
     return SweepResult(entries=entries, pareto_indices=pareto_front(entries))
 
@@ -548,16 +530,7 @@ class AblationResult:
     def to_payload(self) -> dict:
         return {
             "eta": self.eta,
-            "points": [
-                {
-                    "target_sparsity": p.target_sparsity,
-                    "observed_with": p.observed_with,
-                    "observed_without": p.observed_without,
-                    "err_with": p.err_with,
-                    "err_without": p.err_without,
-                }
-                for p in self.points
-            ],
+            "points": [asdict(p) for p in self.points],
             "iso_error_gain": iso_error_gain(self.points),
         }
 
@@ -599,15 +572,8 @@ def mode_centering_ablation(
             }
             report, err = _evaluate(model, specs, eval_batches, dense_outputs)
             row[tag] = (report.site_sparsity[DOWN_INPUT], err)
-        points.append(
-            AblationPoint(
-                target_sparsity=s,
-                observed_with=row["with"][0],
-                observed_without=row["without"][0],
-                err_with=row["with"][1],
-                err_without=row["without"][1],
-            )
-        )
+        (s_with, e_with), (s_without, e_without) = row["with"], row["without"]
+        points.append(AblationPoint(s, s_with, s_without, e_with, e_without))
     return AblationResult(points=points, eta=eta)
 
 
@@ -676,15 +642,4 @@ def overlap_rows(curve: OverlapCurve) -> tuple[list[str], list[list]]:
 
 
 def ablation_rows(result: AblationResult) -> tuple[list[str], list[list]]:
-    header = [
-        "target_sparsity",
-        "observed_with",
-        "observed_without",
-        "err_with",
-        "err_without",
-    ]
-    rows = [
-        [p.target_sparsity, p.observed_with, p.observed_without, p.err_with, p.err_without]
-        for p in result.points
-    ]
-    return header, rows
+    return [f.name for f in fields(AblationPoint)], [list(astuple(p)) for p in result.points]

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -92,9 +93,6 @@ class RunConfig:
             rmsnorm=self.rmsnorm,
             up_bias_offset=self.up_bias_offset,
         )
-
-    def estimator_config(self) -> ModeEstimator:
-        return ModeEstimator(kind=self.estimator)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -184,15 +182,9 @@ def _floats(text: str, kind=float) -> list:
         raise CliError(f"expected comma-separated {kind.__name__}s, got {text!r}") from exc
 
 
-def _ints(text: str) -> list[int]:
-    return _floats(text, int)
-
-
 def _out_dir(cfg: RunConfig) -> Path:
     out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    if not out.is_dir():
-        raise CliError(f"cannot create output directory: {out}")
+    out.mkdir(parents=True, exist_ok=True)  # raises when ``out`` is a file
     return out
 
 
@@ -223,21 +215,14 @@ def _save_report(cfg: RunConfig, kind: str, payload: dict, path: Path) -> None:
 
 
 def _streams(cfg: RunConfig):
-    calib = analysis.synthetic_stream(
-        cfg.d_model,
-        cfg.calib_sequences,
-        cfg.sequence_len,
-        scale=cfg.input_scale,
-        seed=cfg.seed + 1,
-    )
-    held_out = analysis.synthetic_stream(
-        cfg.d_model,
-        cfg.calib_sequences,
-        cfg.sequence_len,
-        scale=cfg.input_scale,
-        seed=cfg.seed + 2,
-    )
-    return calib, held_out
+    """The calibration and held-out streams, drawn from seed + 1 and + 2."""
+    return [
+        analysis.synthetic_stream(
+            cfg.d_model, cfg.calib_sequences, cfg.sequence_len,
+            scale=cfg.input_scale, seed=cfg.seed + k,
+        )
+        for k in (1, 2)
+    ]
 
 
 def cmd_calibrate(cfg: RunConfig) -> list[Path]:
@@ -275,7 +260,7 @@ def cmd_sweep(cfg: RunConfig) -> list[Path]:
         capacity=cfg.capacity,
         seed=cfg.seed,
         center_sites=center,
-        estimator=cfg.estimator_config(),
+        estimator=ModeEstimator(kind=cfg.estimator),
     )
     json_path = out / "sweep.json"
     _save_report(cfg, "sweep", result.to_payload(), json_path)
@@ -374,7 +359,7 @@ def cmd_overlap(cfg: RunConfig) -> list[Path]:
         model,
         specs,
         batches,
-        _ints(cfg.batch_sizes),
+        _floats(cfg.batch_sizes, int),
         hook=HookPoint(0, UP_GATE_INPUT),
         n_batches=cfg.n_batches,
     )
@@ -397,7 +382,7 @@ def cmd_ablate_mode(cfg: RunConfig) -> list[Path]:
         calib_stream,
         eval_stream,
         _floats(cfg.sparsity_grid),
-        estimator=cfg.estimator_config(),
+        estimator=ModeEstimator(kind=cfg.estimator),
         capacity=cfg.capacity,
         seed=cfg.seed,
     )
@@ -454,6 +439,8 @@ def main(argv: list[str] | None = None) -> int:
         print(" ".join(str(p) for p in written))
         return 0
     except Exception as exc:  # single-line diagnostic, nonzero exit
+        if os.environ.get("SCAP_DEBUG") == "1":
+            raise  # keep the traceback
         print(f"scap: error: {exc}", file=sys.stderr)
         return 1
 

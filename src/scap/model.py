@@ -44,11 +44,6 @@ class HookPoint(NamedTuple):
     def label(self) -> str:
         return f"block{self.block}.{self.site}"
 
-    @staticmethod
-    def parse(label: str) -> "HookPoint":
-        blk, site = label.split(".", 1)
-        return HookPoint(int(blk.removeprefix("block")), site)
-
 
 @dataclass(frozen=True)
 class BlockConfig:

@@ -77,10 +77,6 @@ class SparseLinear:
         self.bias_fused = fused
 
     @property
-    def in_channels(self) -> int:
-        return self.weight.shape[0]
-
-    @property
     def out_channels(self) -> int:
         return self.weight.shape[1]
 

@@ -361,6 +361,16 @@ def test_sweep_results_independent_of_thread_cap(monkeypatch):
     assert serial.pareto_indices == threaded.pareto_indices
 
 
+def test_bad_thread_count_rejected_before_calibrating(monkeypatch):
+    model = _swiglu_model(seed=14, blocks=1)
+    calls = []
+    monkeypatch.setattr(LayerStats, "observe", lambda *a: calls.append(a))
+    monkeypatch.setenv("SCAP_THREADS", "abc")
+    with pytest.raises(ValueError, match="SCAP_THREADS"):
+        pareto_sweep(model, synthetic_stream(16, 2, 8, seed=1), [], [0.3], [0.4])
+    assert calls == []
+
+
 def test_pareto_front_helper_tie_handling():
     class E:
         def __init__(self, f, q):

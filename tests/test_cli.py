@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from scap.cli import main, resolve_config, build_parser
+from scap.cli import CliError, main, resolve_config, build_parser
 from scap.io import load_report
 
 FAST = [
@@ -151,3 +151,30 @@ def test_non_integer_batch_sizes_rejected(tmp_path, capsys):
     args = ["overlap", "--out", tmp_path / "o", "--batch-sizes", "1.7"] + FAST
     assert _run(args) == 1
     assert "ints" in capsys.readouterr().err
+
+
+def test_bad_thread_count_fails_with_one_line(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("SCAP_THREADS", "0")
+    assert _run(["sweep", "--out", tmp_path / "o"] + FAST) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("scap: error: SCAP_THREADS") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("debug", [None, "0", "1"])
+def test_debug_switch_keeps_the_cause(tmp_path, monkeypatch, capsys, debug):
+    if debug is None:
+        monkeypatch.delenv("SCAP_DEBUG", raising=False)
+    else:
+        monkeypatch.setenv("SCAP_DEBUG", debug)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("{not json")
+    args = ["calibrate", "--out", tmp_path / "o", "--config", cfg]
+    if debug == "1":
+        with pytest.raises(CliError, match="not valid JSON") as err:
+            _run(args)
+        assert isinstance(err.value.__cause__, json.JSONDecodeError)
+    else:
+        assert _run(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("scap: error: config file is not valid JSON")
+        assert err.count("\n") == 1

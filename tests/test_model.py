@@ -194,8 +194,3 @@ def test_input_shape_validation():
     model = init_weights(BlockConfig(d_model=8, d_hidden=16, n_blocks=1), seed=0)
     with pytest.raises(ShapeError):
         model.forward(np.zeros((2, 9), np.float32))
-
-
-def test_hook_label_round_trip():
-    hook = HookPoint(3, DOWN_INPUT)
-    assert HookPoint.parse(hook.label) == hook

@@ -1,10 +1,15 @@
 """Dense core: matmul against a triple-loop oracle, the row kernel against a
-sequential loop, activation values."""
+sequential loop, its column split against the unsplit kernel, activation
+values."""
 
 import math
+import os
+import signal
 import subprocess
 import sys
 import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -193,6 +198,166 @@ def test_row_kernel_compiles_once_under_concurrent_first_use(monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert len(builds) == 1
     assert len(results) == 6 and all(np.array_equal(r[0], want) for r in results)
+
+
+def _recorded_slices(mp):
+    """Patch the row kernel, within MonkeyPatch ``mp``, to record the
+    ``(lo, hi)`` column slice of every call; returns the list of slices."""
+    real, slices = tensor._row_gemv, []
+
+    def recording(*args):
+        slices.append(args[5:7])
+        return real()(*args)
+
+    def kernel():
+        real()  # compiles the kernel and makes the pool
+        return recording
+
+    mp.setattr(tensor, "_row_gemv", kernel)
+    return slices
+
+
+@st.composite
+def _split_product(draw):
+    k = draw(st.integers(1, 30))
+    m = draw(st.integers(0, 5 * tensor.SLICE_COLS + 3))
+    w = draw(hnp.arrays(np.float32, (k, m), elements=st.floats(-4, 4, width=32)))
+    rows = draw(st.none() | st.lists(st.integers(0, k - 1), max_size=45).map(_int64))
+    n = k if rows is None else rows.size
+    x64 = draw(hnp.arrays(np.float64, (1, n), elements=st.just(0.0) | st.floats(-4, 4)))
+    return x64, w, rows, draw(st.integers(1, 6))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_split_product())
+@example((*_row_case(12, 15, 7), 3))  # fewer columns than one slice; tail rows only
+@example((*_row_case(12, 16, 0), 2))  # exactly one slice of columns; no rows
+@example((*_row_case(30, 33, 8), 3))  # a one-column last slice; one block of 8
+@example((*_row_case(40, 47, 8 * 3 + 5), 3))  # a last slice one column short of 16
+@example((*_row_case(20, 70, 13), 3))  # uneven slices of 16, 32 and 22 columns
+@example((*_row_case(40, 80, 8 * 4 + 5), 5))  # five full slices
+@example((*_row_case(40, 81, 8 * 4 + 5, zeros=9), 6))  # six slices, the last one column
+@example((*_row_case(21, 50, None), 4))  # rows=None reads every row
+def test_split_row_product_equals_sequential_loop(case):
+    """Forced to split at every size, a one-row product cuts its columns into
+    ordered slices that start at multiples of ``SLICE_COLS`` and tile
+    ``[0, m)`` once, and equals the sequential loop bit for bit."""
+    x64, w, rows, threads = case
+    m = w.shape[1]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tensor, "SPLIT_MACS", 0)
+        mp.setenv("SCAP_THREADS", str(threads))
+        slices = _recorded_slices(mp)
+        out = matmul_rows(x64, w, rows)
+    groups = -(-m // tensor.SLICE_COLS)
+    assert len(slices) == max(1, min(threads, groups))
+    slices.sort()
+    assert [lo for lo, _ in slices] == [0] + [hi for _, hi in slices[:-1]]
+    assert slices[-1][1] == m
+    assert all(lo % tensor.SLICE_COLS == 0 and (lo < hi or m == 0) for lo, hi in slices)
+    assert np.array_equal(out[0], _sequential_rows(x64, w, rows))
+
+
+def _large_case(seed=4):
+    """A one-row product above ``SPLIT_MACS``, with a width that is not a
+    multiple of ``SLICE_COLS``."""
+    x64, w, rows = _row_case(700, 4100, 600, zeros=50, seed=seed)
+    assert rows.size * w.shape[1] >= tensor.SPLIT_MACS
+    return x64, w, rows
+
+
+def test_split_above_threshold_equals_one_thread(monkeypatch):
+    x64, w, rows = _large_case()
+    monkeypatch.setenv("SCAP_THREADS", "1")
+    serial = matmul_rows(x64, w, rows)
+    monkeypatch.delenv("SCAP_THREADS")
+    split = matmul_rows(x64, w, rows)
+    monkeypatch.setenv("SCAP_THREADS", "3")
+    three = matmul_rows(x64, w, rows)
+    want = _sequential_rows(x64, w, rows)
+    assert all(np.array_equal(out[0], want) for out in (serial, split, three))
+
+
+def test_concurrent_callers_get_the_serial_result(monkeypatch):
+    """Four threads of a pool, like sweep grid points, split large one-row
+    products at once, with more threads than a 2-core machine has cores;
+    each gets exactly its one-thread result."""
+    cases = [_large_case(seed) for seed in range(5, 9)]
+    monkeypatch.setenv("SCAP_THREADS", "1")
+    serial = [matmul_rows(*case)[0] for case in cases]
+    monkeypatch.setenv("SCAP_THREADS", "2")
+    start = threading.Barrier(len(cases))
+
+    def call(case):
+        start.wait(timeout=60)
+        return [matmul_rows(*case)[0] for _ in range(3)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(len(cases)) as pool:
+            results = list(pool.map(call, cases, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    for want, got in zip(serial, results):
+        assert all(np.array_equal(g, want) for g in got)
+
+
+def test_small_one_row_products_stay_on_the_caller(monkeypatch):
+    monkeypatch.setenv("SCAP_THREADS", "2")
+    tensor._row_gemv()  # makes the pool
+    submitted = []
+    submit = tensor._row_pool.submit
+    monkeypatch.setattr(
+        tensor._row_pool, "submit", lambda *a, **kw: submitted.append(a) or submit(*a, **kw)
+    )
+    x64, w, rows = _row_case(40, 96, 32, seed=3)
+    assert np.array_equal(matmul_rows(x64, w, rows)[0], _sequential_rows(x64, w, rows))
+    assert submitted == []
+    matmul_rows(*_large_case())
+    assert len(submitted) == 1  # the spy sees a split
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_forked_child_splits_without_the_parents_pool(monkeypatch):
+    monkeypatch.setenv("SCAP_THREADS", "2")
+    case = _large_case()
+    want = matmul_rows(*case)[0]  # the parent's pool now has a thread
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child reports whether it got the parent's result
+        try:
+            os.write(write, b"1" if np.array_equal(matmul_rows(*case)[0], want) else b"0")
+        finally:
+            os._exit(0)
+    os.close(write)
+    deadline = time.monotonic() + 60
+    while os.waitpid(pid, os.WNOHANG) == (0, 0):
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child hung on its one-row product")
+        time.sleep(0.01)
+    assert os.read(read, 1) == b"1"
+    os.close(read)
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5", "2 threads"])
+def test_bad_thread_count_rejected(monkeypatch, value):
+    monkeypatch.setenv("SCAP_THREADS", value)
+    with pytest.raises(ValueError, match="SCAP_THREADS"):
+        tensor.max_workers(4)
+
+
+@pytest.mark.parametrize("value,want", [(None, None), ("1", 1), ("3", 3), ("64", 5)])
+def test_thread_count_comes_from_affinity_or_cap(monkeypatch, value, want):
+    if value is None:
+        monkeypatch.delenv("SCAP_THREADS", raising=False)
+        want = min(5, tensor._cpus())
+    else:
+        monkeypatch.setenv("SCAP_THREADS", value)
+    assert tensor.max_workers(5) == want
+    assert tensor.max_workers(0) == 1
 
 
 def test_importing_the_cli_compiles_nothing():
