@@ -39,7 +39,7 @@ from .model import (
     init_weights,
 )
 from .prune import PruneSpec, SparseLinear, prune_activations
-from .tensor import DataError, ShapeError, as_matrix, as_vector, gelu, matmul, silu
+from .tensor import DataError, ShapeError, gelu, matmul, silu
 
 __version__ = "0.1.0"
 
@@ -63,8 +63,6 @@ __all__ = [
     "SparseStack",
     "SwiGluWeights",
     "UP_GATE_INPUT",
-    "as_matrix",
-    "as_vector",
     "cats_swiglu",
     "dense_gelu_mlp",
     "dense_swiglu",

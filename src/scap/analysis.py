@@ -78,25 +78,19 @@ class CorrelatedBatches:
 # calibration plumbing
 
 
-@dataclass
-class CalibrationResult:
-    """Activation statistics per site, each pooled over every block."""
-
-    stats: dict[str, LayerStats]
-
-
 def calibrate(
     model: FfnStack,
     calib_stream,
     capacity: int = DEFAULT_RESERVOIR_CAPACITY,
     seed: int = DEFAULT_SEED,
     specs: dict[HookPoint, PruneSpec] | None = None,
-) -> CalibrationResult:
+) -> dict[str, LayerStats]:
     """Stream calibration batches through the model, hooks observing.
 
-    Activations are pooled per site: all blocks' Up/Gate inputs feed one
-    ``LayerStats`` and all Down inputs another, so one threshold serves a
-    uniform target per site. Passing ``specs`` routes the
+    Returns one ``LayerStats`` per site name. Activations are pooled per
+    site: all blocks' Up/Gate inputs feed one ``LayerStats`` and all Down
+    inputs another, so one threshold serves a uniform target per site.
+    Passing ``specs`` routes the
     capture through the pruned view, so statistics reflect the distributions
     a deployed model sees.
     """
@@ -110,7 +104,7 @@ def calibrate(
         _, captured = runner.forward_with_hooks(batch, hooks)
         for h in hooks:
             stats[h.site].observe(captured[h])
-    return CalibrationResult(stats=stats)
+    return stats
 
 
 def _check_sites(sites, role: str = "target") -> None:
@@ -121,7 +115,7 @@ def _check_sites(sites, role: str = "target") -> None:
 
 def make_specs(
     model: FfnStack,
-    calibration: CalibrationResult,
+    calibration: dict[str, LayerStats],
     targets: dict[str, float],
     center_sites: tuple[str, ...] = (),
     estimator: ModeEstimator = ModeEstimator(),
@@ -138,7 +132,7 @@ def make_specs(
     _check_sites(center_sites, "centering")
     site_specs = {}
     for site, s in targets.items():
-        st = calibration.stats[site]
+        st = calibration[site]
         eta = st.estimate_mode(estimator) if site in center_sites else 0.0
         tau = st.centered_quantile_threshold(s, eta)
         site_specs[site] = PruneSpec(
@@ -216,15 +210,7 @@ class SparsityReport:
     sample_count: int
 
     def to_payload(self) -> dict:
-        return {
-            "hooks": {label: asdict(obs) for label, obs in self.hooks.items()},
-            "site_sparsity": dict(self.site_sparsity),
-            "ffn_sparsity": self.ffn_sparsity,
-            "macs_ratio": self.macs_ratio,
-            "macs": self.macs,
-            "dense_macs": self.dense_macs,
-            "sample_count": self.sample_count,
-        }
+        return asdict(self)
 
 
 def measure_sparsity(
@@ -235,13 +221,11 @@ def measure_sparsity(
 
 
 def reconstruction_error(
-    model: FfnStack, specs: dict[HookPoint, PruneSpec], eval_stream,
-    dense_outputs: list[np.ndarray] | None = None,
+    model: FfnStack, specs: dict[HookPoint, PruneSpec], eval_stream
 ) -> float:
     """Relative L2 distance between pruned and dense stack outputs."""
     batches = list(eval_stream)  # a one-shot iterable feeds both passes
-    if dense_outputs is None:
-        dense_outputs = [model.forward(batch) for batch in batches]
+    dense_outputs = [model.forward(batch) for batch in batches]
     return _evaluate(model, specs, batches, dense_outputs)[1]
 
 
@@ -355,8 +339,10 @@ def overlap_curve(
     generated and its prefixes reused for every smaller size, so the curve
     is exactly non-increasing per construction.
     """
-    if list(batch_sizes) != sorted(batch_sizes) or min(batch_sizes) < 1:
-        raise ValueError("batch_sizes must be ascending positive integers")
+    if not batch_sizes or list(batch_sizes) != sorted(batch_sizes) or min(batch_sizes) < 1:
+        raise ValueError(f"batch_sizes must be non-empty, ascending and >= 1, got {batch_sizes}")
+    if n_batches < 1:
+        raise ValueError(f"n_batches must be >= 1, got {n_batches}")
     sparse = model.apply_prune_specs(specs)
     if hook is None:
         hook = next(iter(sorted(specs, key=lambda h: (h.block, h.site))), None)
@@ -390,11 +376,7 @@ class SweepEntry:
     target_down: float
     report: SparsityReport
     error: float
-    quality: float | None = None  # defaults to -error
-
-    def __post_init__(self):
-        if self.quality is None:
-            self.quality = -self.error
+    quality: float  # -error
 
 
 @dataclass
@@ -428,13 +410,11 @@ def pareto_sweep(
     seed: int = DEFAULT_SEED,
     center_sites: tuple[str, ...] = (),
     estimator: ModeEstimator = ModeEstimator(),
-    eval_fn=None,
 ) -> SweepResult:
     """Grid search over (up/gate, down) targets with Pareto-front extraction.
 
-    Quality defaults to the negated relative reconstruction error against the
-    dense model; pass ``eval_fn(model, specs) -> float`` (higher is better)
-    to rank grid points by a different metric.
+    Quality is the negated relative reconstruction error against the dense
+    model.
 
     Up/Gate statistics are collected once on dense captures; for each Up
     target a second calibration pass collects the Down-input distribution
@@ -483,8 +463,7 @@ def pareto_sweep(
             )
         )
         report, err = _evaluate(model, specs, eval_batches, dense_outputs)
-        quality = eval_fn(model, specs) if eval_fn is not None else -err
-        return SweepEntry(su, sd, report, err, quality)
+        return SweepEntry(su, sd, report, err, -err)
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         entries = list(pool.map(run_point, points))
@@ -550,8 +529,7 @@ def mode_centering_ablation(
     |h| respectively; both variants report observed Down-input sparsity and
     output reconstruction error on the same held-out stream.
     """
-    calres = calibrate(model, calib_stream, capacity=capacity, seed=seed)
-    down_stats = calres.stats[DOWN_INPUT]
+    down_stats = calibrate(model, calib_stream, capacity=capacity, seed=seed)[DOWN_INPUT]
     eta = down_stats.estimate_mode(estimator)
     eval_batches = list(eval_stream)
     dense_outputs = [model.forward(b) for b in eval_batches]

@@ -222,13 +222,8 @@ def _kde_mode(values: np.ndarray, grid_points: int, bandwidth: str | float) -> f
     return float(grid[int(np.argmax(density))])
 
 
-def report_entry(
-    stats: LayerStats,
-    sparsity_grid: list[float],
-    kde_estimator: ModeEstimator | None = None,
-) -> dict:
+def report_entry(stats: LayerStats, sparsity_grid: list[float]) -> dict:
     """Serializable calibration summary for one site."""
-    kde_cfg = kde_estimator or ModeEstimator(kind="kde")
     return {
         "layer_id": stats.layer_id,
         "seen_count": stats.seen_count,
@@ -236,9 +231,8 @@ def report_entry(
             repr(float(s)): stats.quantile_threshold(s) for s in sparsity_grid
         },
         "eta": {
-            "mean": stats.estimate_mode(ModeEstimator(kind="mean")),
-            "median": stats.estimate_mode(ModeEstimator(kind="median")),
-            "kde": stats.estimate_mode(kde_cfg),
+            kind: stats.estimate_mode(ModeEstimator(kind=kind))
+            for kind in ("mean", "median", "kde")
         },
         "seed": stats.seed,
     }

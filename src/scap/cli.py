@@ -13,7 +13,6 @@ import csv
 import json
 import os
 import sys
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -48,7 +47,6 @@ COMMAND_DEFAULTS = {
     "bench": {
         "sparsity_grid": "0.1,0.2,0.3,0.4,0.5,0.6",
         "batch": 8,
-        "time": False,
     },
     "overlap": {
         "batch_sizes": "1,2,4,8,16",
@@ -131,12 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", parents=[common], help="kernel MAC-ratio sweep")
     p.add_argument("--sparsity-grid", type=str, dest="sparsity_grid")
     p.add_argument("--batch", type=int)
-    p.add_argument(
-        "--time",
-        action="store_const",
-        const=True,
-        help="add wall-clock column (breaks byte-determinism)",
-    )
     p = sub.add_parser("overlap", parents=[common], help="overlap-sparsity decay curve")
     p.add_argument("--batch-sizes", type=str, dest="batch_sizes")
     p.add_argument("--rho", type=float)
@@ -164,9 +156,16 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             file_cfg = json.loads(path.read_text())
         except json.JSONDecodeError as exc:
             raise CliError(f"config file is not valid JSON: {exc}") from exc
+        if not isinstance(file_cfg, dict):
+            raise CliError(f"config file must hold a JSON object, got {type(file_cfg).__name__}")
         unknown = set(file_cfg) - set(values)
         if unknown:
             raise CliError(f"unknown config keys: {sorted(unknown)}")
+        for key, val in file_cfg.items():
+            # a float option takes an int too; a bool is never an int here
+            kind = type(values[key])
+            if type(val) not in ((int, float) if kind is float else (kind,)):
+                raise CliError(f"config key {key!r} must be of type {kind.__name__}, got {val!r}")
         values.update(file_cfg)
     for key, val in vars(args).items():
         if key in ("command", "config") or val is None:
@@ -237,7 +236,7 @@ def cmd_calibrate(cfg: RunConfig) -> list[Path]:
     grid = _floats(cfg.sparsity_grid)
     payload = {
         "layers": {
-            gid: report_entry(st, grid) for gid, st in sorted(calres.stats.items())
+            gid: report_entry(st, grid) for gid, st in sorted(calres.items())
         },
         "hooks": {h.label: h.site for h in model.hook_points()},
     }
@@ -271,6 +270,8 @@ def cmd_sweep(cfg: RunConfig) -> list[Path]:
 
 
 def cmd_bench(cfg: RunConfig) -> list[Path]:
+    if cfg.batch < 1:
+        raise CliError(f"batch must be >= 1, got {cfg.batch}")
     out = _out_dir(cfg)
     rng = np.random.default_rng(cfg.seed)
     d, h, batch = cfg.d_model, cfg.d_hidden, cfg.batch
@@ -280,8 +281,6 @@ def cmd_bench(cfg: RunConfig) -> list[Path]:
         (rng.standard_normal((h, d)) / np.sqrt(h)).astype(np.float32),
     )
     x = rng.standard_normal((batch, d)).astype(np.float32)
-    z_dense = silu(matmul(x, w.w_gate)) * matmul(x, w.w_up)
-    timed = bool(cfg.values.get("time"))
     header = [
         "scheme",
         "d",
@@ -293,33 +292,20 @@ def cmd_bench(cfg: RunConfig) -> list[Path]:
         "dense_macs",
         "macs_ratio",
     ]
-    if timed:
-        header.append("wall_us")
     dense_macs = kernels.dense_macs_swiglu(batch, d, h)
-    rows = []
 
-    def add_row(scheme, target, observed, macs, run):
-        row = [scheme, d, h, batch, target, observed, macs, dense_macs, macs / dense_macs]
-        if timed:
-            t0 = time.perf_counter()
-            for _ in range(10):
-                run()
-            row.append((time.perf_counter() - t0) * 1e5)
-        rows.append(row)
+    def row(scheme, target, observed, macs):
+        return [scheme, d, h, batch, target, observed, macs, dense_macs, macs / dense_macs]
 
-    y, count = kernels.dense_swiglu(x, w)
-    add_row("dense", 0.0, 0.0, count.macs, lambda: kernels.dense_swiglu(x, w))
+    dense = kernels.swiglu_ffn(x, w)
+    rows = [row("dense", 0.0, 0.0, dense.ops.macs)]
+    silu_mag = np.abs(silu(matmul(x, w.w_gate)))
     for s in _floats(cfg.sparsity_grid):
-        tau_s = float(np.quantile(np.abs(silu(matmul(x, w.w_gate))), s))
-        _, count = kernels.cats_swiglu(tau_s, x, w)
-        obs_silu = count.elements_pruned / (batch * h)
-        add_row(
-            "cats", s, 2.0 / 3.0 * obs_silu, count.macs,
-            lambda tau=tau_s: kernels.cats_swiglu(tau, x, w),
-        )
+        _, count = kernels.cats_swiglu(float(np.quantile(silu_mag, s)), x, w)
+        rows.append(row("cats", s, 2.0 / 3.0 * (count.elements_pruned / (batch * h)), count.macs))
     for s in _floats(cfg.sparsity_grid):
         tau_x = float(np.quantile(np.abs(x), s))
-        tau_g = float(np.quantile(np.abs(z_dense), s))
+        tau_g = float(np.quantile(np.abs(dense.down_in), s))
         run = kernels.swiglu_ffn(
             x, w, *compile_ffn(w, PruneSpec("x", tau_x), PruneSpec("z", tau_g))
         )
@@ -327,10 +313,7 @@ def cmd_bench(cfg: RunConfig) -> list[Path]:
         obs = kernels.ffn_sparsity(
             1.0 - kept_x.sum() / kept_x.size, 1.0 - kept_g.sum() / kept_g.size
         )
-        add_row(
-            "scap", s, obs, run.ops.macs,
-            lambda a=tau_x, b=tau_g: kernels.scap_swiglu(a, b, x, w),
-        )
+        rows.append(row("scap", s, obs, run.ops.macs))
 
     csv_path = out / "bench.csv"
     _write_csv(csv_path, header, rows, _native(dict(cfg.values)))

@@ -40,22 +40,16 @@ from .tensor import FLOAT, ShapeError, gelu, matmul, matmul_rows, silu
 class OpCount:
     """Deterministic cost accounting for one kernel invocation.
 
-    macs: multiply-accumulates actually performed across all FC stages.
-    channels_skipped: weight channels (rows, or masked Up columns for CATS)
-        never fetched, summed over batch rows and stages.
+    macs: kept-channel multiply-accumulates across all FC stages; at batch
+        > 1 the union GEMM computes more (see the module docstring).
     elements_pruned: activation elements zeroed by a pruner.
     """
 
     macs: int = 0
-    channels_skipped: int = 0
     elements_pruned: int = 0
 
     def __add__(self, other: "OpCount") -> "OpCount":
-        return OpCount(
-            self.macs + other.macs,
-            self.channels_skipped + other.channels_skipped,
-            self.elements_pruned + other.elements_pruned,
-        )
+        return OpCount(self.macs + other.macs, self.elements_pruned + other.elements_pruned)
 
 
 @dataclass
@@ -192,20 +186,15 @@ def cats_swiglu(
     up = matmul_rows(x.astype(np.float64), np.take(w.w_up, rows, axis=1))
     y = matmul_rows(np.where(kept[:, rows], up * v[:, rows], 0.0), w.w_down, rows)
     k = int(kept.sum())
-    count = OpCount(
-        macs=n * d * h + 2 * d * k,
-        channels_skipped=2 * (n * h - k),
-        elements_pruned=n * h - k,
-    )
-    return y.astype(FLOAT), count
+    return y.astype(FLOAT), OpCount(macs=n * d * h + 2 * d * k, elements_pruned=n * h - k)
 
 
 class SiteRun(NamedTuple):
-    """One pruning site of one FFN forward."""
+    """One pruning site of one FFN forward: the kept mask of its input and
+    the kept-channel MACs of the projections that read it."""
 
-    kept: np.ndarray  # kept mask of the site's input, all True when dense
-    macs: int  # summed over the projections that read the input
-    fan_out: int  # projections reading the input: 2 for SwiGLU Up/Gate
+    kept: np.ndarray  # all True when the site runs dense
+    macs: int
 
     @property
     def pruned(self) -> int:
@@ -213,8 +202,7 @@ class SiteRun(NamedTuple):
 
     @property
     def ops(self) -> OpCount:
-        pruned = self.pruned
-        return OpCount(self.macs, self.fan_out * pruned, pruned)
+        return OpCount(self.macs, self.pruned)
 
 
 class FfnRun(NamedTuple):
@@ -254,7 +242,7 @@ def swiglu_ffn(x: np.ndarray, w: SwiGluWeights, up=None, down=None) -> FfnRun:
     gate, _, macs_gate = _fc(x, gate_layer, w.w_gate)
     z = silu(gate) * u
     y, kept_z, macs_down = _fc(z, down, w.w_down)
-    return FfnRun(y, z, SiteRun(kept_x, macs_up + macs_gate, 2), SiteRun(kept_z, macs_down, 1))
+    return FfnRun(y, z, SiteRun(kept_x, macs_up + macs_gate), SiteRun(kept_z, macs_down))
 
 
 def gelu_ffn(x: np.ndarray, w: GeluMlpWeights, up=None, down=None) -> FfnRun:
@@ -266,7 +254,7 @@ def gelu_ffn(x: np.ndarray, w: GeluMlpWeights, up=None, down=None) -> FfnRun:
     u, kept_x, macs_up = _fc(x, up, w.w_up, w.b_up)
     hidden = gelu(u)
     y, kept_h, macs_down = _fc(hidden, down, w.w_down, w.b_down)
-    return FfnRun(y, hidden, SiteRun(kept_x, macs_up, 1), SiteRun(kept_h, macs_down, 1))
+    return FfnRun(y, hidden, SiteRun(kept_x, macs_up), SiteRun(kept_h, macs_down))
 
 
 def _compile(w, up: tuple[float, float], down: tuple[float, float]):

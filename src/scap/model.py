@@ -120,7 +120,7 @@ class FfnStack:
             compile_ffn(w, *(specs.get(HookPoint(b, site)) for site in SITES))
             for b, w in enumerate(self.blocks)
         ]
-        return SparseStack(self, dict(specs), sites)
+        return SparseStack(self, sites)
 
     def to_tensors(self) -> tuple[dict[str, np.ndarray], dict]:
         tensors = {}
@@ -160,10 +160,8 @@ class FfnStack:
 class SparseStack:
     """Sparse view of an FfnStack: specified hook points prune, others stay dense."""
 
-    def __init__(self, base: FfnStack, specs: dict[HookPoint, PruneSpec], sites: list):
+    def __init__(self, base: FfnStack, sites: list):
         self.base = base
-        self.config = base.config
-        self.specs = specs
         self.sites = sites  # per block: compiled (Up/Gate, Down) sites, None = dense
 
     def forward(

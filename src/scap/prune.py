@@ -76,19 +76,15 @@ class SparseLinear:
             fused.setflags(write=False)
         self.bias_fused = fused
 
-    @property
-    def out_channels(self) -> int:
-        return self.weight.shape[1]
-
     def fc(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
         """``sparse_fc`` with this layer's weight, tau, eta and fused bias:
         (output, kept mask, kept-channel MACs)."""
         return sparse_fc(x, self.weight, self.tau, self.eta, self.bias_fused)
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, OpCount]:
-        """Sparse forward pass; OpCount.macs == out_channels * kept channels."""
+        """Sparse forward pass; OpCount.macs == output width * kept channels."""
         y, kept, macs = self.fc(x)
-        return y, SiteRun(kept, macs, 1).ops
+        return y, SiteRun(kept, macs).ops
 
 
 def compile_ffn(w, up: PruneSpec | None, down: PruneSpec | None):

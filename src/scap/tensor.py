@@ -57,26 +57,6 @@ class KernelError(RuntimeError):
     """Raised when the row kernel cannot be compiled or loaded."""
 
 
-def as_matrix(data) -> np.ndarray:
-    """Coerce ``data`` to a 2-D float32 array, validating finiteness."""
-    a = np.ascontiguousarray(data, dtype=FLOAT)
-    if a.ndim != 2:
-        raise ShapeError(f"expected a 2-D matrix, got ndim={a.ndim}")
-    if not np.all(np.isfinite(a)):
-        raise DataError("matrix contains NaN or Inf")
-    return a
-
-
-def as_vector(data) -> np.ndarray:
-    """Coerce ``data`` to a 1-D float32 array, validating finiteness."""
-    a = np.ascontiguousarray(data, dtype=FLOAT)
-    if a.ndim != 1:
-        raise ShapeError(f"expected a 1-D vector, got ndim={a.ndim}")
-    if not np.all(np.isfinite(a)):
-        raise DataError("vector contains NaN or Inf")
-    return a
-
-
 def matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Row-major matrix product with float64 accumulation, float32 result."""
     if x.ndim != 2 or w.ndim != 2:

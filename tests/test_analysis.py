@@ -127,6 +127,21 @@ def test_correlated_batches_decay_slower_than_independent():
             assert o_c > o_i
 
 
+@pytest.mark.parametrize(
+    "sizes,n_batches,name",
+    [([], 4, "batch_sizes"), ([2, 1], 4, "batch_sizes"), ([0, 1], 4, "batch_sizes"),
+     ([1, 2], 0, "n_batches"), ([1, 2], -1, "n_batches")],
+)
+def test_overlap_curve_rejects_degenerate_sizes(sizes, n_batches, name):
+    model = _swiglu_model(seed=1, blocks=1)
+    specs = _specs_at(model, 0.5)
+    with pytest.raises(ValueError, match=name):
+        overlap_curve(
+            model, specs, CorrelatedBatches(16, seed=7), sizes,
+            hook=HookPoint(0, UP_GATE_INPUT), n_batches=n_batches,
+        )
+
+
 def test_correlated_batches_validation():
     with pytest.raises(ValueError):
         CorrelatedBatches(8, rho=1.0)
@@ -380,31 +395,6 @@ def test_pareto_front_helper_tie_handling():
     entries = [E(0.5, -0.1), E(0.5, -0.1), E(0.4, -0.2)]
     front = pareto_front(entries)
     assert front == [0, 1]  # equal points do not dominate each other
-
-
-def test_sweep_custom_quality_metric():
-    model = _swiglu_model(seed=16, blocks=1)
-    calls = []
-
-    def favor_sparsity(mdl, specs):
-        calls.append(specs)
-        return sum(s.target_sparsity for s in specs.values())
-
-    result = pareto_sweep(
-        model,
-        synthetic_stream(16, 2, 64, seed=33),
-        synthetic_stream(16, 2, 64, seed=34),
-        [0.2, 0.6],
-        [0.4],
-        capacity=1 << 13,
-        seed=35,
-        eval_fn=favor_sparsity,
-    )
-    assert len(calls) == 2
-    assert [e.quality for e in result.entries] == pytest.approx([0.6, 1.0])
-    # under this metric the sparser point dominates outright
-    assert result.pareto_indices == [1]
-    assert all(e.error > 0 for e in result.entries)  # error still reported
 
 
 # ---------------------------------------------------------------------------

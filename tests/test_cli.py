@@ -4,7 +4,14 @@ import json
 
 import pytest
 
-from scap.cli import CliError, main, resolve_config, build_parser
+from scap.cli import (
+    COMMAND_DEFAULTS,
+    COMMON_DEFAULTS,
+    CliError,
+    build_parser,
+    main,
+    resolve_config,
+)
 from scap.io import load_report
 
 FAST = [
@@ -105,6 +112,70 @@ def test_config_file_precedence(tmp_path):
     cfg = resolve_config(args)
     assert cfg.seed == 9
     assert cfg.d_model == 20
+
+
+@pytest.mark.parametrize(
+    "command,content,match",
+    [
+        ("calibrate", {"rmsnorm": "false"}, "'rmsnorm' must be of type bool"),
+        ("calibrate", {"rmsnorm": 0}, "'rmsnorm' must be of type bool"),
+        ("calibrate", {"seed": True}, "'seed' must be of type int"),
+        ("calibrate", {"seed": 7.0}, "'seed' must be of type int"),
+        ("calibrate", {"d_model": "32"}, "'d_model' must be of type int"),
+        ("calibrate", {"input_scale": False}, "'input_scale' must be of type float"),
+        ("calibrate", {"input_scale": "0.5"}, "'input_scale' must be of type float"),
+        ("calibrate", {"ffn": None}, "'ffn' must be of type str"),
+        ("calibrate", {"sparsity_grid": [0.5]}, "'sparsity_grid' must be of type str"),
+        ("overlap", {"n_batches": 2.5}, "'n_batches' must be of type int"),
+        ("calibrate", [1, 2], "JSON object, got list"),
+        ("calibrate", "seed", "JSON object, got str"),
+        ("calibrate", 3, "JSON object, got int"),
+    ],
+)
+def test_config_file_values_must_match_default_types(tmp_path, command, content, match):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(content))
+    args = build_parser().parse_args([command, "--config", str(cfg_file)])
+    with pytest.raises(CliError, match=match):
+        resolve_config(args)
+
+
+def test_config_file_int_stands_for_float(tmp_path):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"input_scale": 2, "rho": 0, "rmsnorm": False}))
+    cfg = resolve_config(build_parser().parse_args(["overlap", "--config", str(cfg_file)]))
+    assert (cfg.input_scale, cfg.rho, cfg.rmsnorm) == (2, 0, False)
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_DEFAULTS))
+def test_every_option_is_an_echoed_config_key(command):
+    dests = set(vars(build_parser().parse_args([command]))) - {"command", "config"}
+    assert dests == set(COMMON_DEFAULTS) | set(COMMAND_DEFAULTS[command])
+
+
+def test_bench_time_option_is_gone(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        _run(["bench", "--out", tmp_path / "o", "--time"])
+    assert exc.value.code == 2
+    assert "--time" in capsys.readouterr().err
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"time": False}))
+    assert _run(["bench", "--out", tmp_path / "o", "--config", cfg_file]) == 1
+    assert "unknown config keys: ['time']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args,name",
+    [
+        (["overlap", "--n-batches", "0"], "n_batches"),
+        (["overlap", "--batch-sizes", ","], "batch_sizes"),
+        (["bench", "--batch", "0"], "batch"),
+    ],
+)
+def test_degenerate_sizes_fail_naming_the_parameter(tmp_path, capsys, args, name):
+    assert _run(args + ["--out", tmp_path / "o"] + FAST) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"scap: error: {name} must") and err.count("\n") == 1
 
 
 def test_unknown_config_key_rejected(tmp_path):

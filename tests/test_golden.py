@@ -24,8 +24,8 @@ GOLDEN = {
         "sweep.csv": "ac0468d504598a571b2e45617617e0a6b3cf1641fa3094ab619f5ce26425cc3b",
     },
     "bench": {
-        "bench.csv": "dd0f1cd0c72310abcad06d5b6ce1b1f2059e32463dfcb86872d83cf88e36c2cd",
-        "bench.json": "714e2f8b38a45b6bd37464c806be6dba1f82b9ee79ab0a4eb2291def7aa0d390",
+        "bench.csv": "dac3388a16825931974746e87f60cd28de609a5d86ca643fd0d69075e4ab488e",
+        "bench.json": "be785274ba25de45a1d64154b17729b55b2492256b9ff7393385d7985d2cc4e5",
     },
     "overlap": {
         "overlap.csv": "7e6ac04a191524484e42c50cc70760e5bc525c109cf9ad3511e1c2939eebed88",

@@ -86,7 +86,7 @@ def test_tau_zero_specs_match_dense_within_fusion_rounding(ffn):
     calres = calibrate(model, stream, capacity=1 << 14, seed=13)
     specs = {}
     for hook in model.hook_points():
-        stats = calres.stats[hook.site]
+        stats = calres[hook.site]
         specs[hook] = PruneSpec(
             layer_id=stats.layer_id,
             tau=0.0,
