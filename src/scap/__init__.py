@@ -8,13 +8,10 @@ sweeps).
 """
 
 from .calib import (
-    DEFAULT_KDE_GRID_POINTS,
     DEFAULT_RESERVOIR_CAPACITY,
     CalibrationError,
     LayerStats,
-    MergeError,
     ModeEstimator,
-    merge,
 )
 from .kernels import (
     GeluMlpWeights,
@@ -38,7 +35,7 @@ from .model import (
     SparseStack,
     init_weights,
 )
-from .prune import PruneSpec, SparseLinear, prune_activations
+from .prune import PruneSpec, SparseLinear
 from .tensor import DataError, ShapeError, gelu, matmul, silu
 
 __version__ = "0.1.0"
@@ -47,14 +44,12 @@ __all__ = [
     "BlockConfig",
     "CalibrationError",
     "DataError",
-    "DEFAULT_KDE_GRID_POINTS",
     "DEFAULT_RESERVOIR_CAPACITY",
     "DOWN_INPUT",
     "FfnStack",
     "GeluMlpWeights",
     "HookPoint",
     "LayerStats",
-    "MergeError",
     "ModeEstimator",
     "OpCount",
     "PruneSpec",
@@ -70,9 +65,7 @@ __all__ = [
     "gelu",
     "init_weights",
     "matmul",
-    "merge",
     "mlp_ffn_sparsity",
-    "prune_activations",
     "scap_gelu_mlp",
     "scap_swiglu",
     "silu",

@@ -23,6 +23,7 @@ from .calib import (
     DEFAULT_SEED,
     LayerStats,
     ModeEstimator,
+    check_fractions,
 )
 from .model import DOWN_INPUT, SITES, UP_GATE_INPUT, FfnStack, HookPoint
 from .prune import PruneSpec
@@ -135,9 +136,7 @@ def make_specs(
         st = calibration[site]
         eta = st.estimate_mode(estimator) if site in center_sites else 0.0
         tau = st.centered_quantile_threshold(s, eta)
-        site_specs[site] = PruneSpec(
-            layer_id=st.layer_id, tau=tau, eta=eta, target_sparsity=s
-        )
+        site_specs[site] = PruneSpec(tau=tau, eta=eta, target_sparsity=s)
     return {h: site_specs[h.site] for h in model.hook_points() if h.site in site_specs}
 
 
@@ -325,6 +324,14 @@ class OverlapCurve:
         }
 
 
+def check_overlap_sizes(batch_sizes: list[int], n_batches: int) -> None:
+    """``overlap_curve``'s size checks, callable before any calibration."""
+    if not batch_sizes or list(batch_sizes) != sorted(batch_sizes) or min(batch_sizes) < 1:
+        raise ValueError(f"batch_sizes must be non-empty, ascending and >= 1, got {batch_sizes}")
+    if n_batches < 1:
+        raise ValueError(f"n_batches must be >= 1, got {n_batches}")
+
+
 def overlap_curve(
     model: FfnStack,
     specs: dict[HookPoint, PruneSpec],
@@ -339,10 +346,7 @@ def overlap_curve(
     generated and its prefixes reused for every smaller size, so the curve
     is exactly non-increasing per construction.
     """
-    if not batch_sizes or list(batch_sizes) != sorted(batch_sizes) or min(batch_sizes) < 1:
-        raise ValueError(f"batch_sizes must be non-empty, ascending and >= 1, got {batch_sizes}")
-    if n_batches < 1:
-        raise ValueError(f"n_batches must be >= 1, got {n_batches}")
+    check_overlap_sizes(batch_sizes, n_batches)
     sparse = model.apply_prune_specs(specs)
     if hook is None:
         hook = next(iter(sorted(specs, key=lambda h: (h.block, h.site))), None)
@@ -423,8 +427,11 @@ def pareto_sweep(
     held-out data, and the non-dominated subset under (maximize ffn_sparsity,
     maximize quality) is reported. Grid points run on a pool of
     ``tensor.max_workers`` threads (the usable CPUs, or SCAP_THREADS); results
-    are merged in grid order, so output is scheduling-independent.
+    are merged in grid order, so output is scheduling-independent. Targets
+    outside [0, 1] raise ValueError before anything is calibrated.
     """
+    check_fractions("grid_up", grid_up)
+    check_fractions("grid_down", grid_down)
     workers = max_workers(len(grid_up) * len(grid_down))
     calib_batches = list(calib_stream)
     first = calibrate(model, calib_batches, capacity=capacity, seed=seed)
@@ -527,8 +534,10 @@ def mode_centering_ablation(
 
     For each target sparsity, thresholds are calibrated on |h - eta| and on
     |h| respectively; both variants report observed Down-input sparsity and
-    output reconstruction error on the same held-out stream.
+    output reconstruction error on the same held-out stream. Targets outside
+    [0, 1] raise ValueError before anything is calibrated.
     """
+    check_fractions("sparsity_grid", sparsity_grid)
     down_stats = calibrate(model, calib_stream, capacity=capacity, seed=seed)[DOWN_INPUT]
     eta = down_stats.estimate_mode(estimator)
     eval_batches = list(eval_stream)
@@ -539,12 +548,7 @@ def mode_centering_ablation(
         for tag, eta_use in (("with", eta), ("without", 0.0)):
             tau = down_stats.centered_quantile_threshold(s, eta_use)
             specs = {
-                hook: PruneSpec(
-                    layer_id=down_stats.layer_id,
-                    tau=tau,
-                    eta=eta_use,
-                    target_sparsity=s,
-                )
+                hook: PruneSpec(tau=tau, eta=eta_use, target_sparsity=s)
                 for hook in model.hook_points()
                 if hook.site == DOWN_INPUT
             }

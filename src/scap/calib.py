@@ -9,10 +9,6 @@ memory budget. From the reservoir we derive
   |X - eta| for a mode-shifted pruner (``centered_quantile_threshold``),
 * ``estimate_mode``: eta as the empirical mean, median, or the argmax of a
   Gaussian-kernel density over an evenly spaced grid.
-
-Parallel calibration shards are combined with ``merge``, which draws a
-hypergeometric split so the merged reservoir is again a uniform sample of
-the pooled stream.
 """
 
 from __future__ import annotations
@@ -24,41 +20,35 @@ import numpy as np
 from .tensor import DataError
 
 DEFAULT_RESERVOIR_CAPACITY = 1 << 20
-DEFAULT_KDE_GRID_POINTS = 2048
+KDE_GRID_POINTS = 2048
 DEFAULT_SEED = 2025
+
+
+def check_fractions(name: str, values) -> None:
+    """Raise ValueError naming ``name`` unless every value lies in [0, 1]."""
+    bad = [v for v in values if not 0.0 <= v <= 1.0]
+    if bad:
+        raise ValueError(f"{name} must lie in [0, 1], got {bad}")
 
 
 class CalibrationError(RuntimeError):
     """Raised when statistics are insufficient for the requested estimate."""
 
 
-class MergeError(ValueError):
-    """Raised when two LayerStats shards are not merge-compatible."""
-
-
 @dataclass(frozen=True)
 class ModeEstimator:
-    """Configuration for the eta estimator.
+    """The eta estimator: "mean", "median", or "kde".
 
-    kind: "mean", "median", or "kde".
-    kde_grid_points: evaluation grid size for the KDE argmax.
-    kde_bandwidth: "scott", "silverman", or a fixed positive bandwidth.
+    The KDE is fixed: a Gaussian kernel with Scott's-rule bandwidth, argmax
+    taken over ``KDE_GRID_POINTS`` evenly spaced points. A bad kind raises
+    here, before any calibration runs.
     """
 
     kind: str = "mean"
-    kde_grid_points: int = DEFAULT_KDE_GRID_POINTS
-    kde_bandwidth: str | float = "scott"
 
     def __post_init__(self):
         if self.kind not in ("mean", "median", "kde"):
             raise ValueError(f"unknown estimator kind: {self.kind!r}")
-        if self.kind == "kde" and self.kde_grid_points < 2:
-            raise ValueError("kde_grid_points must be >= 2")
-        if isinstance(self.kde_bandwidth, str):
-            if self.kde_bandwidth not in ("scott", "silverman"):
-                raise ValueError(f"unknown bandwidth rule: {self.kde_bandwidth!r}")
-        elif not self.kde_bandwidth > 0:
-            raise ValueError("fixed bandwidth must be positive")
 
 
 class LayerStats:
@@ -126,8 +116,7 @@ class LayerStats:
     def centered_quantile_threshold(self, target_sparsity: float, eta: float) -> float:
         """tau for a mode-shifted pruner: quantile of |X - eta| (of the float32
         magnitudes |X| when eta is 0)."""
-        if not 0.0 <= target_sparsity <= 1.0:
-            raise ValueError(f"target_sparsity must lie in [0, 1], got {target_sparsity}")
+        check_fractions("target_sparsity", [target_sparsity])
         if self.filled == 0:
             raise CalibrationError(f"{self.layer_id}: no observations recorded")
         if eta == 0.0:
@@ -145,54 +134,12 @@ class LayerStats:
             return float(np.mean(vals, dtype=np.float64))
         if estimator.kind == "median":
             return float(np.quantile(vals, 0.5))
-        return _kde_mode(vals, estimator.kde_grid_points, estimator.kde_bandwidth)
+        return _kde_mode(vals)
 
 
-def merge(a: LayerStats, b: LayerStats) -> LayerStats:
-    """Combine two calibration shards into a valid pooled-stream sample.
-
-    The number of merged slots drawn from each shard follows the
-    hypergeometric law of a uniform k-subset of the concatenated streams,
-    so the result is distributed exactly like a single reservoir over the
-    union (given that both inputs are uniform samples).
-    """
-    if a.layer_id != b.layer_id:
-        raise MergeError(f"layer_id mismatch: {a.layer_id!r} vs {b.layer_id!r}")
-    if a.capacity != b.capacity:
-        raise MergeError(f"capacity mismatch: {a.capacity} vs {b.capacity}")
-    out = LayerStats(
-        a.layer_id,
-        a.capacity,
-        seed=int(np.random.SeedSequence([a.seed, b.seed, 0x6D72]).generate_state(1)[0]),
-    )
-    mix_rng = np.random.default_rng(
-        np.random.SeedSequence([a.seed, b.seed, 0x6D31])
-    )
-    merged = _merge_reservoirs(a, b, mix_rng)
-    out._buf[: merged.size] = merged
-    out.filled = merged.size
-    out.seen_count = a.seen_count + b.seen_count
-    return out
-
-
-def _merge_reservoirs(a: LayerStats, b: LayerStats, rng) -> np.ndarray:
-    va, vb = a.raw_reservoir, b.raw_reservoir
-    k = min(a.capacity, va.size + vb.size)
-    if k == va.size + vb.size:
-        return np.concatenate([va, vb])
-    # k < va+vb implies both sides non-empty; clamps guard subsampled shards
-    m_a = int(rng.hypergeometric(a.seen_count, b.seen_count, k))
-    m_a = min(m_a, va.size)
-    m_a = max(m_a, k - vb.size)
-    pick_a = rng.choice(va, size=m_a, replace=False) if m_a else va[:0]
-    pick_b = rng.choice(vb, size=k - m_a, replace=False) if k - m_a else vb[:0]
-    merged = np.concatenate([pick_a, pick_b])
-    rng.shuffle(merged)
-    return merged
-
-
-def _kde_mode(values: np.ndarray, grid_points: int, bandwidth: str | float) -> float:
-    """Argmax of a Gaussian-kernel density over [min, max] of the sample.
+def _kde_mode(values: np.ndarray) -> float:
+    """Argmax of a Scott's-rule Gaussian-kernel density over [min, max] of the
+    sample.
 
     The sample is binned to the evaluation grid and convolved with the
     kernel, which matches direct evaluation to well below grid resolution
@@ -202,20 +149,13 @@ def _kde_mode(values: np.ndarray, grid_points: int, bandwidth: str | float) -> f
     lo, hi = float(vals.min()), float(vals.max())
     if lo == hi:
         return lo
-    n = vals.size
-    sigma = float(np.std(vals, ddof=1))
-    if isinstance(bandwidth, str):
-        factor = n ** (-0.2) if bandwidth == "scott" else (3.0 * n / 4.0) ** (-0.2)
-        h = sigma * factor
-    else:
-        h = float(bandwidth)
-    if h <= 0.0:
-        return lo  # degenerate spread; lo == hi handled above
-    grid = np.linspace(lo, hi, grid_points)
-    step = (hi - lo) / (grid_points - 1)
+    # h > 0: lo != hi, so the sample holds two distinct finite values
+    h = float(np.std(vals, ddof=1)) * vals.size ** (-0.2)
+    grid = np.linspace(lo, hi, KDE_GRID_POINTS)
+    step = (hi - lo) / (KDE_GRID_POINTS - 1)
     idx = np.rint((vals - lo) / step).astype(np.int64)
-    counts = np.bincount(idx, minlength=grid_points).astype(np.float64)
-    radius = min(grid_points - 1, max(1, int(np.ceil(4.0 * h / step))))
+    counts = np.bincount(idx, minlength=KDE_GRID_POINTS).astype(np.float64)
+    radius = min(KDE_GRID_POINTS - 1, max(1, int(np.ceil(4.0 * h / step))))
     offsets = np.arange(-radius, radius + 1) * step
     kernel = np.exp(-0.5 * (offsets / h) ** 2)
     density = np.convolve(counts, kernel, mode="same")

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, io, kernels
-from .calib import ModeEstimator
+from .calib import ModeEstimator, check_fractions
 from .model import BlockConfig, init_weights
 from .prune import PruneSpec, compile_ffn
 from .tensor import matmul, silu
@@ -174,11 +174,16 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(command=command, values=values)
 
 
-def _floats(text: str, kind=float) -> list:
+def _floats(cfg: RunConfig, key: str, kind=float) -> list:
+    """The comma-separated list under ``key``; an empty one raises CliError."""
+    text = cfg.values[key]
     try:
-        return [kind(tok) for tok in str(text).split(",") if tok.strip()]
+        values = [kind(tok) for tok in str(text).split(",") if tok.strip()]
     except ValueError as exc:
         raise CliError(f"expected comma-separated {kind.__name__}s, got {text!r}") from exc
+    if not values:
+        raise CliError(f"{key} must list at least one value, got {text!r}")
+    return values
 
 
 def _out_dir(cfg: RunConfig) -> Path:
@@ -227,13 +232,14 @@ def _streams(cfg: RunConfig):
 def cmd_calibrate(cfg: RunConfig) -> list[Path]:
     from .calib import report_entry
 
+    grid = _floats(cfg, "sparsity_grid")
+    check_fractions("sparsity_grid", grid)
     out = _out_dir(cfg)
     model = init_weights(cfg.block_config(), cfg.seed)
     calib_stream, _ = _streams(cfg)
     calres = analysis.calibrate(
         model, calib_stream, capacity=cfg.capacity, seed=cfg.seed
     )
-    grid = _floats(cfg.sparsity_grid)
     payload = {
         "layers": {
             gid: report_entry(st, grid) for gid, st in sorted(calres.items())
@@ -246,6 +252,7 @@ def cmd_calibrate(cfg: RunConfig) -> list[Path]:
 
 
 def cmd_sweep(cfg: RunConfig) -> list[Path]:
+    grid_up, grid_down = _floats(cfg, "grid_up"), _floats(cfg, "grid_down")
     out = _out_dir(cfg)
     model = init_weights(cfg.block_config(), cfg.seed)
     calib_stream, eval_stream = _streams(cfg)
@@ -254,8 +261,8 @@ def cmd_sweep(cfg: RunConfig) -> list[Path]:
         model,
         calib_stream,
         eval_stream,
-        _floats(cfg.grid_up),
-        _floats(cfg.grid_down),
+        grid_up,
+        grid_down,
         capacity=cfg.capacity,
         seed=cfg.seed,
         center_sites=center,
@@ -272,6 +279,8 @@ def cmd_sweep(cfg: RunConfig) -> list[Path]:
 def cmd_bench(cfg: RunConfig) -> list[Path]:
     if cfg.batch < 1:
         raise CliError(f"batch must be >= 1, got {cfg.batch}")
+    grid = _floats(cfg, "sparsity_grid")
+    check_fractions("sparsity_grid", grid)
     out = _out_dir(cfg)
     rng = np.random.default_rng(cfg.seed)
     d, h, batch = cfg.d_model, cfg.d_hidden, cfg.batch
@@ -300,14 +309,14 @@ def cmd_bench(cfg: RunConfig) -> list[Path]:
     dense = kernels.swiglu_ffn(x, w)
     rows = [row("dense", 0.0, 0.0, dense.ops.macs)]
     silu_mag = np.abs(silu(matmul(x, w.w_gate)))
-    for s in _floats(cfg.sparsity_grid):
+    for s in grid:
         _, count = kernels.cats_swiglu(float(np.quantile(silu_mag, s)), x, w)
         rows.append(row("cats", s, 2.0 / 3.0 * (count.elements_pruned / (batch * h)), count.macs))
-    for s in _floats(cfg.sparsity_grid):
+    for s in grid:
         tau_x = float(np.quantile(np.abs(x), s))
         tau_g = float(np.quantile(np.abs(dense.down_in), s))
         run = kernels.swiglu_ffn(
-            x, w, *compile_ffn(w, PruneSpec("x", tau_x), PruneSpec("z", tau_g))
+            x, w, *compile_ffn(w, PruneSpec(tau_x), PruneSpec(tau_g))
         )
         kept_x, kept_g = run.up.kept, run.down.kept
         obs = kernels.ffn_sparsity(
@@ -326,6 +335,12 @@ def cmd_bench(cfg: RunConfig) -> list[Path]:
 def cmd_overlap(cfg: RunConfig) -> list[Path]:
     from .model import UP_GATE_INPUT, HookPoint
 
+    batch_sizes = _floats(cfg, "batch_sizes", int)
+    analysis.check_overlap_sizes(batch_sizes, cfg.n_batches)
+    check_fractions("target_sparsity", [cfg.target_sparsity])
+    batches = analysis.CorrelatedBatches(
+        cfg.d_model, rho=cfg.rho, scale=cfg.input_scale, seed=cfg.seed + 3
+    )
     out = _out_dir(cfg)
     model = init_weights(cfg.block_config(), cfg.seed)
     calib_stream, _ = _streams(cfg)
@@ -335,14 +350,11 @@ def cmd_overlap(cfg: RunConfig) -> list[Path]:
     specs = analysis.make_specs(
         model, calres, {UP_GATE_INPUT: cfg.target_sparsity}
     )
-    batches = analysis.CorrelatedBatches(
-        cfg.d_model, rho=cfg.rho, scale=cfg.input_scale, seed=cfg.seed + 3
-    )
     curve = analysis.overlap_curve(
         model,
         specs,
         batches,
-        _floats(cfg.batch_sizes, int),
+        batch_sizes,
         hook=HookPoint(0, UP_GATE_INPUT),
         n_batches=cfg.n_batches,
     )
@@ -357,6 +369,7 @@ def cmd_overlap(cfg: RunConfig) -> list[Path]:
 def cmd_ablate_mode(cfg: RunConfig) -> list[Path]:
     if cfg.ffn != "gelu":
         raise CliError("ablate-mode requires --ffn gelu (shifted hidden modes)")
+    grid = _floats(cfg, "sparsity_grid")
     out = _out_dir(cfg)
     model = init_weights(cfg.block_config(), cfg.seed)
     calib_stream, eval_stream = _streams(cfg)
@@ -364,7 +377,7 @@ def cmd_ablate_mode(cfg: RunConfig) -> list[Path]:
         model,
         calib_stream,
         eval_stream,
-        _floats(cfg.sparsity_grid),
+        grid,
         estimator=ModeEstimator(kind=cfg.estimator),
         capacity=cfg.capacity,
         seed=cfg.seed,

@@ -260,7 +260,7 @@ def gelu_ffn(x: np.ndarray, w: GeluMlpWeights, up=None, down=None) -> FfnRun:
 def _compile(w, up: tuple[float, float], down: tuple[float, float]):
     from .prune import PruneSpec, compile_ffn  # prune builds on this module
 
-    return compile_ffn(w, PruneSpec("up_gate_input", *up), PruneSpec("down_input", *down))
+    return compile_ffn(w, PruneSpec(*up), PruneSpec(*down))
 
 
 def scap_swiglu(

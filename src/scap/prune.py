@@ -1,12 +1,13 @@
 """Magnitude pruning of activations and mode-centered sparse FC layers.
 
-The pruning operator zeroes activation elements whose magnitude does not
-strictly exceed a calibrated threshold tau. A ``SparseLinear`` freezes a
-weight matrix together with a scalar mode shift eta whose compensating term
-``eta * column_sums(W)`` is fused into the bias offline, so inference adds
-only a broadcast subtraction before the usual masked GEMM. ``compile_ffn``
-turns one FFN block's specs into the ``SparseLinear`` sites that
-``kernels.swiglu_ffn`` and ``kernels.gelu_ffn`` execute.
+The pruning operator, inside ``kernels.sparse_fc``, zeroes activation
+elements whose magnitude does not strictly exceed a calibrated threshold tau.
+A ``SparseLinear`` freezes a weight matrix together with a scalar mode shift
+eta whose compensating term ``eta * column_sums(W)`` is fused into the bias
+offline, so inference adds only a broadcast subtraction before the usual
+masked GEMM. ``compile_ffn`` turns one FFN block's specs into the
+``SparseLinear`` sites that ``kernels.swiglu_ffn`` and ``kernels.gelu_ffn``
+execute.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .calib import check_fractions
 from .kernels import OpCount, SiteRun, SwiGluWeights, check_threshold, sparse_fc
 from .tensor import FLOAT, ShapeError
 
@@ -23,26 +25,13 @@ from .tensor import FLOAT, ShapeError
 class PruneSpec:
     """Calibrated pruning parameters for one layer input."""
 
-    layer_id: str
     tau: float
     eta: float = 0.0
     target_sparsity: float = 0.0
 
     def __post_init__(self):
         check_threshold(self.tau, self.eta)
-        if not 0.0 <= self.target_sparsity <= 1.0:
-            raise ValueError(f"target_sparsity must lie in [0, 1], got {self.target_sparsity}")
-
-
-def prune_activations(x: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
-    """Zero elements with |x| <= tau; returns (pruned, kept mask).
-
-    The comparison is strict: values whose magnitude equals tau exactly are
-    pruned. Ties are measure-zero for continuous activations.
-    """
-    check_threshold(tau)
-    kept = np.abs(x) > tau
-    return np.where(kept, x, FLOAT(0.0)).astype(FLOAT), kept
+        check_fractions("target_sparsity", [self.target_sparsity])
 
 
 class SparseLinear:

@@ -40,7 +40,7 @@ from scap.tensor import matmul, silu
 
 def _scap_masks(tau_x, tau_g, x, w):
     """OpCount and the (Up/Gate, Down) kept masks from the one SwiGLU path."""
-    run = swiglu_ffn(x, w, *compile_ffn(w, PruneSpec("x", tau_x), PruneSpec("g", tau_g)))
+    run = swiglu_ffn(x, w, *compile_ffn(w, PruneSpec(tau_x), PruneSpec(tau_g)))
     return run.ops, run.up.kept, run.down.kept
 
 
@@ -61,7 +61,7 @@ def test_criterion_01_mode_centering_functional_equivalence():
         b = rng.standard_normal(oc).astype(np.float32)
         eta = float(rng.uniform(-2.0, 2.0))
         x = rng.standard_normal((4, ic)).astype(np.float32)
-        layer = SparseLinear(w, b, PruneSpec("l", tau=0.0, eta=eta))
+        layer = SparseLinear(w, b, PruneSpec(tau=0.0, eta=eta))
         y, _ = layer.forward(x)
         dense = matmul(x, w) + b
         worst = max(worst, float(np.max(np.abs(y.astype(np.float64) - dense))))

@@ -227,7 +227,7 @@ def test_make_specs_plans_each_site_once(monkeypatch):
 def test_tau_zero_specs_observe_zero_sparsity():
     model = _swiglu_model(seed=4)
     specs = {
-        h: PruneSpec(layer_id=h.site, tau=0.0) for h in model.hook_points()
+        h: PruneSpec(tau=0.0) for h in model.hook_points()
     }
     report = measure_sparsity(model, specs, synthetic_stream(16, 2, 64, seed=10))
     for obs in report.hooks.values():

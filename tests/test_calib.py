@@ -6,11 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scap.calib import (
+    KDE_GRID_POINTS,
     CalibrationError,
     LayerStats,
-    MergeError,
     ModeEstimator,
-    merge,
     report_entry,
 )
 from scap.tensor import DataError
@@ -187,15 +186,6 @@ def test_kde_mode_on_shifted_mixture():
     assert abs(est - oracle) <= 0.01
 
 
-def test_kde_silverman_and_fixed_bandwidth():
-    values = _shifted_gelu_mixture(10_000, seed=33)
-    st_ = _stats(values)
-    silverman = st_.estimate_mode(ModeEstimator(kind="kde", kde_bandwidth="silverman"))
-    fixed = st_.estimate_mode(ModeEstimator(kind="kde", kde_bandwidth=0.05))
-    assert silverman == pytest.approx(-0.17, abs=0.03)
-    assert fixed == pytest.approx(-0.17, abs=0.03)
-
-
 def test_mode_translation_equivariance():
     rng = np.random.default_rng(5)
     base = rng.normal(0.3, 0.2, size=4000).astype(np.float32)
@@ -206,7 +196,7 @@ def test_mode_translation_equivariance():
         assert b == pytest.approx(a + shift, abs=1e-5)
     sa = _stats(base)
     sb = _stats(base + np.float32(shift))
-    grid_step = (base.max() - base.min()) / (KDE.kde_grid_points - 1)
+    grid_step = (base.max() - base.min()) / (KDE_GRID_POINTS - 1)
     assert sb.estimate_mode(KDE) == pytest.approx(
         sa.estimate_mode(KDE) + shift, abs=2 * grid_step + 1e-5
     )
@@ -215,65 +205,6 @@ def test_mode_translation_equivariance():
 def test_estimator_validation():
     with pytest.raises(ValueError):
         ModeEstimator(kind="argmax")
-    with pytest.raises(ValueError):
-        ModeEstimator(kind="kde", kde_grid_points=1)
-    with pytest.raises(ValueError):
-        ModeEstimator(kind="kde", kde_bandwidth=0.0)
-    with pytest.raises(ValueError):
-        ModeEstimator(kind="kde", kde_bandwidth="isj")
-
-
-# ---------------------------------------------------------------------------
-# merge
-
-
-def test_merge_identity_element():
-    data = np.random.default_rng(1).standard_normal(500).astype(np.float32)
-    s = _stats(data, capacity=1024, seed=3)
-    empty = LayerStats("t", capacity=1024, seed=4)
-    merged = merge(empty, s)
-    assert merged.seen_count == s.seen_count
-    assert sorted(merged.raw_reservoir.tolist()) == sorted(s.raw_reservoir.tolist())
-
-
-def test_merge_below_capacity_is_union():
-    a = _stats([1.0, 2.0], capacity=16, seed=1)
-    b = _stats([3.0, 4.0, 5.0], capacity=16, seed=2, layer_id="t")
-    merged = merge(a, b)
-    assert merged.seen_count == 5
-    assert sorted(merged.raw_reservoir.tolist()) == [1.0, 2.0, 3.0, 4.0, 5.0]
-
-
-def test_merge_rejects_mismatches():
-    a = LayerStats("x", capacity=8, seed=0)
-    with pytest.raises(MergeError):
-        merge(a, LayerStats("y", capacity=8, seed=0))
-    with pytest.raises(MergeError):
-        merge(a, LayerStats("x", capacity=16, seed=0))
-
-
-def test_merge_statistics_match_pooled_stream():
-    rng = np.random.default_rng(8)
-    stream_a = rng.normal(0.0, 1.0, size=100_000).astype(np.float32)
-    stream_b = rng.normal(3.0, 1.0, size=100_000).astype(np.float32)
-    a = _stats(stream_a, capacity=1000, seed=21)
-    b = _stats(stream_b, capacity=1000, seed=22, layer_id="t")
-    merged = merge(a, b)
-    assert merged.seen_count == 200_000
-    assert merged.raw_reservoir.size == 1000
-    pooled_mean = float(np.mean(np.concatenate([stream_a, stream_b]), dtype=np.float64))
-    pooled_var = float(np.var(np.concatenate([stream_a, stream_b]), dtype=np.float64))
-    se = np.sqrt(pooled_var / 1000)
-    assert abs(float(np.mean(merged.raw_reservoir, dtype=np.float64)) - pooled_mean) < 3 * se
-
-
-def test_merged_stats_accept_further_observations():
-    a = _stats(np.zeros(600), capacity=1000, seed=1)
-    b = _stats(np.ones(600), capacity=1000, seed=2, layer_id="t")
-    merged = merge(a, b)
-    merged.observe(np.full(100, 2.0, dtype=np.float32))
-    assert merged.seen_count == 1300
-    assert merged.raw_reservoir.size == 1000
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from scap import analysis
 from scap.cli import (
     COMMAND_DEFAULTS,
     COMMON_DEFAULTS,
@@ -174,6 +175,45 @@ def test_bench_time_option_is_gone(tmp_path, capsys):
 )
 def test_degenerate_sizes_fail_naming_the_parameter(tmp_path, capsys, args, name):
     assert _run(args + ["--out", tmp_path / "o"] + FAST) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"scap: error: {name} must") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "command,flag,key",
+    [
+        ("calibrate", "--sparsity-grid", "sparsity_grid"),
+        ("sweep", "--grid-up", "grid_up"),
+        ("bench", "--sparsity-grid", "sparsity_grid"),
+        ("ablate-mode", "--sparsity-grid", "sparsity_grid"),
+    ],
+)
+def test_empty_grid_fails_naming_the_key(tmp_path, capsys, command, flag, key):
+    assert _run([command, flag, ",", "--out", tmp_path / "o"] + FAST) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"scap: error: {key} must") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "args,name",
+    [
+        (["overlap", "--rho", "1.0"], "rho"),
+        (["overlap", "--target-sparsity", "1.5"], "target_sparsity"),
+        (["overlap", "--batch-sizes", "4,2"], "batch_sizes"),
+        (["overlap", "--n-batches", "0"], "n_batches"),
+        (["sweep", "--grid-up", "1.5"], "grid_up"),
+        (["sweep", "--grid-down", "0.3,1.2"], "grid_down"),
+        (["ablate-mode", "--sparsity-grid", "0.2,1.1"], "sparsity_grid"),
+        (["calibrate", "--sparsity-grid", "1.5"], "sparsity_grid"),
+        (["bench", "--sparsity-grid", "0.5,1.5"], "sparsity_grid"),
+    ],
+)
+def test_bad_arguments_fail_before_calibrating(tmp_path, capsys, monkeypatch, args, name):
+    calls = []
+    monkeypatch.setattr(analysis, "calibrate", lambda *a, **k: calls.append(a))
+    assert _run(args + ["--out", tmp_path / "o"] + FAST) == 1
+    assert calls == []
     err = capsys.readouterr().err
     assert err.startswith(f"scap: error: {name} must") and err.count("\n") == 1
 

@@ -17,7 +17,7 @@ from scap.kernels import (
     scap_swiglu,
     swiglu_ffn,
 )
-from scap.prune import PruneSpec, compile_ffn, prune_activations
+from scap.prune import PruneSpec, compile_ffn
 from scap.tensor import ShapeError, gelu, matmul, silu
 
 
@@ -32,7 +32,7 @@ def _swiglu(rng, d, h):
 def _scap_masks(tau_x, tau_z, x, w, eta_z=0.0):
     """OpCount and the (Up/Gate, Down) kept masks from the one FFN path."""
     ffn = swiglu_ffn if isinstance(w, SwiGluWeights) else gelu_ffn
-    run = ffn(x, w, *compile_ffn(w, PruneSpec("x", tau_x), PruneSpec("z", tau_z, eta_z)))
+    run = ffn(x, w, *compile_ffn(w, PruneSpec(tau_x), PruneSpec(tau_z, eta_z)))
     return run.ops, run.up.kept, run.down.kept
 
 
@@ -218,8 +218,7 @@ def test_scap_masks_decoupled():
     np.testing.assert_array_equal(mask_a, mask_b)  # tau_gated cannot touch Up/Gate
     # the down mask is a pure function of (gated tensor, tau, eta)
     up, _, _ = _sparse_up(x, w, 0.5)
-    _, expected = prune_activations(up, 0.9)
-    np.testing.assert_array_equal(gated_b, expected)
+    np.testing.assert_array_equal(gated_b, np.abs(up) > 0.9)
 
 
 def _sparse_up(x, w, tau_x):

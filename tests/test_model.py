@@ -65,7 +65,7 @@ def test_invalid_hook_rejected():
     with pytest.raises(ValueError):
         model.forward_with_hooks(np.zeros((1, 8), np.float32), [HookPoint(3, DOWN_INPUT)])
     with pytest.raises(ValueError):
-        model.apply_prune_specs({HookPoint(0, "nowhere"): PruneSpec("x", 0.0)})
+        model.apply_prune_specs({HookPoint(0, "nowhere"): PruneSpec(0.0)})
 
 
 def test_empty_specs_bitwise_identical():
@@ -87,11 +87,8 @@ def test_tau_zero_specs_match_dense_within_fusion_rounding(ffn):
     specs = {}
     for hook in model.hook_points():
         stats = calres[hook.site]
-        specs[hook] = PruneSpec(
-            layer_id=stats.layer_id,
-            tau=0.0,
-            eta=stats.estimate_mode(ModeEstimator(kind="mean")),
-        )
+        eta = stats.estimate_mode(ModeEstimator(kind="mean"))
+        specs[hook] = PruneSpec(tau=0.0, eta=eta)
     y_sparse, _ = model.apply_prune_specs(specs).forward(x)
     np.testing.assert_allclose(y_sparse, model.forward(x), atol=1e-4)
 

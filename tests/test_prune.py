@@ -6,12 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scap.calib import LayerStats
-from scap.prune import PruneSpec, SparseLinear, prune_activations
+from scap.kernels import sparse_fc
+from scap.prune import PruneSpec, SparseLinear
 from scap.tensor import ShapeError, matmul
 
 
 def _spec(tau=0.0, eta=0.0, target=0.0):
-    return PruneSpec(layer_id="t", tau=tau, eta=eta, target_sparsity=target)
+    return PruneSpec(tau=tau, eta=eta, target_sparsity=target)
+
+
+def _prune(x, tau):
+    """(pruned x, kept mask) from the engine's pruner: ``sparse_fc`` through
+    an identity weight returns its pruned input exactly."""
+    out, kept, _ = sparse_fc(x, np.eye(x.shape[1], dtype=np.float32), tau)
+    return out, kept
 
 
 def _random_layer(rng, ic, oc):
@@ -26,21 +34,21 @@ def _random_layer(rng, ic, oc):
 
 def test_prune_tau_zero_keeps_nonzeros_prunes_exact_zeros():
     x = np.array([[0.0, 1.5, -2.0]], dtype=np.float32)
-    out, kept = prune_activations(x, 0.0)
+    out, kept = _prune(x, 0.0)
     np.testing.assert_array_equal(out, x)  # zeroing an exact zero changes nothing
     assert kept.tolist() == [[False, True, True]]
 
 
 def test_prune_strict_boundary():
     x = np.array([[0.1, -0.5, 0.9]], dtype=np.float32)
-    out, kept = prune_activations(x, 0.5)
+    out, kept = _prune(x, 0.5)
     np.testing.assert_array_equal(out, np.array([[0.0, 0.0, 0.9]], dtype=np.float32))
     assert kept.tolist() == [[False, False, True]]
 
 
 def test_prune_rejects_negative_tau():
     with pytest.raises(ValueError):
-        prune_activations(np.zeros((1, 1), np.float32), -0.1)
+        _prune(np.zeros((1, 1), np.float32), -0.1)
 
 
 def test_pruned_fraction_matches_calibrated_quantile():
@@ -50,7 +58,7 @@ def test_pruned_fraction_matches_calibrated_quantile():
     stats.observe(calib)
     tau = stats.quantile_threshold(0.3)
     held_out = rng.standard_normal((100, 100)).astype(np.float32)
-    out, kept = prune_activations(held_out, tau)
+    out, kept = _prune(held_out, tau)
     assert float(np.mean(out == 0.0)) == pytest.approx(0.30, abs=0.02)
     assert np.array_equal(out == 0.0, ~kept)
 
@@ -64,8 +72,8 @@ def test_pruned_fraction_matches_calibrated_quantile():
 def test_pruning_monotone_in_tau(values, t1, t2):
     x = np.asarray(values, dtype=np.float32)[None, :]
     lo, hi = sorted((t1, t2))
-    s_lo = float(np.mean(prune_activations(x, lo)[0] == 0.0))
-    s_hi = float(np.mean(prune_activations(x, hi)[0] == 0.0))
+    s_lo = float(np.mean(_prune(x, lo)[0] == 0.0))
+    s_hi = float(np.mean(_prune(x, hi)[0] == 0.0))
     assert s_lo <= s_hi
 
 
@@ -104,9 +112,9 @@ def test_construction_shape_mismatch():
 
 def test_spec_validation():
     with pytest.raises(ValueError):
-        PruneSpec(layer_id="x", tau=-1.0)
+        PruneSpec(tau=-1.0)
     with pytest.raises(ValueError):
-        PruneSpec(layer_id="x", tau=0.0, target_sparsity=1.5)
+        PruneSpec(tau=0.0, target_sparsity=1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +154,7 @@ def test_forward_ones_input_matches_dense_oracle():
 def _dynamic_eta_reference(w, b, spec, x):
     """The layer without bias fusion: the eta * column_sums(W) compensation
     is recomputed per call and added to the original bias."""
-    pruned, _ = prune_activations(x - np.float32(spec.eta), spec.tau)
+    pruned, _ = _prune(x - np.float32(spec.eta), spec.tau)
     w64 = w.astype(np.float64)
     y = pruned.astype(np.float64) @ w64 + spec.eta * w64.sum(axis=0) + b
     return y.astype(np.float32)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from scap.kernels import sparse_fc
-from scap.prune import PruneSpec, prune_activations
+from scap.prune import PruneSpec
 from scap.tensor import CAST_BLOCK_BYTES
 
 F32 = np.float32
@@ -113,7 +113,4 @@ def test_bad_thresholds_rejected(tau, eta):
     with pytest.raises(ValueError):
         sparse_fc(x, w, tau, eta)
     with pytest.raises(ValueError):
-        PruneSpec(layer_id="t", tau=tau, eta=eta)
-    if eta == 0.0:
-        with pytest.raises(ValueError):
-            prune_activations(x, tau)
+        PruneSpec(tau=tau, eta=eta)
