@@ -220,6 +220,9 @@ def _save_report(cfg: RunConfig, kind: str, payload: dict, path: Path) -> None:
 
 def _streams(cfg: RunConfig):
     """The calibration and held-out streams, drawn from seed + 1 and + 2."""
+    for key in ("calib_sequences", "sequence_len"):
+        if cfg.values[key] < 1:
+            raise CliError(f"{key} must be >= 1, got {cfg.values[key]}")
     return [
         analysis.synthetic_stream(
             cfg.d_model, cfg.calib_sequences, cfg.sequence_len,
@@ -234,9 +237,9 @@ def cmd_calibrate(cfg: RunConfig) -> list[Path]:
 
     grid = _floats(cfg, "sparsity_grid")
     check_fractions("sparsity_grid", grid)
+    calib_stream, _ = _streams(cfg)
     out = _out_dir(cfg)
     model = init_weights(cfg.block_config(), cfg.seed)
-    calib_stream, _ = _streams(cfg)
     calres = analysis.calibrate(
         model, calib_stream, capacity=cfg.capacity, seed=cfg.seed
     )
@@ -253,9 +256,9 @@ def cmd_calibrate(cfg: RunConfig) -> list[Path]:
 
 def cmd_sweep(cfg: RunConfig) -> list[Path]:
     grid_up, grid_down = _floats(cfg, "grid_up"), _floats(cfg, "grid_down")
+    calib_stream, eval_stream = _streams(cfg)
     out = _out_dir(cfg)
     model = init_weights(cfg.block_config(), cfg.seed)
-    calib_stream, eval_stream = _streams(cfg)
     center = ("down_input",) if cfg.ffn == "gelu" else ()
     result = analysis.pareto_sweep(
         model,
@@ -341,9 +344,9 @@ def cmd_overlap(cfg: RunConfig) -> list[Path]:
     batches = analysis.CorrelatedBatches(
         cfg.d_model, rho=cfg.rho, scale=cfg.input_scale, seed=cfg.seed + 3
     )
+    calib_stream, _ = _streams(cfg)
     out = _out_dir(cfg)
     model = init_weights(cfg.block_config(), cfg.seed)
-    calib_stream, _ = _streams(cfg)
     calres = analysis.calibrate(
         model, calib_stream, capacity=cfg.capacity, seed=cfg.seed
     )
@@ -370,9 +373,9 @@ def cmd_ablate_mode(cfg: RunConfig) -> list[Path]:
     if cfg.ffn != "gelu":
         raise CliError("ablate-mode requires --ffn gelu (shifted hidden modes)")
     grid = _floats(cfg, "sparsity_grid")
+    calib_stream, eval_stream = _streams(cfg)
     out = _out_dir(cfg)
     model = init_weights(cfg.block_config(), cfg.seed)
-    calib_stream, eval_stream = _streams(cfg)
     result = analysis.mode_centering_ablation(
         model,
         calib_stream,

@@ -17,11 +17,13 @@ or ``gelu_ffn``, the one path per FFN kind, with each site dense or a
 float64-accumulated ``tensor.matmul_rows`` product per projection over the
 union of weight rows that any batch row keeps, with pruned elements zeroed.
 For one row (a decode token) that union is exactly the kept rows, and the
-compiled row kernel reads only those rows of the weight; a batch runs
-blocked BLAS GEMMs over the union.
+compiled row kernel reads only those rows of the weight. A batch runs the
+compiled batch kernel over the union, in which each row's output equals its
+one-row result bit for bit, or one BLAS GEMM when the union weight is below
+``tensor.ROW_GEMM_MIN`` elements.
 ``OpCount.macs`` counts kept-channel MACs: at one row the multiply-accumulates
-the row kernel performs, at a batch fewer than the union GEMM computes. It is
-an operation count, not a time. Wall-clock is measured by the benchmark in
+the row kernel performs, at a batch fewer than the union product computes. It
+is an operation count, not a time. Wall-clock is measured by the benchmark in
 ``perfbench/``.
 """
 
@@ -41,7 +43,8 @@ class OpCount:
     """Deterministic cost accounting for one kernel invocation.
 
     macs: kept-channel multiply-accumulates across all FC stages; at batch
-        > 1 the union GEMM computes more (see the module docstring).
+        > 1 the union product, which multiplies every weight row that any
+        batch row keeps, computes more (see the module docstring).
     elements_pruned: activation elements zeroed by a pruner.
     """
 

@@ -3,10 +3,13 @@
 All tensors are plain numpy arrays in float32, row-major. Every product
 accumulates in float64 before rounding back to float32 so results are stable
 against high-precision oracles. A one-row product (a decode token) runs the
-compiled row kernel of ``rowgemv.c``, which reads only the weight rows it is
-given. A large one-row product splits its output columns across the usable
-cores and keeps the bits of one thread. A product of more rows runs blocked
-BLAS GEMMs. Every operation here is pure.
+compiled row kernel ``row_gemv`` of ``rowgemv.c``, which reads only the
+weight rows it is given; a batch over at least ``ROW_GEMM_MIN`` weight
+elements runs ``row_gemm``, which adds each output's rows in the same order,
+so every batch row equals its one-row result bit for bit. A large product
+splits its output columns across the usable cores and keeps the bits of one
+thread. A batch over a smaller weight runs one BLAS GEMM. Every operation
+here is pure.
 """
 
 from __future__ import annotations
@@ -25,20 +28,28 @@ from scipy.special import erf, expit
 
 FLOAT = np.float32
 
-# float64 bytes of weight cast per GEMM; about 1 MiB was fastest measured.
-# Also the scratch size for drawing (model) and reading (io) weights.
+# the scratch size for drawing (model) and reading (io) weights
 CAST_BLOCK_BYTES = 1 << 20
 
-# builds the row kernel; "-o <library> <source>" is appended. Without
-# -ffp-contract=off a fused multiply-add would change the kernel's rounding.
-CC = ("cc", "-O3", "-ffp-contract=off", "-fPIC", "-shared")
+# builds the row kernels; "-o <library> <source>" is appended. Without
+# -ffp-contract=off a fused multiply-add would change the kernels' rounding.
+# Without -march=native row_gemm took 96 against 40 ms at 4096x11008, batch
+# 32, and 15 against 8 ms at batch 2 (2 vCPUs).
+CC = ("cc", "-O3", "-march=native", "-ffp-contract=off", "-fPIC", "-shared")
 _ROW_GEMV_SRC = Path(__file__).with_name("rowgemv.c")
 _row_gemv_lock = threading.Lock()
 _row_gemv_lib = None
-# one-row products of fewer kept rows x columns than this run unsplit on the
-# caller. Medians on 2 vCPUs, unsplit against a 2-way split: 32x96 31 against
-# 130 us, 512x2048 390 against 400 us, 1024x2048 770 against 740 us,
-# 1024x4096 1.72 against 1.12 ms; waking a pool thread costs about 0.1 ms.
+# a batch over fewer weight rows x columns than this runs one BLAS GEMM, whose
+# float64 cast is then under CAST_BLOCK_BYTES. Medians on 2 vCPUs at batch
+# 2/8/32/256, row_gemm against BLAS: 128x256 20/28/61/450 against 13/17/47/370
+# us, 256x512 33/66/210/1600 against 50/110/145/1100 us; from 256x1024 up
+# row_gemm wins at every batch against the BLAS path it replaced (BENCH_11.json).
+ROW_GEMM_MIN = 1 << 17
+# products of fewer batch rows x kept rows x columns than this run unsplit on
+# the caller. One-row medians on 2 vCPUs, unsplit against a 2-way split:
+# 32x96 31 against 130 us, 512x2048 390 against 400 us, 1024x2048 770
+# against 740 us, 1024x4096 1.72 against 1.12 ms; waking a pool thread costs
+# about 0.1 ms.
 SPLIT_MACS = 1 << 21
 # column slices start at multiples of this: one 64-byte line of f32 weights
 SLICE_COLS = 16
@@ -54,7 +65,7 @@ class DataError(ValueError):
 
 
 class KernelError(RuntimeError):
-    """Raised when the row kernel cannot be compiled or loaded."""
+    """Raised when the row kernels cannot be compiled or loaded."""
 
 
 def matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -69,13 +80,13 @@ def matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
 def matmul_rows(x64: np.ndarray, w: np.ndarray, rows=None) -> np.ndarray:
     """``x64 @ w[rows]`` (all rows when None) for float64 ``x64``, float32 ``w``.
 
-    Both paths accumulate in float64. One row of ``x64`` runs the compiled row
-    kernel, which reads the selected rows of ``w`` in place, eight per pass,
-    and equals a sequential loop over ``rows`` bit for bit; from ``SPLIT_MACS``
-    up, slices of its output columns run on the usable cores at once, with
-    the same bits. More rows run BLAS GEMMs with ``w`` cast to float64 one
-    block of ``CAST_BLOCK_BYTES`` at a time, never as a whole; when the rows
-    fit one block this is one GEMM.
+    Every path accumulates in float64. One row of ``x64``, or a batch whose
+    ``w[rows]`` holds at least ``ROW_GEMM_MIN`` elements, runs a compiled row
+    kernel, which reads the selected rows of ``w`` in place, eight per pass;
+    each row of its output equals a sequential loop over ``rows`` for that row
+    alone, bit for bit, whatever the batch. From ``SPLIT_MACS`` up, slices of
+    the output columns run on the usable cores at once, with the same bits.
+    A batch over a smaller ``w[rows]`` runs one BLAS GEMM on its float64 cast.
     ``rows`` must be 1-D integers in ``[0, w.shape[0])``.
     """
     if w.ndim != 2 or w.dtype != FLOAT:
@@ -89,18 +100,9 @@ def matmul_rows(x64: np.ndarray, w: np.ndarray, rows=None) -> np.ndarray:
     n = w.shape[0] if rows is None else rows.size
     if x64.ndim != 2 or x64.shape[1] != n:
         raise ShapeError(f"x64 {x64.shape} does not match {n} weight rows")
-    if x64.shape[0] == 1:
-        return _row_product(x64[0], w, rows)
-    step = max(1, CAST_BLOCK_BYTES // (8 * max(1, w.shape[1])))
-    blocks = (slice(lo, lo + step) for lo in range(0, max(n, 1), step))
-    parts = (
-        x64[:, b] @ (w[b] if rows is None else w[rows[b]]).astype(np.float64)
-        for b in blocks
-    )
-    out = next(parts)
-    for part in parts:
-        out += part
-    return out
+    if x64.shape[0] == 1 or n * w.shape[1] >= ROW_GEMM_MIN:
+        return _row_product(x64, w, rows)
+    return x64 @ (w if rows is None else w[rows]).astype(np.float64)
 
 
 def max_workers(n_tasks: int) -> int:
@@ -118,38 +120,42 @@ def _cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _row_product(x: np.ndarray, w: np.ndarray, rows) -> np.ndarray:
-    """One-row ``x @ w[rows]`` through the row kernel, as a (1, m) array.
+def _row_product(x64: np.ndarray, w: np.ndarray, rows) -> np.ndarray:
+    """``x64 @ w[rows]`` through ``row_gemv`` for one row and ``row_gemm``
+    for more.
 
-    From ``SPLIT_MACS`` kept rows x columns up, the columns are cut at
-    multiples of ``SLICE_COLS`` into one slice per worker; the caller runs the
-    first and the row pool the others. Each slice equals the sequential loop
-    bit for bit, so the cut never changes the result.
+    From ``SPLIT_MACS`` batch rows x kept rows x columns up, the columns are
+    cut at multiples of ``SLICE_COLS`` into one slice per worker; the caller
+    runs the first and the row pool the others. Each slice equals the
+    sequential loop bit for bit, so the cut never changes the result.
     """
     rows = np.arange(w.shape[0]) if rows is None else rows
     rows = np.ascontiguousarray(rows, dtype=np.int64)
-    x = np.ascontiguousarray(x, dtype=np.float64)
+    x = np.ascontiguousarray(x64, dtype=np.float64)
     w = np.ascontiguousarray(w)
-    m = w.shape[1]
-    out = np.empty((1, m))
-    kernel, args = _row_gemv(), (x, w, rows, rows.size, m)
+    batch, m = x.shape[0], w.shape[1]
+    out = np.empty((batch, m))
+    if batch == 1:
+        kernel, args, y = _row_gemv(), (x[0], w, rows, rows.size, m), out[0]
+    else:
+        kernel, args, y = _row_gemm(), (x, w, rows, rows.size, m, batch), out
     groups = -(-m // SLICE_COLS)
-    n = max_workers(groups) if rows.size * m >= SPLIT_MACS else 1
+    n = max_workers(groups) if batch * rows.size * m >= SPLIT_MACS else 1
     cuts = [min(m, SLICE_COLS * (i * groups // n)) for i in range(n + 1)]
     slices = zip(cuts[1:-1], cuts[2:])
-    futures = [_row_pool.submit(kernel, *args, lo, hi, out[0]) for lo, hi in slices]
-    kernel(*args, 0, cuts[1], out[0])
+    futures = [_row_pool.submit(kernel, *args, lo, hi, y) for lo, hi in slices]
+    kernel(*args, 0, cuts[1], y)
     for f in futures:
         f.result()
     return out
 
 
 def _row_gemv():
-    """``row_gemv`` of ``rowgemv.c``, compiled at its first use in a process
-    into a private temporary directory and loaded from there. The row pool
-    of one thread per CPU but one is made at the same point; its threads only
-    run the kernel and never submit to the pool, so a caller that is itself a
-    pool thread cannot deadlock."""
+    """``row_gemv`` of ``rowgemv.c``, compiled with ``row_gemm`` at the first
+    use of either in a process into a private temporary directory and loaded
+    from there. The row pool of one thread per CPU but one is made at the
+    same point; its threads only run the kernels and never submit to the
+    pool, so a caller that is itself a pool thread cannot deadlock."""
     global _row_gemv_lib, _row_pool
     with _row_gemv_lock:
         _row_pool = _row_pool or ThreadPoolExecutor(max(1, _cpus() - 1), "scap-row")
@@ -169,17 +175,21 @@ def _row_gemv():
                     raise KernelError(
                         f"row kernel build or load failed: {' '.join(cmd)}: {exc}"
                     ) from exc
-            f64 = ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
-            loaded.row_gemv.argtypes = [
-                f64,
-                ndpointer(FLOAT, ndim=2, flags="C_CONTIGUOUS"),
-                ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS"),
-                *[ctypes.c_int64] * 4,
-                f64,
-            ]
-            loaded.row_gemv.restype = None
+            f32 = ndpointer(FLOAT, ndim=2, flags="C_CONTIGUOUS")
+            i64 = ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS")
+            for name, ndim, sizes in (("row_gemv", 1, 4), ("row_gemm", 2, 5)):
+                f64 = ndpointer(np.float64, ndim=ndim, flags="C_CONTIGUOUS")
+                kernel = getattr(loaded, name)
+                kernel.argtypes = [f64, f32, i64, *[ctypes.c_int64] * sizes, f64]
+                kernel.restype = None
             _row_gemv_lib = loaded
     return _row_gemv_lib.row_gemv
+
+
+def _row_gemm():
+    """``row_gemm`` of ``rowgemv.c``, from the library ``_row_gemv`` loads."""
+    _row_gemv()
+    return _row_gemv_lib.row_gemm
 
 
 def _after_fork_in_child():

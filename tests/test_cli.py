@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from scap import analysis
+from scap import analysis, tensor
 from scap.cli import (
     COMMAND_DEFAULTS,
     COMMON_DEFAULTS,
@@ -207,15 +207,29 @@ def test_empty_grid_fails_naming_the_key(tmp_path, capsys, command, flag, key):
         (["ablate-mode", "--sparsity-grid", "0.2,1.1"], "sparsity_grid"),
         (["calibrate", "--sparsity-grid", "1.5"], "sparsity_grid"),
         (["bench", "--sparsity-grid", "0.5,1.5"], "sparsity_grid"),
+        (["calibrate", "--calib-sequences", "0"], "calib_sequences"),
+        (["sweep", "--sequence-len", "0"], "sequence_len"),
     ],
 )
 def test_bad_arguments_fail_before_calibrating(tmp_path, capsys, monkeypatch, args, name):
     calls = []
     monkeypatch.setattr(analysis, "calibrate", lambda *a, **k: calls.append(a))
-    assert _run(args + ["--out", tmp_path / "o"] + FAST) == 1
+    # the case's flags come after FAST's, so they win
+    assert _run(args[:1] + FAST + args[1:] + ["--out", tmp_path / "o"]) == 1
     assert calls == []
     err = capsys.readouterr().err
     assert err.startswith(f"scap: error: {name} must") and err.count("\n") == 1
+
+
+def test_default_sweep_never_runs_the_row_kernels(tmp_path, monkeypatch):
+    """Every product of a default sweep is a batch over a weight below
+    ``tensor.ROW_GEMM_MIN``, where one BLAS GEMM is faster than the row
+    kernels."""
+    shapes = []
+    real = tensor._row_product
+    monkeypatch.setattr(tensor, "_row_product", lambda *a: shapes.append(a[0].shape) or real(*a))
+    assert _run(["sweep", "--out", tmp_path / "o"]) == 0
+    assert shapes == []
 
 
 def test_unknown_config_key_rejected(tmp_path):

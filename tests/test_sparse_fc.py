@@ -10,7 +10,7 @@ from hypothesis.extra import numpy as hnp
 
 from scap.kernels import sparse_fc
 from scap.prune import PruneSpec
-from scap.tensor import CAST_BLOCK_BYTES
+from scap.tensor import ROW_GEMM_MIN
 
 F32 = np.float32
 EPS32 = float(np.finfo(F32).eps)
@@ -92,9 +92,51 @@ def test_sparse_fc_matches_rowwise_reference(case):
 
 def test_sparse_fc_kept_rows_span_several_cast_blocks():
     n, d, oc = 3, 100, 4096
-    assert d > 2 * (CAST_BLOCK_BYTES // (8 * oc))  # the blocked path runs
+    assert d * oc >= ROW_GEMM_MIN  # a wide weight: the row kernel runs the batch
     for seed, (tau, eta) in enumerate(((0.0, 0.0), (0.3, 0.1), (1.0, -0.2))):
         _check_against_reference(*_case(n, d, oc, tau, eta, bias=True, seed=seed))
+
+
+def _wide_case(n, seed, tau, eta, neg_zeros, bias):
+    """An (n, 64) batch and a (64, 4100) weight whose first 40 rows every
+    batch row keeps, so the union of kept rows spans at least
+    ``ROW_GEMM_MIN`` weight elements; the other channels are kept or pruned
+    row by row. A ``neg_zeros`` share of the weights is -0.0."""
+    rng = np.random.default_rng(seed)
+    x = (1.5 * rng.standard_normal((n, 64))).astype(F32)
+    sign = np.where(rng.random((n, 40)) < 0.5, -1.0, 1.0)
+    x[:, :40] = eta + sign * (tau + 1.0 + rng.random((n, 40)))
+    w = rng.standard_normal((64, 4100)).astype(F32)
+    w[rng.random(w.shape) < neg_zeros] = -0.0
+    return x, w, tau, eta, rng.standard_normal(4100) if bias else None
+
+
+@st.composite
+def _wide_batch(draw):
+    return _wide_case(
+        draw(st.integers(1, 33)),
+        draw(st.integers(0, 2**32 - 1)),
+        draw(st.floats(0, 1.5)),
+        draw(st.floats(-1, 1, width=32).filter(bool)),
+        draw(st.sampled_from([0.0, 0.1, 0.5])),
+        draw(st.booleans()),
+    )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_wide_batch())
+@example(_wide_case(33, 0, 0.8, -0.25, 0.5, True))
+@example(_wide_case(2, 1, 0.0, 0.5, 0.1, False))
+def test_batch_rows_equal_their_one_row_results(case):
+    """Above the row kernel's cut-off a batch is batch-invariant: each row of
+    ``sparse_fc(X)`` equals ``sparse_fc`` of that row alone, bit for bit."""
+    x, w, tau, eta, bias = case
+    out, kept, _ = sparse_fc(x, w, tau, eta, bias)
+    assert kept[:, :40].all() and 40 * w.shape[1] >= ROW_GEMM_MIN
+    for b in range(x.shape[0]):
+        one, one_kept, _ = sparse_fc(x[b : b + 1], w, tau, eta, bias)
+        assert np.array_equal(one_kept[0], kept[b])
+        assert np.array_equal(one[0].view(np.uint32), out[b].view(np.uint32))
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,5 @@
-"""Dense core: matmul against a triple-loop oracle, the row kernel against a
-sequential loop, its column split against the unsplit kernel, activation
+"""Dense core: matmul against a triple-loop oracle, the row kernels against a
+sequential loop, their column split against the unsplit kernels, activation
 values."""
 
 import math
@@ -19,7 +19,7 @@ from hypothesis.extra import numpy as hnp
 
 from scap import tensor
 from scap.tensor import (
-    CAST_BLOCK_BYTES,
+    ROW_GEMM_MIN,
     KernelError,
     ShapeError,
     gelu,
@@ -62,14 +62,14 @@ def test_matmul_matches_triple_loop_oracle():
     np.testing.assert_allclose(matmul(x, w), _matmul_oracle(x, w), atol=1e-6)
 
 
-def test_matmul_casts_wide_weights_in_blocks():
+def test_matmul_runs_wide_weights_through_the_row_kernel():
     rng = np.random.default_rng(43)
     x = rng.standard_normal((3, 100)).astype(np.float32)
     w = rng.standard_normal((100, 4096)).astype(np.float32)
-    assert w.shape[0] > 2 * (CAST_BLOCK_BYTES // (8 * w.shape[1]))
+    assert w.size >= ROW_GEMM_MIN
     ref = x.astype(np.float64) @ w.astype(np.float64)
-    # rounding to f32 allows half an ulp; the blocked summation order adds
-    # only float64-level error on top
+    # rounding to f32 allows half an ulp; the kernel's sequential summation
+    # order adds only float64-level error on top
     np.testing.assert_allclose(matmul(x, w), ref, rtol=2e-7, atol=1e-12 * np.abs(ref).max())
 
 
@@ -78,22 +78,28 @@ def test_matmul_shape_mismatch():
         matmul(np.zeros((2, 3), np.float32), np.zeros((4, 2), np.float32))
 
 
-def _sequential_rows(x64, w, rows):
+def _sequential_loop(x64, w, rows):
     """Reference: one f64 accumulator per output, one weight row at a time."""
-    acc = np.zeros(w.shape[1])
+    acc = np.zeros((x64.shape[0], w.shape[1]))
     for i, r in enumerate(range(w.shape[0]) if rows is None else rows):
-        acc += x64[0, i] * w[r].astype(np.float64)
+        acc += x64[:, i : i + 1] * w[r].astype(np.float64)
     return acc
 
 
-def _row_case(k, m, n_rows, zeros=0, seed=0):
-    """x64 (1, n) and w (k, m), with the first ``zeros`` x entries 0; all
-    rows when ``n_rows`` is None, else ``n_rows`` ascending rows."""
+def _sequential_rows(x64, w, rows):
+    """The reference for a one-row ``x64``, as a 1-D array."""
+    return _sequential_loop(x64, w, rows)[0]
+
+
+def _row_case(k, m, n_rows, zeros=0, seed=0, batch=1):
+    """x64 (batch, n) and w (k, m), with the first ``zeros`` x entries of
+    each row 0; all rows when ``n_rows`` is None, else ``n_rows`` ascending
+    rows."""
     rng = np.random.default_rng(seed)
     w = rng.standard_normal((k, m)).astype(np.float32)
     rows = None if n_rows is None else np.sort(rng.choice(k, n_rows, replace=False))
-    x64 = rng.standard_normal((1, k if rows is None else n_rows))
-    x64[0, :zeros] = 0.0
+    x64 = rng.standard_normal((batch, k if rows is None else n_rows))
+    x64[:, :zeros] = 0.0
     return x64, w, rows
 
 
@@ -102,18 +108,20 @@ def _int64(values):
 
 
 @st.composite
-def _one_row_product(draw):
+def _product_case(draw, batch=st.just(1), max_cols=12):
     k = draw(st.integers(1, 40))
-    m = draw(st.integers(0, 12))
+    m = draw(st.integers(0, max_cols))
     w = draw(hnp.arrays(np.float32, (k, m), elements=st.floats(-4, 4, width=32)))
     rows = draw(st.none() | st.lists(st.integers(0, k - 1), max_size=40).map(_int64))
     n = k if rows is None else rows.size
-    x64 = draw(hnp.arrays(np.float64, (1, n), elements=st.just(0.0) | st.floats(-4, 4)))
+    x64 = draw(
+        hnp.arrays(np.float64, (draw(batch), n), elements=st.just(0.0) | st.floats(-4, 4))
+    )
     return x64, w, rows
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(_one_row_product())
+@given(_product_case())
 @example(_row_case(5, 7, 0))  # no rows: a zero output
 @example(_row_case(9, 7, 7))  # tail rows only
 @example(_row_case(30, 13, 8))  # one full block of 8
@@ -124,6 +132,29 @@ def test_one_row_product_equals_sequential_loop(case):
     out = matmul_rows(x64, w, rows)
     assert out.shape == (1, w.shape[1]) and out.dtype == np.float64
     assert np.array_equal(out[0], _sequential_rows(x64, w, rows))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_product_case(batch=st.integers(2, 5), max_cols=40))
+@example(_row_case(5, 7, 0, batch=3))  # no rows: a zero output
+@example(_row_case(20, 1, 13, batch=2))  # one column; a block and a tail
+@example(_row_case(30, 255, 21, zeros=5, batch=4))  # one column short of a tile
+@example(_row_case(30, 256, 16, batch=2))  # one full tile; two full blocks
+@example(_row_case(30, 257, 8 * 2 + 3, batch=3))  # a one-column second tile
+@example(_row_case(30, 100, 29, batch=5))  # not a multiple of 16 columns
+@example(_row_case(40, 600, None, zeros=7, batch=33))  # rows=None; three tiles
+def test_row_gemm_equals_sequential_loop(case):
+    """Forced onto ``row_gemm`` at every size, a batch equals the sequential
+    loop bit for bit, every row of it."""
+    x64, w, rows = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tensor, "ROW_GEMM_MIN", 0)
+        mp.setenv("SCAP_THREADS", "1")
+        slices = _recorded_slices(mp, "_row_gemm")
+        out = matmul_rows(x64, w, rows)
+    assert slices == [(0, w.shape[1])]
+    assert out.shape == (x64.shape[0], w.shape[1]) and out.dtype == np.float64
+    assert np.array_equal(out, _sequential_loop(x64, w, rows))
 
 
 def test_one_row_product_reads_non_contiguous_weights():
@@ -197,31 +228,33 @@ def test_row_kernel_compiles_once_under_concurrent_first_use(monkeypatch):
     assert len(results) == 6 and all(np.array_equal(r[0], want) for r in results)
 
 
-def _recorded_slices(mp):
-    """Patch the row kernel, within MonkeyPatch ``mp``, to record the
+def _recorded_slices(mp, name="_row_gemv"):
+    """Patch the row kernel ``name``, within MonkeyPatch ``mp``, to record the
     ``(lo, hi)`` column slice of every call; returns the list of slices."""
-    real, slices = tensor._row_gemv, []
+    real, slices = getattr(tensor, name), []
 
     def recording(*args):
-        slices.append(args[5:7])
+        slices.append(args[-3:-1])
         return real()(*args)
 
     def kernel():
         real()  # compiles the kernel and makes the pool
         return recording
 
-    mp.setattr(tensor, "_row_gemv", kernel)
+    mp.setattr(tensor, name, kernel)
     return slices
 
 
 @st.composite
-def _split_product(draw):
+def _split_product(draw, batch=st.just(1)):
     k = draw(st.integers(1, 30))
     m = draw(st.integers(0, 5 * tensor.SLICE_COLS + 3))
     w = draw(hnp.arrays(np.float32, (k, m), elements=st.floats(-4, 4, width=32)))
     rows = draw(st.none() | st.lists(st.integers(0, k - 1), max_size=45).map(_int64))
     n = k if rows is None else rows.size
-    x64 = draw(hnp.arrays(np.float64, (1, n), elements=st.just(0.0) | st.floats(-4, 4)))
+    x64 = draw(
+        hnp.arrays(np.float64, (draw(batch), n), elements=st.just(0.0) | st.floats(-4, 4))
+    )
     return x64, w, rows, draw(st.integers(1, 6))
 
 
@@ -239,12 +272,28 @@ def test_split_row_product_equals_sequential_loop(case):
     """Forced to split at every size, a one-row product cuts its columns into
     ordered slices that start at multiples of ``SLICE_COLS`` and tile
     ``[0, m)`` once, and equals the sequential loop bit for bit."""
-    x64, w, rows, threads = case
+    _check_split(*case, "_row_gemv")
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_split_product(batch=st.integers(2, 4)))
+@example((*_row_case(12, 16, 0, batch=2), 2))  # exactly one slice of columns; no rows
+@example((*_row_case(40, 47, 8 * 3 + 5, batch=3), 3))  # a last slice one column short of 16
+@example((*_row_case(40, 81, 8 * 4 + 5, zeros=9, batch=4), 6))  # six slices, the last one column
+@example((*_row_case(21, 50, None, batch=2), 4))  # rows=None reads every row
+def test_split_row_gemm_equals_sequential_loop(case):
+    """The same for a batch forced onto ``row_gemm``: every row of it."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tensor, "ROW_GEMM_MIN", 0)
+        _check_split(*case, "_row_gemm")
+
+
+def _check_split(x64, w, rows, threads, kernel):
     m = w.shape[1]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tensor, "SPLIT_MACS", 0)
         mp.setenv("SCAP_THREADS", str(threads))
-        slices = _recorded_slices(mp)
+        slices = _recorded_slices(mp, kernel)
         out = matmul_rows(x64, w, rows)
     groups = -(-m // tensor.SLICE_COLS)
     assert len(slices) == max(1, min(threads, groups))
@@ -252,42 +301,57 @@ def test_split_row_product_equals_sequential_loop(case):
     assert [lo for lo, _ in slices] == [0] + [hi for _, hi in slices[:-1]]
     assert slices[-1][1] == m
     assert all(lo % tensor.SLICE_COLS == 0 and (lo < hi or m == 0) for lo, hi in slices)
-    assert np.array_equal(out[0], _sequential_rows(x64, w, rows))
+    assert np.array_equal(out, _sequential_loop(x64, w, rows))
 
 
-def _large_case(seed=4):
-    """A one-row product above ``SPLIT_MACS``, with a width that is not a
-    multiple of ``SLICE_COLS``."""
-    x64, w, rows = _row_case(700, 4100, 600, zeros=50, seed=seed)
-    assert rows.size * w.shape[1] >= tensor.SPLIT_MACS
+def _large_case(seed=4, batch=1):
+    """A product above ``SPLIT_MACS`` and, for a batch, ``ROW_GEMM_MIN``,
+    with a width that is not a multiple of ``SLICE_COLS``."""
+    x64, w, rows = _row_case(700, 4100, 600, zeros=50, seed=seed, batch=batch)
+    assert rows.size * w.shape[1] >= max(tensor.SPLIT_MACS, ROW_GEMM_MIN)
     return x64, w, rows
 
 
 def test_split_above_threshold_equals_one_thread(monkeypatch):
-    x64, w, rows = _large_case()
+    _check_split_equals_one_thread(monkeypatch, *_large_case())
+
+
+def test_split_row_gemm_above_threshold_equals_one_thread(monkeypatch):
+    _check_split_equals_one_thread(monkeypatch, *_large_case(batch=5))
+
+
+def _check_split_equals_one_thread(monkeypatch, x64, w, rows):
     monkeypatch.setenv("SCAP_THREADS", "1")
     serial = matmul_rows(x64, w, rows)
     monkeypatch.delenv("SCAP_THREADS")
     split = matmul_rows(x64, w, rows)
     monkeypatch.setenv("SCAP_THREADS", "3")
     three = matmul_rows(x64, w, rows)
-    want = _sequential_rows(x64, w, rows)
-    assert all(np.array_equal(out[0], want) for out in (serial, split, three))
+    want = _sequential_loop(x64, w, rows)
+    assert all(np.array_equal(out, want) for out in (serial, split, three))
 
 
 def test_concurrent_callers_get_the_serial_result(monkeypatch):
     """Four threads of a pool, like sweep grid points, split large one-row
     products at once, with more threads than a 2-core machine has cores;
     each gets exactly its one-thread result."""
-    cases = [_large_case(seed) for seed in range(5, 9)]
+    _check_concurrent_callers(monkeypatch, [_large_case(seed) for seed in range(5, 9)])
+
+
+def test_concurrent_batched_callers_get_the_serial_result(monkeypatch):
+    """The same for batches on ``row_gemm``."""
+    _check_concurrent_callers(monkeypatch, [_large_case(seed, 3) for seed in range(5, 9)])
+
+
+def _check_concurrent_callers(monkeypatch, cases):
     monkeypatch.setenv("SCAP_THREADS", "1")
-    serial = [matmul_rows(*case)[0] for case in cases]
+    serial = [matmul_rows(*case) for case in cases]
     monkeypatch.setenv("SCAP_THREADS", "2")
     start = threading.Barrier(len(cases))
 
     def call(case):
         start.wait(timeout=60)
-        return [matmul_rows(*case)[0] for _ in range(3)]
+        return [matmul_rows(*case) for _ in range(3)]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
