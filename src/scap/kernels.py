@@ -15,8 +15,11 @@ All but CATS, and every block of a model stack, run through ``swiglu_ffn``
 or ``gelu_ffn``, the one path per FFN kind, with each site dense or a
 ``SparseLinear`` from ``prune.compile_ffn``. Sparse execution is one
 float64-accumulated ``tensor.matmul_rows`` product per projection over the
-union of weight rows that any batch row keeps, with pruned elements zeroed.
-For one row (a decode token) that union is exactly the kept rows, and the
+union of weight rows that any batch row keeps, with pruned elements zeroed by
+ANDing their bits with the mask, which equals ``np.where(kept, x, 0)`` bit for
+bit. When every row is in the union, the whole activation block goes to the
+product with ``rows=None`` and nothing is gathered. For one row (a decode
+token) that union is exactly the kept rows, so nothing needs zeroing, and the
 compiled row kernel reads only those rows of the weight. A batch runs the
 compiled batch kernel over the union, in which each row's output equals its
 one-row result bit for bit, or one BLAS GEMM when the union weight is below
@@ -125,7 +128,9 @@ def sparse_fc(
     Shifts ``x`` by finite ``eta`` and keeps elements whose magnitude strictly
     exceeds finite ``tau >= 0``. One float64-accumulated ``matmul_rows``
     product multiplies them by the weight rows that any batch row keeps (the
-    row kernel for one row), then adds ``bias_fused``.
+    row kernel for one row), then adds ``bias_fused``. A batch zeroes its
+    pruned elements of those rows with a bit mask; one row keeps all of them
+    and zeroes nothing. A union of every row is passed whole, ``rows=None``.
     Returns (output, kept mask, kept-channel MACs).
     """
     _check_input(x, weight.shape[0])
@@ -133,11 +138,24 @@ def sparse_fc(
     x_eta = x - FLOAT(eta)
     kept = np.abs(x_eta) > tau
     rows = np.flatnonzero(kept.any(axis=0))
-    x_kept = np.where(kept[:, rows], x_eta[:, rows], FLOAT(0)).astype(np.float64)
-    out = matmul_rows(x_kept, weight, rows)
+    full = rows.size == weight.shape[0]
+    x_kept = x_eta if full else x_eta[:, rows]
+    if x.shape[0] > 1:  # one row keeps every element of its union
+        x_kept = _zero_pruned(x_kept, kept if full else kept[:, rows])
+    out = matmul_rows(x_kept.astype(np.float64), weight, None if full else rows)
     if bias_fused is not None:
         out += bias_fused
-    return out.astype(FLOAT), kept, int(kept.sum()) * weight.shape[1]
+    return out.astype(FLOAT), kept, int(np.count_nonzero(kept)) * weight.shape[1]
+
+
+def _zero_pruned(x: np.ndarray, kept: np.ndarray) -> np.ndarray:
+    """``np.where(kept, x, 0)`` for float ``x``, bit for bit, NaN, infinities,
+    -0.0 and subnormals included: the bits of ``x`` ANDed with ``-kept`` as
+    integers of the same width, which takes no branch per element."""
+    mask = kept.astype(f"i{x.itemsize}")
+    np.negative(mask, out=mask)
+    mask &= x.view(mask.dtype)
+    return mask.view(x.dtype)
 
 
 def check_threshold(tau: float, eta: float = 0.0) -> None:
@@ -187,8 +205,8 @@ def cats_swiglu(
     rows = np.flatnonzero(kept.any(axis=0))
     # the mask picks Up output columns and the matching Down input rows
     up = matmul_rows(x.astype(np.float64), np.take(w.w_up, rows, axis=1))
-    y = matmul_rows(np.where(kept[:, rows], up * v[:, rows], 0.0), w.w_down, rows)
-    k = int(kept.sum())
+    y = matmul_rows(_zero_pruned(up * v[:, rows], kept[:, rows]), w.w_down, rows)
+    k = int(np.count_nonzero(kept))
     return y.astype(FLOAT), OpCount(macs=n * d * h + 2 * d * k, elements_pruned=n * h - k)
 
 
@@ -201,7 +219,7 @@ class SiteRun(NamedTuple):
 
     @property
     def pruned(self) -> int:
-        return int(self.kept.size - self.kept.sum())
+        return self.kept.size - int(np.count_nonzero(self.kept))
 
     @property
     def ops(self) -> OpCount:

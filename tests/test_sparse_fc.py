@@ -1,4 +1,5 @@
-"""sparse_fc against its per-row gather-then-GEMV reference, and its validation."""
+"""sparse_fc against its per-row gather-then-GEMV reference and, bit for bit,
+against the masked-gather formulation, and its validation."""
 
 import math
 
@@ -8,9 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from scap import kernels
 from scap.kernels import sparse_fc
 from scap.prune import PruneSpec
-from scap.tensor import ROW_GEMM_MIN
+from scap.tensor import ROW_GEMM_MIN, matmul_rows
 
 F32 = np.float32
 EPS32 = float(np.finfo(F32).eps)
@@ -37,8 +39,26 @@ def sparse_fc_rowwise(x, weight, tau, eta=0.0, bias_fused=None):
     return out.astype(F32), kept, macs
 
 
+def sparse_fc_where(x, weight, tau, eta=0.0, bias_fused=None):
+    """Bit oracle: the union rows gathered, pruned elements zeroed with
+    ``np.where``, one ``matmul_rows`` product over the gathered rows."""
+    x_eta = x - F32(eta)
+    kept = np.abs(x_eta) > tau
+    rows = np.flatnonzero(kept.any(axis=0))
+    x_kept = np.where(kept[:, rows], x_eta[:, rows], F32(0)).astype(np.float64)
+    out = matmul_rows(x_kept, weight, rows)
+    if bias_fused is not None:
+        out += bias_fused
+    return out.astype(F32)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint32), b.view(np.uint32))
+
+
 def _check_against_reference(x, weight, tau, eta, bias):
     out, kept, macs = sparse_fc(x, weight, tau, eta, bias)
+    assert _same_bits(out, sparse_fc_where(x, weight, tau, eta, bias))
     ref, ref_kept, ref_macs = sparse_fc_rowwise(x, weight, tau, eta, bias)
     np.testing.assert_array_equal(kept, ref_kept)
     assert macs == ref_macs == int(kept.sum()) * weight.shape[1]
@@ -137,6 +157,90 @@ def test_batch_rows_equal_their_one_row_results(case):
         one, one_kept, _ = sparse_fc(x[b : b + 1], w, tau, eta, bias)
         assert np.array_equal(one_kept[0], kept[b])
         assert np.array_equal(one[0].view(np.uint32), out[b].view(np.uint32))
+
+
+# NaN, infinities, signed zeros and subnormals (the smallest, its negation,
+# and 2^-130), placed down the first columns
+SPECIALS = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, TINY32, -TINY32, 2.0**-130], F32)
+
+
+def _special_case(n, full, tau, eta, bias, d=12, oc=7):
+    """An (n, d) batch holding ``SPECIALS``, with a full union of kept
+    columns when ``full`` and the last column pruned in every row otherwise."""
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((n, d)).astype(F32)
+    for i, v in enumerate(SPECIALS):
+        x[(5 * i) % n, i] = v
+    if full:
+        x[-1, ~(np.abs(x - F32(eta)) > tau).any(axis=0)] = F32(eta + tau + 1)
+    else:
+        x[:, -1] = F32(eta)
+    w = rng.standard_normal((d, oc)).astype(F32)
+    w[0, 0] = -0.0
+    b = rng.standard_normal(oc) if bias else None
+    assert (np.abs(x - F32(eta)) > tau).any(axis=0).all() == full
+    return x, w, tau, eta, b
+
+
+# a kept infinity times weights of both signs sums to NaN
+_INF_PRODUCTS = pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+
+
+@_INF_PRODUCTS
+@pytest.mark.parametrize("bias", [False, True])
+@pytest.mark.parametrize("tau,eta", [(0.0, 0.0), (0.0, 0.25), (0.5, 0.0), (0.5, -0.25)])
+@pytest.mark.parametrize("full", [True, False])
+@pytest.mark.parametrize("n", [1, 3, 256])
+def test_special_values_match_the_where_oracle_bit_for_bit(n, full, tau, eta, bias):
+    x, w, tau, eta, b = _special_case(n, full, tau, eta, bias)
+    out, kept, macs = sparse_fc(x, w, tau, eta, b)
+    assert _same_bits(out, sparse_fc_where(x, w, tau, eta, b))
+    np.testing.assert_array_equal(kept, np.abs(x - F32(eta)) > tau)
+    assert macs == int(kept.sum()) * w.shape[1]
+
+
+@_INF_PRODUCTS
+@pytest.mark.parametrize("full", [True, False])
+@pytest.mark.parametrize("n", [1, 3, 256])
+def test_full_union_runs_ungathered_and_one_row_unzeroed(monkeypatch, n, full):
+    """A full union reaches ``matmul_rows`` as ``rows=None``, a partial one
+    as its index array, with the oracle's bits either way; one row, whose
+    union is its kept set, runs no zeroing step."""
+    seen, zeroed = [], []
+    real_zero = kernels._zero_pruned
+
+    def product(x64, w, rows=None):
+        seen.append(rows)
+        return matmul_rows(x64, w, rows)
+
+    monkeypatch.setattr(kernels, "matmul_rows", product)
+    monkeypatch.setattr(
+        kernels, "_zero_pruned", lambda x, kept: zeroed.append(x.shape) or real_zero(x, kept)
+    )
+    x, w, tau, eta, b = _special_case(n, full, 0.5, 0.25, True)
+    out, _, _ = sparse_fc(x, w, tau, eta, b)
+    (rows,) = seen
+    if full:
+        assert rows is None
+    else:
+        union = (np.abs(x - F32(eta)) > tau).any(axis=0)
+        np.testing.assert_array_equal(rows, np.flatnonzero(union))
+    assert len(zeroed) == (n > 1)
+    assert _same_bits(out, sparse_fc_where(x, w, tau, eta, b))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_zero_pruned_equals_where_bit_for_bit(dtype):
+    """The bit-mask zeroing of ``sparse_fc`` (f32) and ``cats_swiglu`` (f64)."""
+    rng = np.random.default_rng(0)
+    tiny = np.finfo(dtype).smallest_subnormal
+    x = np.concatenate([SPECIALS.astype(dtype), [tiny, -tiny], rng.standard_normal(54)])
+    x = x.astype(dtype).reshape(8, 8)
+    uint = np.uint32 if dtype is np.float32 else np.uint64
+    for kept in (rng.random(x.shape) < 0.5, np.ones(x.shape, bool), np.zeros(x.shape, bool)):
+        got = kernels._zero_pruned(x, kept)
+        assert got.dtype == dtype
+        assert np.array_equal(got.view(uint), np.where(kept, x, dtype(0)).view(uint))
 
 
 @pytest.mark.parametrize(
