@@ -18,12 +18,8 @@ from .kernels import (
     OpCount,
     SwiGluWeights,
     cats_swiglu,
-    dense_gelu_mlp,
-    dense_swiglu,
     ffn_sparsity,
     mlp_ffn_sparsity,
-    scap_gelu_mlp,
-    scap_swiglu,
     sparse_fc,
 )
 from .model import (
@@ -59,15 +55,11 @@ __all__ = [
     "SwiGluWeights",
     "UP_GATE_INPUT",
     "cats_swiglu",
-    "dense_gelu_mlp",
-    "dense_swiglu",
     "ffn_sparsity",
     "gelu",
     "init_weights",
     "matmul",
     "mlp_ffn_sparsity",
-    "scap_gelu_mlp",
-    "scap_swiglu",
     "silu",
     "sparse_fc",
 ]

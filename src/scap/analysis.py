@@ -232,19 +232,20 @@ def _evaluate(model, specs, batches, dense_outputs=None):
     """One pruned pass over the batches: the SparsityReport and the relative
     L2 error against ``dense_outputs`` (0.0 when they are not given)."""
     sparse = model.apply_prune_specs(specs)
-    pruned = {h.label: 0 for h in model.hook_points()}
-    total = dict.fromkeys(pruned, 0)
+    hooks = model.hook_points()
+    pruned = dict.fromkeys(hooks, 0)
+    total = dict.fromkeys(hooks, 0)
     macs = dense_macs = rows = 0
     num = den = 0.0
     for i, batch in enumerate(batches):
         y_sparse, records = sparse.forward(batch)
         rows += batch.shape[0]
         for b, rec in enumerate(records):
-            for site in SITES:
-                label = HookPoint(b, site).label
-                pruned[label] += rec.pruned[site]
-                total[label] += rec.total[site]
-            macs += rec.ops.macs
+            for site, run in rec.sites.items():
+                hook = HookPoint(b, site)
+                pruned[hook] += run.pruned
+                total[hook] += run.kept.size
+            macs += rec.up.macs + rec.down.macs
             dense_macs += rec.dense_macs
         if dense_outputs is not None:
             y_dense = dense_outputs[i].astype(np.float64)
@@ -253,27 +254,26 @@ def _evaluate(model, specs, batches, dense_outputs=None):
             den += float(np.sum(y_dense**2))
     if rows == 0:
         raise ValueError("evaluation stream is empty")
-    hooks = {}
-    for hook in model.hook_points():
-        label = hook.label
-        spec = specs.get(hook)
-        hooks[label] = HookObservation(
-            target_sparsity=spec.target_sparsity if spec else 0.0,
-            observed_sparsity=pruned[label] / total[label],
-            pruned=pruned[label],
-            total=total[label],
+    observations = {
+        h.label: HookObservation(
+            target_sparsity=specs[h].target_sparsity if h in specs else 0.0,
+            observed_sparsity=pruned[h] / total[h],
+            pruned=pruned[h],
+            total=total[h],
         )
-    site_sparsity = {}
-    for site in SITES:
-        p = sum(pruned[HookPoint(b, site).label] for b in range(model.config.n_blocks))
-        t = sum(total[HookPoint(b, site).label] for b in range(model.config.n_blocks))
-        site_sparsity[site] = p / t
+        for h in hooks
+    }
+    site_sparsity = {
+        site: sum(pruned[h] for h in hooks if h.site == site)
+        / sum(total[h] for h in hooks if h.site == site)
+        for site in SITES
+    }
     glu = model.config.ffn == "swiglu"
     ffn = (kernels.ffn_sparsity if glu else kernels.mlp_ffn_sparsity)(
         site_sparsity[UP_GATE_INPUT], site_sparsity[DOWN_INPUT]
     )
     return SparsityReport(
-        hooks=hooks,
+        hooks=observations,
         site_sparsity=site_sparsity,
         ffn_sparsity=ffn,
         macs_ratio=macs / dense_macs,
@@ -349,16 +349,20 @@ def overlap_curve(
     check_overlap_sizes(batch_sizes, n_batches)
     sparse = model.apply_prune_specs(specs)
     if hook is None:
-        hook = next(iter(sorted(specs, key=lambda h: (h.block, h.site))), None)
+        hook = min(specs, key=lambda h: (h.block, h.site), default=None)
         if hook is None:
             raise ValueError("no specs given and no hook selected")
+    elif hook not in model.hook_points():
+        raise ValueError(f"invalid hook point: {hook!r}")
+    elif hook not in specs:
+        raise ValueError(f"hook {hook.label} has no spec: it runs dense and prunes nothing")
     k_max = max(batch_sizes)
     sums = np.zeros(len(batch_sizes))
     vec_sum = 0.0
     for _ in range(n_batches):
         x = batches.batch(k_max)
-        _, records = sparse.forward(x, collect_masks=[hook])
-        mask = records[hook.block].masks[hook.site]
+        _, records = sparse.forward(x)
+        mask = records[hook.block].sites[hook.site].kept
         vec_sum += float(np.mean(~mask))
         for j, k in enumerate(batch_sizes):
             sums[j] += overlap_sparsity(mask[:k])

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -146,8 +147,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     command = args.command
-    values = dict(COMMON_DEFAULTS)
-    values.update(COMMAND_DEFAULTS[command])
+    defaults = {**COMMON_DEFAULTS, **COMMAND_DEFAULTS[command]}
+    values = dict(defaults)
     if getattr(args, "config", None):
         path = Path(args.config)
         if not path.is_file():
@@ -171,6 +172,9 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         if key in ("command", "config") or val is None:
             continue
         values[key] = val
+    for key, val in values.items():
+        if type(defaults[key]) is float and not math.isfinite(val):
+            raise CliError(f"{key} must be finite, got {val}")
     return RunConfig(command=command, values=values)
 
 
@@ -280,8 +284,9 @@ def cmd_sweep(cfg: RunConfig) -> list[Path]:
 
 
 def cmd_bench(cfg: RunConfig) -> list[Path]:
-    if cfg.batch < 1:
-        raise CliError(f"batch must be >= 1, got {cfg.batch}")
+    for key in ("batch", "d_model", "d_hidden"):
+        if cfg.values[key] < 1:
+            raise CliError(f"{key} must be >= 1, got {cfg.values[key]}")
     grid = _floats(cfg, "sparsity_grid")
     check_fractions("sparsity_grid", grid)
     out = _out_dir(cfg)

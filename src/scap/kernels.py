@@ -1,32 +1,29 @@
-"""Instrumented FFN execution schemes with deterministic op accounting.
+"""Instrumented FFN execution with deterministic per-site op accounting.
 
-Three sparse schemes plus dense references:
-
-* ``dense_swiglu`` / ``dense_gelu_mlp``: unpruned baselines.
+* ``swiglu_ffn`` / ``gelu_ffn``: the one execution path per FFN kind, every
+  block of a model stack included. Each site is dense or a ``SparseLinear``
+  from ``prune.compile_ffn``: SCAP prunes the input of each projection, with
+  one strict ``|x - eta| > tau`` mask shared by Up and Gate and an
+  independent mask on the Down input, the mode shift compensated through the
+  fused bias.
 * ``cats_swiglu``: gate path computed densely, one shared mask (inclusive
   ``|v| >= tau``) restricting Up output columns and Down input rows.
-* ``scap_swiglu``: input-activation pruning with one strict
-  ``|x - eta| > tau`` mask shared by Up and Gate and an independent mask on
-  the gated intermediate before Down.
-* ``scap_gelu_mlp``: the non-GLU variant with optional mode shift on the
-  hidden activation, compensated through the Down bias.
 
-All but CATS, and every block of a model stack, run through ``swiglu_ffn``
-or ``gelu_ffn``, the one path per FFN kind, with each site dense or a
-``SparseLinear`` from ``prune.compile_ffn``. Sparse execution is one
-float64-accumulated ``tensor.matmul_rows`` product per projection over the
-union of weight rows that any batch row keeps, with pruned elements zeroed by
-ANDing their bits with the mask, which equals ``np.where(kept, x, 0)`` bit for
-bit. When every row is in the union, the whole activation block goes to the
-product with ``rows=None`` and nothing is gathered. For one row (a decode
-token) that union is exactly the kept rows, so nothing needs zeroing, and the
-compiled row kernel reads only those rows of the weight. A batch runs the
-compiled batch kernel over the union, in which each row's output equals its
-one-row result bit for bit, or one BLAS GEMM when the union weight is below
-``tensor.ROW_GEMM_MIN`` elements.
-``OpCount.macs`` counts kept-channel MACs: at one row the multiply-accumulates
-the row kernel performs, at a batch fewer than the union product computes. It
-is an operation count, not a time. Wall-clock is measured by the benchmark in
+Sparse execution is one float64-accumulated ``tensor.matmul_rows`` product per
+projection over the union of weight rows that any batch row keeps, with pruned
+elements zeroed by ANDing their bits with the mask, which equals
+``np.where(kept, x, 0)`` bit for bit. When every row is in the union, the
+whole activation block goes to the product with ``rows=None`` and nothing is
+gathered. For one row (a decode token) that union is exactly the kept rows, so
+nothing needs zeroing, and the compiled row kernel reads only those rows of
+the weight. A batch runs the compiled batch kernel over the union, in which
+each row's output equals its one-row result bit for bit, or one BLAS GEMM when
+the union weight is below ``tensor.ROW_GEMM_MIN`` elements. A site's counts
+live in one ``SiteRun``: its kept mask and the kept-channel MACs of the
+projections that read it; ``site_ops`` sums a block's sites into an
+``OpCount``. Kept-channel MACs are at one row the multiply-accumulates the row
+kernel performs, at a batch fewer than the union product computes. They are an
+operation count, not a time. Wall-clock is measured by the benchmark in
 ``perfbench/``.
 """
 
@@ -41,9 +38,8 @@ import numpy as np
 from .tensor import FLOAT, ShapeError, gelu, matmul, matmul_rows, silu
 
 
-@dataclass
-class OpCount:
-    """Deterministic cost accounting for one kernel invocation.
+class OpCount(NamedTuple):
+    """Deterministic cost of one FFN forward.
 
     macs: kept-channel multiply-accumulates across all FC stages; at batch
         > 1 the union product, which multiplies every weight row that any
@@ -51,11 +47,8 @@ class OpCount:
     elements_pruned: activation elements zeroed by a pruner.
     """
 
-    macs: int = 0
-    elements_pruned: int = 0
-
-    def __add__(self, other: "OpCount") -> "OpCount":
-        return OpCount(self.macs + other.macs, self.elements_pruned + other.elements_pruned)
+    macs: int
+    elements_pruned: int
 
 
 @dataclass
@@ -175,18 +168,6 @@ def dense_macs_gelu_mlp(batch: int, d: int, h: int) -> int:
     return batch * (d * h + h * d)
 
 
-def dense_swiglu(x: np.ndarray, w: SwiGluWeights) -> tuple[np.ndarray, OpCount]:
-    """Reference (silu(x W_gate) * (x W_up)) W_down with full MAC count."""
-    run = swiglu_ffn(x, w)
-    return run.y, run.ops
-
-
-def dense_gelu_mlp(x: np.ndarray, w: GeluMlpWeights) -> tuple[np.ndarray, OpCount]:
-    """Reference gelu(x W_up + b_up) W_down + b_down with full MAC count."""
-    run = gelu_ffn(x, w)
-    return run.y, run.ops
-
-
 def cats_swiglu(
     tau_silu: float, x: np.ndarray, w: SwiGluWeights
 ) -> tuple[np.ndarray, OpCount]:
@@ -221,9 +202,10 @@ class SiteRun(NamedTuple):
     def pruned(self) -> int:
         return self.kept.size - int(np.count_nonzero(self.kept))
 
-    @property
-    def ops(self) -> OpCount:
-        return OpCount(self.macs, self.pruned)
+
+def site_ops(*sites: SiteRun) -> OpCount:
+    """The summed counts of one block's sites."""
+    return OpCount(sum(s.macs for s in sites), sum(s.pruned for s in sites))
 
 
 class FfnRun(NamedTuple):
@@ -236,7 +218,7 @@ class FfnRun(NamedTuple):
 
     @property
     def ops(self) -> OpCount:
-        return self.up.ops + self.down.ops
+        return site_ops(self.up, self.down)
 
 
 def _fc(x, layer, weight, bias=None):
@@ -276,49 +258,6 @@ def gelu_ffn(x: np.ndarray, w: GeluMlpWeights, up=None, down=None) -> FfnRun:
     hidden = gelu(u)
     y, kept_h, macs_down = _fc(hidden, down, w.w_down, w.b_down)
     return FfnRun(y, hidden, SiteRun(kept_x, macs_up), SiteRun(kept_h, macs_down))
-
-
-def _compile(w, up: tuple[float, float], down: tuple[float, float]):
-    from .prune import PruneSpec, compile_ffn  # prune builds on this module
-
-    return compile_ffn(w, PruneSpec(*up), PruneSpec(*down))
-
-
-def scap_swiglu(
-    tau_x: float,
-    tau_gated: float,
-    x: np.ndarray,
-    w: SwiGluWeights,
-    eta_x: float = 0.0,
-    eta_gated: float = 0.0,
-) -> tuple[np.ndarray, OpCount]:
-    """Input-pruned SwiGLU with decoupled thresholds.
-
-    ``x`` is shifted by ``eta_x`` and pruned once with ``tau_x``; the same
-    mask feeds the Up and Gate projections. The gated intermediate is then
-    shifted by ``eta_gated`` and pruned with ``tau_gated`` before Down. Each
-    mode shift is compensated by fusing ``eta * column_sums(W)`` into that
-    projection's (otherwise zero) bias, preserving functional equivalence.
-    """
-    run = swiglu_ffn(x, w, *_compile(w, (tau_x, eta_x), (tau_gated, eta_gated)))
-    return run.y, run.ops
-
-
-def scap_gelu_mlp(
-    tau_x: float,
-    tau_h: float,
-    eta_h: float,
-    x: np.ndarray,
-    w: GeluMlpWeights,
-) -> tuple[np.ndarray, OpCount]:
-    """Input-pruned GELU MLP with mode-centered hidden activations.
-
-    ``x`` is pruned with ``tau_x`` into Up; the GELU output is shifted by
-    ``eta_h``, pruned with ``tau_h``, and fed to Down whose bias absorbs the
-    compensating ``eta_h * column_sums(w_down)`` term.
-    """
-    run = gelu_ffn(x, w, *_compile(w, (tau_x, 0.0), (tau_h, eta_h)))
-    return run.y, run.ops
 
 
 def ffn_sparsity(s_x: float, s_gated: float) -> float:

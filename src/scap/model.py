@@ -19,13 +19,13 @@ bit.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
 from . import kernels
-from .kernels import GeluMlpWeights, OpCount, SwiGluWeights
+from .kernels import GeluMlpWeights, OpCount, SiteRun, SwiGluWeights
 from .prune import PruneSpec, compile_ffn
 from .tensor import CAST_BLOCK_BYTES, FLOAT, ShapeError
 
@@ -64,15 +64,32 @@ class BlockConfig:
             raise ValueError("d_model, d_hidden, n_blocks must all be >= 1")
 
 
-@dataclass
-class BlockRecord:
-    """Instrumentation from one block of one forward pass."""
+class BlockRecord(NamedTuple):
+    """One block of one forward pass: the ``SiteRun`` (kept mask, MACs) of
+    each site and the block's dense MACs. Every other count is a view derived
+    from the two runs. A record holds masks only, never an activation."""
 
-    pruned: dict = field(default_factory=dict)  # site -> zeroed elements
-    total: dict = field(default_factory=dict)  # site -> elements seen
-    ops: OpCount = field(default_factory=OpCount)
-    dense_macs: int = 0
-    masks: dict = field(default_factory=dict)  # site -> kept mask (if requested)
+    up: SiteRun
+    down: SiteRun
+    dense_macs: int
+
+    @property
+    def sites(self) -> dict[str, SiteRun]:
+        return dict(zip(SITES, (self.up, self.down)))
+
+    @property
+    def pruned(self) -> dict[str, int]:
+        """site -> zeroed elements"""
+        return {site: run.pruned for site, run in self.sites.items()}
+
+    @property
+    def total(self) -> dict[str, int]:
+        """site -> elements seen"""
+        return {site: run.kept.size for site, run in self.sites.items()}
+
+    @property
+    def ops(self) -> OpCount:
+        return kernels.site_ops(self.up, self.down)
 
 
 class FfnStack:
@@ -102,7 +119,7 @@ class FfnStack:
         ]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        y, _, _ = _run_stack(self, x, None, (), ())
+        y, _, _ = _run_stack(self, x, None, ())
         return y
 
     def forward_with_hooks(
@@ -110,7 +127,7 @@ class FfnStack:
     ) -> tuple[np.ndarray, dict[HookPoint, np.ndarray]]:
         hooks = list(hooks)
         _validate_hooks(self, hooks)
-        y, captured, _ = _run_stack(self, x, None, hooks, ())
+        y, captured, _ = _run_stack(self, x, None, hooks)
         return y, captured
 
     def apply_prune_specs(self, specs: Mapping[HookPoint, PruneSpec]) -> "SparseStack":
@@ -164,12 +181,8 @@ class SparseStack:
         self.base = base
         self.sites = sites  # per block: compiled (Up/Gate, Down) sites, None = dense
 
-    def forward(
-        self, x: np.ndarray, collect_masks: Iterable[HookPoint] = ()
-    ) -> tuple[np.ndarray, list[BlockRecord]]:
-        collect_masks = list(collect_masks)
-        _validate_hooks(self.base, collect_masks)
-        y, _, records = _run_stack(self.base, x, self.sites, (), collect_masks)
+    def forward(self, x: np.ndarray) -> tuple[np.ndarray, list[BlockRecord]]:
+        y, _, records = _run_stack(self.base, x, self.sites, ())
         return y, records
 
     def forward_with_hooks(
@@ -178,7 +191,7 @@ class SparseStack:
         """Capture the (pre-prune) tensors flowing into hook points."""
         hooks = list(hooks)
         _validate_hooks(self.base, hooks)
-        y, captured, _ = _run_stack(self.base, x, self.sites, hooks, ())
+        y, captured, _ = _run_stack(self.base, x, self.sites, hooks)
         return y, captured
 
 
@@ -255,8 +268,9 @@ def _validate_hooks(model: FfnStack, hooks) -> None:
             raise ValueError(f"invalid hook point: {hook!r}")
 
 
-def _run_stack(model, x, sites, capture_hooks, mask_hooks):
-    """One forward through all blocks with optional pruning/instrumentation.
+def _run_stack(model, x, sites, capture_hooks):
+    """One forward through all blocks: a copy of the tensor at each of
+    ``capture_hooks``, and one ``BlockRecord`` per block.
 
     ``sites`` holds each block's compiled (Up/Gate, Down) sites, or is None
     for the dense stack.
@@ -275,17 +289,12 @@ def _run_stack(model, x, sites, capture_hooks, mask_hooks):
     for b, weights in enumerate(model.blocks):
         h_in = _rmsnorm(cur, model.gains[b]) if model.gains is not None else cur
         run = ffn(h_in, weights, *(sites[b] if sites else (None, None)))
-        record = BlockRecord(
-            ops=run.ops, dense_macs=dense_macs(h_in.shape[0], weights.d, weights.h)
-        )
-        for site, tensor, site_run in zip(SITES, (h_in, run.down_in), (run.up, run.down)):
+        for site, tensor in zip(SITES, (h_in, run.down_in)):
             hook = HookPoint(b, site)
             if hook in capture_hooks:
                 captured[hook] = tensor.copy()
-            record.pruned[site] = site_run.pruned
-            record.total[site] = site_run.kept.size
-            if hook in mask_hooks:
-                record.masks[site] = site_run.kept
+        records.append(
+            BlockRecord(run.up, run.down, dense_macs(h_in.shape[0], weights.d, weights.h))
+        )
         cur = (cur + run.y).astype(FLOAT) if model.config.residual else run.y
-        records.append(record)
     return cur, captured, records

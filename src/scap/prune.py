@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calib import check_fractions
-from .kernels import OpCount, SiteRun, SwiGluWeights, check_threshold, sparse_fc
+from .kernels import SwiGluWeights, check_threshold, sparse_fc
 from .tensor import FLOAT, ShapeError
 
 
@@ -39,7 +39,7 @@ class SparseLinear:
 
     ``bias_fused = bias + eta * column_sums(weight)`` is computed at
     construction as a read-only float64 array (a missing bias counts as
-    zero; with no bias and eta 0 it is None, nothing to add); forward computes
+    zero; with no bias and eta 0 it is None, nothing to add); ``fc`` computes
     ``prune(x - eta, tau) @ W + bias_fused`` through ``sparse_fc``: one
     float64-accumulated GEMM over the weight rows that at least one batch row
     keeps, counting kept-channel MACs. A float32 weight is held by reference,
@@ -69,11 +69,6 @@ class SparseLinear:
         """``sparse_fc`` with this layer's weight, tau, eta and fused bias:
         (output, kept mask, kept-channel MACs)."""
         return sparse_fc(x, self.weight, self.tau, self.eta, self.bias_fused)
-
-    def forward(self, x: np.ndarray) -> tuple[np.ndarray, OpCount]:
-        """Sparse forward pass; OpCount.macs == output width * kept channels."""
-        y, kept, macs = self.fc(x)
-        return y, SiteRun(kept, macs).ops
 
 
 def compile_ffn(w, up: PruneSpec | None, down: PruneSpec | None):

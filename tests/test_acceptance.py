@@ -28,9 +28,7 @@ from scap.kernels import (
     SwiGluWeights,
     cats_swiglu,
     dense_macs_swiglu,
-    dense_swiglu,
     ffn_sparsity,
-    scap_swiglu,
     swiglu_ffn,
 )
 from scap.model import DOWN_INPUT, UP_GATE_INPUT, BlockConfig, init_weights
@@ -42,6 +40,18 @@ def _scap_masks(tau_x, tau_g, x, w):
     """OpCount and the (Up/Gate, Down) kept masks from the one SwiGLU path."""
     run = swiglu_ffn(x, w, *compile_ffn(w, PruneSpec(tau_x), PruneSpec(tau_g)))
     return run.ops, run.up.kept, run.down.kept
+
+
+def dense_swiglu(x, w):
+    """(output, OpCount) of the unpruned SwiGLU block."""
+    run = swiglu_ffn(x, w)
+    return run.y, run.ops
+
+
+def scap_swiglu(tau_x, tau_gated, x, w):
+    """(output, OpCount) of the SwiGLU block with both sites pruned."""
+    run = swiglu_ffn(x, w, *compile_ffn(w, PruneSpec(tau_x), PruneSpec(tau_gated)))
+    return run.y, run.ops
 
 
 def _report(criterion: str, detail: str) -> None:
@@ -62,7 +72,7 @@ def test_criterion_01_mode_centering_functional_equivalence():
         eta = float(rng.uniform(-2.0, 2.0))
         x = rng.standard_normal((4, ic)).astype(np.float32)
         layer = SparseLinear(w, b, PruneSpec(tau=0.0, eta=eta))
-        y, _ = layer.forward(x)
+        y, _, _ = layer.fc(x)
         dense = matmul(x, w) + b
         worst = max(worst, float(np.max(np.abs(y.astype(np.float64) - dense))))
         assert np.allclose(y, dense, atol=1e-5)

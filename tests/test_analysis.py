@@ -142,6 +142,21 @@ def test_overlap_curve_rejects_degenerate_sizes(sizes, n_batches, name):
         )
 
 
+@pytest.mark.parametrize(
+    "hook,match",
+    [
+        # a site without a spec runs dense: its curve would read 0 at every size
+        (HookPoint(0, DOWN_INPUT), "block0.down_input has no spec"),
+        (HookPoint(1, UP_GATE_INPUT), "invalid hook point"),
+    ],
+)
+def test_overlap_curve_rejects_a_hook_it_cannot_read(hook, match):
+    model = _swiglu_model(seed=1, blocks=1)
+    specs = _specs_at(model, 0.5)
+    with pytest.raises(ValueError, match=match):
+        overlap_curve(model, specs, CorrelatedBatches(16, seed=7), [1, 2], hook=hook, n_batches=2)
+
+
 def test_correlated_batches_validation():
     with pytest.raises(ValueError):
         CorrelatedBatches(8, rho=1.0)

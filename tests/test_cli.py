@@ -131,6 +131,9 @@ def test_config_file_precedence(tmp_path):
         ("calibrate", [1, 2], "JSON object, got list"),
         ("calibrate", "seed", "JSON object, got str"),
         ("calibrate", 3, "JSON object, got int"),
+        ("overlap", {"input_scale": float("nan")}, "input_scale must be finite"),
+        ("overlap", {"up_bias_offset": float("inf")}, "up_bias_offset must be finite"),
+        ("overlap", {"rho": float("-inf")}, "rho must be finite"),
     ],
 )
 def test_config_file_values_must_match_default_types(tmp_path, command, content, match):
@@ -209,6 +212,12 @@ def test_empty_grid_fails_naming_the_key(tmp_path, capsys, command, flag, key):
         (["bench", "--sparsity-grid", "0.5,1.5"], "sparsity_grid"),
         (["calibrate", "--calib-sequences", "0"], "calib_sequences"),
         (["sweep", "--sequence-len", "0"], "sequence_len"),
+        (["bench", "--input-scale", "nan"], "input_scale"),
+        (["roundtrip-check", "--ffn", "gelu", "--up-bias-offset", "inf"], "up_bias_offset"),
+        (["calibrate", "--ffn", "gelu", "--up-bias-offset", "nan"], "up_bias_offset"),
+        (["overlap", "--rho", "nan"], "rho"),
+        (["bench", "--d-model", "0"], "d_model"),
+        (["bench", "--d-hidden", "0"], "d_hidden"),
     ],
 )
 def test_bad_arguments_fail_before_calibrating(tmp_path, capsys, monkeypatch, args, name):

@@ -7,14 +7,10 @@ from scap.kernels import (
     GeluMlpWeights,
     SwiGluWeights,
     cats_swiglu,
-    dense_gelu_mlp,
     dense_macs_swiglu,
-    dense_swiglu,
     ffn_sparsity,
     gelu_ffn,
     mlp_ffn_sparsity,
-    scap_gelu_mlp,
-    scap_swiglu,
     swiglu_ffn,
 )
 from scap.prune import PruneSpec, compile_ffn
@@ -34,6 +30,32 @@ def _scap_masks(tau_x, tau_z, x, w, eta_z=0.0):
     ffn = swiglu_ffn if isinstance(w, SwiGluWeights) else gelu_ffn
     run = ffn(x, w, *compile_ffn(w, PruneSpec(tau_x), PruneSpec(tau_z, eta_z)))
     return run.ops, run.up.kept, run.down.kept
+
+
+def dense_swiglu(x, w):
+    """(output, OpCount) of the unpruned SwiGLU block."""
+    run = swiglu_ffn(x, w)
+    return run.y, run.ops
+
+
+def dense_gelu_mlp(x, w):
+    """(output, OpCount) of the unpruned GELU MLP block."""
+    run = gelu_ffn(x, w)
+    return run.y, run.ops
+
+
+def scap_swiglu(tau_x, tau_gated, x, w, eta_x=0.0, eta_gated=0.0):
+    """(output, OpCount) of the SwiGLU block with both sites pruned."""
+    sites = compile_ffn(w, PruneSpec(tau_x, eta_x), PruneSpec(tau_gated, eta_gated))
+    run = swiglu_ffn(x, w, *sites)
+    return run.y, run.ops
+
+
+def scap_gelu_mlp(tau_x, tau_h, eta_h, x, w):
+    """(output, OpCount) of the GELU MLP with both sites pruned, the hidden
+    activation mode-shifted by ``eta_h``."""
+    run = gelu_ffn(x, w, *compile_ffn(w, PruneSpec(tau_x), PruneSpec(tau_h, eta_h)))
+    return run.y, run.ops
 
 
 def _gelu_mlp(rng, d, h, bias_offset=0.0):

@@ -1,13 +1,17 @@
 """Memory contract: building, saving and loading a stack hold one copy of its
-weights plus a scratch of about ``CAST_BLOCK_BYTES``, measured with tracemalloc
-(numpy reports its data buffers to it)."""
+weights plus a scratch of about ``CAST_BLOCK_BYTES``, and a sparse forward's
+records hold only their kept masks, measured with tracemalloc (numpy reports
+its data buffers to it)."""
 
+import gc
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from scap.io import load_model, save_model
 from scap.model import BlockConfig, init_weights
+from scap.prune import PruneSpec
 from scap.tensor import CAST_BLOCK_BYTES
 
 CONFIG = BlockConfig(d_model=512, d_hidden=2048, n_blocks=2)
@@ -50,3 +54,26 @@ def test_load_model_holds_one_copy(model, tmp_path):
     save_model(model, path)
     loaded, peak = _traced_peak(lambda: load_model(path))
     assert peak <= 1.3 * _model_bytes(loaded)
+
+
+def test_one_row_records_hold_their_masks_and_no_activation():
+    # d + h mask bytes per block; one retained float32 Down input would add
+    # 4 * h = 16 KiB per block
+    d, h = 64, 4096
+    model = init_weights(BlockConfig(d_model=d, d_hidden=h, n_blocks=2), seed=0)
+    sparse = model.apply_prune_specs({hook: PruneSpec(0.5) for hook in model.hook_points()})
+    x = np.random.default_rng(1).standard_normal((1, d)).astype(np.float32)
+    sparse.forward(x)  # compile the row kernel and start its pool outside the trace
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        records = sparse.forward(x)[1]
+        gc.collect()  # the ctypes views of a kernel call form cycles
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    runs = [run for rec in records for run in (rec.up, rec.down)]
+    assert all(run.kept.dtype == bool for run in runs)
+    masks = sum(run.kept.nbytes for run in runs)
+    assert masks == 2 * (d + h)
+    assert held - base <= masks + 4096

@@ -7,6 +7,7 @@ from scap.analysis import calibrate, make_specs, measure_sparsity, synthetic_str
 from scap.calib import LayerStats, ModeEstimator
 from scap.model import (
     DOWN_INPUT,
+    SITES,
     UP_GATE_INPUT,
     BlockConfig,
     HookPoint,
@@ -75,6 +76,41 @@ def test_empty_specs_bitwise_identical():
     y_sparse, records = sparse.forward(x)
     assert np.array_equal(y_sparse, model.forward(x))
     assert all(rec.ops.elements_pruned == 0 for rec in records)
+
+
+@pytest.mark.parametrize("ffn", ["swiglu", "gelu"])
+def test_records_count_from_the_masks_of_the_captured_inputs(ffn):
+    # mixed specs: block 0 prunes both sites, block 1 only Up/Gate with a
+    # mode shift, block 2 only Down
+    cfg = BlockConfig(ffn=ffn, d_model=16, d_hidden=48, n_blocks=3)
+    model = init_weights(cfg, seed=30)
+    x = _input(np.random.default_rng(31), 9, 16)
+    specs = {
+        HookPoint(0, UP_GATE_INPUT): PruneSpec(0.5),
+        HookPoint(0, DOWN_INPUT): PruneSpec(0.05, eta=0.01),
+        HookPoint(1, UP_GATE_INPUT): PruneSpec(0.8, eta=-0.1),
+        HookPoint(2, DOWN_INPUT): PruneSpec(0.1),
+    }
+    sparse = model.apply_prune_specs(specs)
+    _, records = sparse.forward(x)
+    _, captured = sparse.forward_with_hooks(x, model.hook_points())
+    up_width = 2 * cfg.d_hidden if ffn == "swiglu" else cfg.d_hidden  # Up and Gate
+    for b, rec in enumerate(records):
+        macs = 0
+        for site, run, width in zip(SITES, (rec.up, rec.down), (up_width, cfg.d_model)):
+            hook = HookPoint(b, site)
+            seen = captured[hook]
+            if hook in specs:
+                kept = np.abs(seen - np.float32(specs[hook].eta)) > specs[hook].tau
+            else:
+                kept = np.ones(seen.shape, dtype=bool)  # a dense site keeps all
+            np.testing.assert_array_equal(run.kept, kept)
+            assert rec.pruned[site] == run.pruned == seen.size - int(kept.sum())
+            assert rec.total[site] == seen.size
+            macs += int(kept.sum()) * width
+        assert rec.ops.macs == rec.up.macs + rec.down.macs == macs
+        assert rec.ops.elements_pruned == sum(rec.pruned.values())
+        assert rec.dense_macs == 9 * (up_width + cfg.d_hidden) * cfg.d_model
 
 
 @pytest.mark.parametrize("ffn", ["swiglu", "gelu"])

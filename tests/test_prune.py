@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scap.calib import LayerStats
-from scap.kernels import sparse_fc
+from scap.kernels import OpCount, sparse_fc
 from scap.prune import PruneSpec, SparseLinear
 from scap.tensor import ShapeError, matmul
 
@@ -20,6 +20,12 @@ def _prune(x, tau):
     an identity weight returns its pruned input exactly."""
     out, kept, _ = sparse_fc(x, np.eye(x.shape[1], dtype=np.float32), tau)
     return out, kept
+
+
+def _forward(layer, x):
+    """(output, OpCount) of one ``SparseLinear`` call."""
+    y, kept, macs = layer.fc(x)
+    return y, OpCount(macs, kept.size - int(np.count_nonzero(kept)))
 
 
 def _random_layer(rng, ic, oc):
@@ -125,7 +131,7 @@ def test_forward_dense_fallback():
     rng = np.random.default_rng(1)
     w, b = _random_layer(rng, 8, 4)
     x = rng.standard_normal((5, 8)).astype(np.float32)
-    y, _ = SparseLinear(w, b, _spec()).forward(x)
+    y, _ = _forward(SparseLinear(w, b, _spec()), x)
     np.testing.assert_allclose(y, matmul(x, w) + b, atol=1e-6)
 
 
@@ -138,7 +144,7 @@ def test_forward_mode_centering_equivalence():
         w, b = _random_layer(rng, ic, oc)
         eta = float(rng.uniform(-2, 2))
         x = rng.standard_normal((4, ic)).astype(np.float32)
-        y, _ = SparseLinear(w, b, _spec(eta=eta)).forward(x)
+        y, _ = _forward(SparseLinear(w, b, _spec(eta=eta)), x)
         np.testing.assert_allclose(y, matmul(x, w) + b, atol=1e-5)
 
 
@@ -147,7 +153,7 @@ def test_forward_ones_input_matches_dense_oracle():
     w, b = _random_layer(rng, 8, 4)
     layer = SparseLinear(w, b, _spec(eta=0.37))
     x = np.ones((1, 8), dtype=np.float32)
-    y, _ = layer.forward(x)
+    y, _ = _forward(layer, x)
     np.testing.assert_allclose(y, matmul(x, w) + b, atol=1e-5)
 
 
@@ -166,7 +172,7 @@ def test_forward_matches_dynamic_eta_oracle():
     spec = _spec(tau=0.4, eta=0.8)
     layer = SparseLinear(w, b, spec)
     x = rng.standard_normal((6, 32)).astype(np.float32)
-    y, _ = layer.forward(x)
+    y, _ = _forward(layer, x)
     np.testing.assert_allclose(y, _dynamic_eta_reference(w, b, spec, x), atol=1e-5)
 
 
@@ -175,7 +181,7 @@ def test_opcount_exact():
     w, b = _random_layer(rng, 128, 64)
     layer = SparseLinear(w, b, _spec(tau=0.7))
     x = rng.standard_normal((3, 128)).astype(np.float32)
-    y, count = layer.forward(x)
+    y, count = _forward(layer, x)
     kept = int(np.sum(np.abs(x) > 0.7))
     assert count.macs == 64 * kept
     assert count.elements_pruned == 3 * 128 - kept
@@ -186,7 +192,7 @@ def test_half_pruned_row_mac_example():
     w = np.ones((128, 64), dtype=np.float32)
     b = np.zeros(64, dtype=np.float32)
     x = np.concatenate([np.full(64, 0.1), np.full(64, 2.0)]).astype(np.float32)[None, :]
-    _, count = SparseLinear(w, b, _spec(tau=1.0)).forward(x)
+    _, count = _forward(SparseLinear(w, b, _spec(tau=1.0)), x)
     assert count.macs == 64 * 64  # OC times surviving channels
 
 
@@ -197,10 +203,10 @@ def test_output_error_grows_with_tau_in_aggregate():
     rng = np.random.default_rng(6)
     w, b = _random_layer(rng, 64, 32)
     x = rng.standard_normal((256, 64)).astype(np.float32)
-    dense, _ = SparseLinear(w, b, _spec()).forward(x)
+    dense, _ = _forward(SparseLinear(w, b, _spec()), x)
     errors = []
     for tau in (0.0, 0.2, 0.4, 0.8, 1.2, 2.0):
-        y, _ = SparseLinear(w, b, _spec(tau=tau)).forward(x)
+        y, _ = _forward(SparseLinear(w, b, _spec(tau=tau)), x)
         errors.append(float(np.mean((y.astype(np.float64) - dense) ** 2)))
     for e_lo, e_hi in zip(errors, errors[1:]):
         assert e_hi >= e_lo - 1e-3 * max(e_lo, 1e-12)
