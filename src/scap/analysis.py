@@ -13,7 +13,7 @@ pruned stack against its dense twin on held-out data; higher is better.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, astuple, dataclass, fields
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -208,9 +208,6 @@ class SparsityReport:
     dense_macs: int
     sample_count: int
 
-    def to_payload(self) -> dict:
-        return asdict(self)
-
 
 def measure_sparsity(
     model: FfnStack, specs: dict[HookPoint, PruneSpec], eval_stream
@@ -305,23 +302,14 @@ def overlap_sparsity(masks) -> float:
 
 @dataclass
 class OverlapCurve:
+    """``independent_baseline[i]`` is ``per_vector_sparsity ** batch_sizes[i]``:
+    the overlap of rows pruned independently."""
+
     batch_sizes: list[int]
     overlap_sparsity: list[float]
     per_vector_sparsity: float
-    rho: float = 0.0
-
-    def independent_baseline(self) -> list[float]:
-        s = self.per_vector_sparsity
-        return [float(s**k) for k in self.batch_sizes]
-
-    def to_payload(self) -> dict:
-        return {
-            "batch_sizes": list(self.batch_sizes),
-            "overlap_sparsity": list(self.overlap_sparsity),
-            "per_vector_sparsity": self.per_vector_sparsity,
-            "independent_baseline": self.independent_baseline(),
-            "rho": self.rho,
-        }
+    independent_baseline: list[float]
+    rho: float
 
 
 def check_overlap_sizes(batch_sizes: list[int], n_batches: int) -> None:
@@ -366,10 +354,12 @@ def overlap_curve(
         vec_sum += float(np.mean(~mask))
         for j, k in enumerate(batch_sizes):
             sums[j] += overlap_sparsity(mask[:k])
+    per_vector = vec_sum / n_batches
     return OverlapCurve(
         batch_sizes=list(batch_sizes),
         overlap_sparsity=[float(v / n_batches) for v in sums],
-        per_vector_sparsity=vec_sum / n_batches,
+        per_vector_sparsity=per_vector,
+        independent_baseline=[float(per_vector**k) for k in batch_sizes],
         rho=batches.rho,
     )
 
@@ -391,21 +381,6 @@ class SweepEntry:
 class SweepResult:
     entries: list[SweepEntry]
     pareto_indices: list[int]
-
-    def to_payload(self) -> dict:
-        return {
-            "entries": [
-                {
-                    "target_up_gate": e.target_up_gate,
-                    "target_down": e.target_down,
-                    "error": e.error,
-                    "quality": e.quality,
-                    "report": e.report.to_payload(),
-                }
-                for e in self.entries
-            ],
-            "pareto_indices": list(self.pareto_indices),
-        }
 
 
 def pareto_sweep(
@@ -516,13 +491,7 @@ class AblationPoint:
 class AblationResult:
     points: list[AblationPoint]
     eta: float
-
-    def to_payload(self) -> dict:
-        return {
-            "eta": self.eta,
-            "points": [asdict(p) for p in self.points],
-            "iso_error_gain": iso_error_gain(self.points),
-        }
+    iso_error_gain: float
 
 
 def mode_centering_ablation(
@@ -560,7 +529,7 @@ def mode_centering_ablation(
             row[tag] = (report.site_sparsity[DOWN_INPUT], err)
         (s_with, e_with), (s_without, e_without) = row["with"], row["without"]
         points.append(AblationPoint(s, s_with, s_without, e_with, e_without))
-    return AblationResult(points=points, eta=eta)
+    return AblationResult(points=points, eta=eta, iso_error_gain=iso_error_gain(points))
 
 
 def iso_error_gain(points: list[AblationPoint]) -> float:
@@ -619,10 +588,11 @@ def sweep_rows(result: SweepResult) -> tuple[list[str], list[list]]:
 
 def overlap_rows(curve: OverlapCurve) -> tuple[list[str], list[list]]:
     header = ["batch_size", "overlap_sparsity", "independent_baseline"]
-    base = curve.independent_baseline()
     rows = [
         [k, o, b]
-        for k, o, b in zip(curve.batch_sizes, curve.overlap_sparsity, base)
+        for k, o, b in zip(
+            curve.batch_sizes, curve.overlap_sparsity, curve.independent_baseline
+        )
     ]
     return header, rows
 

@@ -22,6 +22,7 @@ from .tensor import DataError
 DEFAULT_RESERVOIR_CAPACITY = 1 << 20
 KDE_GRID_POINTS = 2048
 DEFAULT_SEED = 2025
+ESTIMATOR_KINDS = ("mean", "median", "kde")
 
 
 def check_fractions(name: str, values) -> None:
@@ -47,7 +48,7 @@ class ModeEstimator:
     kind: str = "mean"
 
     def __post_init__(self):
-        if self.kind not in ("mean", "median", "kde"):
+        if self.kind not in ESTIMATOR_KINDS:
             raise ValueError(f"unknown estimator kind: {self.kind!r}")
 
 
@@ -172,7 +173,7 @@ def report_entry(stats: LayerStats, sparsity_grid: list[float]) -> dict:
         },
         "eta": {
             kind: stats.estimate_mode(ModeEstimator(kind=kind))
-            for kind in ("mean", "median", "kde")
+            for kind in ESTIMATOR_KINDS
         },
         "seed": stats.seed,
     }

@@ -3,7 +3,10 @@
 Subcommands: calibrate, sweep, bench, overlap, ablate-mode, roundtrip-check.
 Every run is deterministic under a fixed --seed and writes machine-readable
 JSON (and CSV plot data) into --out; the effective configuration is echoed
-into each artifact. Flag precedence: command line > --config file > defaults.
+into each artifact. Each flag but --config is generated from the default of
+one configuration key (``COMMON_DEFAULTS``, ``COMMAND_DEFAULTS``), so every
+flag is a configuration key by construction. Flag precedence: command line >
+--config file > defaults.
 """
 
 from __future__ import annotations
@@ -11,17 +14,16 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import analysis, io, kernels
-from .calib import ModeEstimator, check_fractions
-from .model import BlockConfig, init_weights
+from .calib import ESTIMATOR_KINDS, ModeEstimator, check_fractions
+from .model import FFN_KINDS, BlockConfig, init_weights
 from .prune import PruneSpec, compile_ffn
 from .tensor import matmul, silu
 
@@ -66,6 +68,8 @@ COMMAND_DEFAULTS = {
     "roundtrip-check": {},
 }
 
+CHOICES = {"ffn": FFN_KINDS, "estimator": ESTIMATOR_KINDS}
+
 
 class CliError(RuntimeError):
     pass
@@ -95,53 +99,24 @@ class RunConfig:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subcommand per ``COMMANDS`` entry, its help the first line of the
+    entry's docstring. A bool key becomes ``--no-<key>``, any other
+    ``--<key-with-dashes>`` of its default's type."""
     parser = argparse.ArgumentParser(
         prog="scap",
         description="Calibrated activation-pruning engine: calibration, "
         "sparse-kernel accounting, and analysis harnesses.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int)
-    common.add_argument("--out", type=str, help="output directory")
-    common.add_argument("--config", type=str, help="JSON config file")
-    common.add_argument("--d-model", type=int, dest="d_model")
-    common.add_argument("--d-hidden", type=int, dest="d_hidden")
-    common.add_argument("--blocks", type=int)
-    common.add_argument("--ffn", choices=["swiglu", "gelu"])
-    common.add_argument("--estimator", choices=["mean", "median", "kde"])
-    common.add_argument("--capacity", type=int, help="reservoir capacity")
-    common.add_argument("--calib-sequences", type=int, dest="calib_sequences")
-    common.add_argument("--sequence-len", type=int, dest="sequence_len")
-    common.add_argument("--input-scale", type=float, dest="input_scale")
-    common.add_argument("--up-bias-offset", type=float, dest="up_bias_offset")
-    common.add_argument(
-        "--no-rmsnorm", action="store_const", const=False, dest="rmsnorm"
-    )
-    common.add_argument(
-        "--no-residual", action="store_const", const=False, dest="residual"
-    )
-
     sub = parser.add_subparsers(dest="command", required=True)
-    p = sub.add_parser("calibrate", parents=[common], help="emit tau/eta calibration report")
-    p.add_argument("--sparsity-grid", type=str, dest="sparsity_grid")
-    p = sub.add_parser("sweep", parents=[common], help="two-axis Pareto grid sweep")
-    p.add_argument("--grid-up", type=str, dest="grid_up")
-    p.add_argument("--grid-down", type=str, dest="grid_down")
-    p = sub.add_parser("bench", parents=[common], help="kernel MAC-ratio sweep")
-    p.add_argument("--sparsity-grid", type=str, dest="sparsity_grid")
-    p.add_argument("--batch", type=int)
-    p = sub.add_parser("overlap", parents=[common], help="overlap-sparsity decay curve")
-    p.add_argument("--batch-sizes", type=str, dest="batch_sizes")
-    p.add_argument("--rho", type=float)
-    p.add_argument("--target-sparsity", type=float, dest="target_sparsity")
-    p.add_argument("--n-batches", type=int, dest="n_batches")
-    p = sub.add_parser(
-        "ablate-mode", parents=[common], help="pruning with vs without mode centering"
-    )
-    p.add_argument("--sparsity-grid", type=str, dest="sparsity_grid")
-    sub.add_parser(
-        "roundtrip-check", parents=[common], help="weight container round-trip check"
-    )
+    for command, run in COMMANDS.items():
+        p = sub.add_parser(command, help=run.__doc__.splitlines()[0])
+        p.add_argument("--config", type=str, help="JSON config file")
+        for key, default in {**COMMON_DEFAULTS, **COMMAND_DEFAULTS[command]}.items():
+            if type(default) is bool:
+                p.add_argument(f"--no-{key}", action="store_const", const=False, dest=key)
+            else:
+                flag = "--" + key.replace("_", "-")
+                p.add_argument(flag, type=type(default), dest=key, choices=CHOICES.get(key))
     return parser
 
 
@@ -149,7 +124,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     command = args.command
     defaults = {**COMMON_DEFAULTS, **COMMAND_DEFAULTS[command]}
     values = dict(defaults)
-    if getattr(args, "config", None):
+    if args.config:
         path = Path(args.config)
         if not path.is_file():
             raise CliError(f"config file not found: {path}")
@@ -173,8 +148,14 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             continue
         values[key] = val
     for key, val in values.items():
-        if type(defaults[key]) is float and not math.isfinite(val):
+        kind, low = type(defaults[key]), 0 if key == "seed" else 1
+        if kind is int and val < low:
+            raise CliError(f"{key} must be >= {low}, got {val}")
+        # false for NaN, inf and an int beyond the float range alike
+        if kind is float and not abs(val) <= sys.float_info.max:
             raise CliError(f"{key} must be finite, got {val}")
+        if key in CHOICES and val not in CHOICES[key]:  # from --config
+            raise CliError(f"{key} must be one of {list(CHOICES[key])}, got {val!r}")
     return RunConfig(command=command, values=values)
 
 
@@ -204,29 +185,14 @@ def _write_csv(path: Path, header, rows, config: dict) -> None:
         writer.writerows(rows)
 
 
-def _native(obj):
-    if isinstance(obj, dict):
-        return {k: _native(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_native(v) for v in obj]
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    return obj
-
-
 def _save_report(cfg: RunConfig, kind: str, payload: dict, path: Path) -> None:
-    report = io.make_report(kind, _native(dict(cfg.values)), _native(payload))
+    report = io.make_report(kind, cfg.values, payload)
     io.save_report(report, path)
     io.load_report(path)  # exit 0 only for outputs that validate back
 
 
 def _streams(cfg: RunConfig):
     """The calibration and held-out streams, drawn from seed + 1 and + 2."""
-    for key in ("calib_sequences", "sequence_len"):
-        if cfg.values[key] < 1:
-            raise CliError(f"{key} must be >= 1, got {cfg.values[key]}")
     return [
         analysis.synthetic_stream(
             cfg.d_model, cfg.calib_sequences, cfg.sequence_len,
@@ -237,6 +203,7 @@ def _streams(cfg: RunConfig):
 
 
 def cmd_calibrate(cfg: RunConfig) -> list[Path]:
+    """emit tau/eta calibration report"""
     from .calib import report_entry
 
     grid = _floats(cfg, "sparsity_grid")
@@ -259,6 +226,7 @@ def cmd_calibrate(cfg: RunConfig) -> list[Path]:
 
 
 def cmd_sweep(cfg: RunConfig) -> list[Path]:
+    """two-axis Pareto grid sweep"""
     grid_up, grid_down = _floats(cfg, "grid_up"), _floats(cfg, "grid_down")
     calib_stream, eval_stream = _streams(cfg)
     out = _out_dir(cfg)
@@ -276,17 +244,15 @@ def cmd_sweep(cfg: RunConfig) -> list[Path]:
         estimator=ModeEstimator(kind=cfg.estimator),
     )
     json_path = out / "sweep.json"
-    _save_report(cfg, "sweep", result.to_payload(), json_path)
+    _save_report(cfg, "sweep", asdict(result), json_path)
     csv_path = out / "sweep.csv"
     header, rows = analysis.sweep_rows(result)
-    _write_csv(csv_path, header, rows, _native(dict(cfg.values)))
+    _write_csv(csv_path, header, rows, cfg.values)
     return [json_path, csv_path]
 
 
 def cmd_bench(cfg: RunConfig) -> list[Path]:
-    for key in ("batch", "d_model", "d_hidden"):
-        if cfg.values[key] < 1:
-            raise CliError(f"{key} must be >= 1, got {cfg.values[key]}")
+    """kernel MAC-ratio sweep"""
     grid = _floats(cfg, "sparsity_grid")
     check_fractions("sparsity_grid", grid)
     out = _out_dir(cfg)
@@ -333,14 +299,15 @@ def cmd_bench(cfg: RunConfig) -> list[Path]:
         rows.append(row("scap", s, obs, run.ops.macs))
 
     csv_path = out / "bench.csv"
-    _write_csv(csv_path, header, rows, _native(dict(cfg.values)))
+    _write_csv(csv_path, header, rows, cfg.values)
     json_path = out / "bench.json"
-    payload = {"columns": header, "rows": _native(rows)}
+    payload = {"columns": header, "rows": rows}
     _save_report(cfg, "bench", payload, json_path)
     return [csv_path, json_path]
 
 
 def cmd_overlap(cfg: RunConfig) -> list[Path]:
+    """overlap-sparsity decay curve"""
     from .model import UP_GATE_INPUT, HookPoint
 
     batch_sizes = _floats(cfg, "batch_sizes", int)
@@ -368,13 +335,14 @@ def cmd_overlap(cfg: RunConfig) -> list[Path]:
     )
     csv_path = out / "overlap.csv"
     header, rows = analysis.overlap_rows(curve)
-    _write_csv(csv_path, header, rows, _native(dict(cfg.values)))
+    _write_csv(csv_path, header, rows, cfg.values)
     json_path = out / "overlap.json"
-    _save_report(cfg, "overlap", curve.to_payload(), json_path)
+    _save_report(cfg, "overlap", asdict(curve), json_path)
     return [csv_path, json_path]
 
 
 def cmd_ablate_mode(cfg: RunConfig) -> list[Path]:
+    """pruning with vs without mode centering"""
     if cfg.ffn != "gelu":
         raise CliError("ablate-mode requires --ffn gelu (shifted hidden modes)")
     grid = _floats(cfg, "sparsity_grid")
@@ -392,13 +360,14 @@ def cmd_ablate_mode(cfg: RunConfig) -> list[Path]:
     )
     csv_path = out / "ablation.csv"
     header, rows = analysis.ablation_rows(result)
-    _write_csv(csv_path, header, rows, _native(dict(cfg.values)))
+    _write_csv(csv_path, header, rows, cfg.values)
     json_path = out / "ablation.json"
-    _save_report(cfg, "ablation", result.to_payload(), json_path)
+    _save_report(cfg, "ablation", asdict(result), json_path)
     return [csv_path, json_path]
 
 
 def cmd_roundtrip_check(cfg: RunConfig) -> list[Path]:
+    """weight container round-trip check"""
     out = _out_dir(cfg)
     model = init_weights(cfg.block_config(), cfg.seed)
     container = out / "model.scap"

@@ -19,7 +19,7 @@ bit.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
@@ -32,6 +32,7 @@ from .tensor import CAST_BLOCK_BYTES, FLOAT, ShapeError
 UP_GATE_INPUT = "up_gate_input"
 DOWN_INPUT = "down_input"
 SITES = (UP_GATE_INPUT, DOWN_INPUT)
+FFN_KINDS = ("swiglu", "gelu")
 
 _NORM_EPS = 1e-6
 
@@ -58,7 +59,7 @@ class BlockConfig:
     up_bias_offset: float = 0.0
 
     def __post_init__(self):
-        if self.ffn not in ("swiglu", "gelu"):
+        if self.ffn not in FFN_KINDS:
             raise ValueError(f"unknown ffn kind: {self.ffn!r}")
         if min(self.d_model, self.d_hidden, self.n_blocks) < 1:
             raise ValueError("d_model, d_hidden, n_blocks must all be >= 1")
@@ -104,10 +105,7 @@ class FfnStack:
 
     def _all_arrays(self):
         for w in self.blocks:
-            if isinstance(w, SwiGluWeights):
-                yield from (w.w_gate, w.w_up, w.w_down)
-            else:
-                yield from (w.w_up, w.b_up, w.w_down, w.b_down)
+            yield from vars(w).values()
         if self.gains is not None:
             yield from self.gains
 
@@ -142,15 +140,8 @@ class FfnStack:
     def to_tensors(self) -> tuple[dict[str, np.ndarray], dict]:
         tensors = {}
         for i, w in enumerate(self.blocks):
-            if isinstance(w, SwiGluWeights):
-                tensors[f"block{i}.w_gate"] = w.w_gate
-                tensors[f"block{i}.w_up"] = w.w_up
-                tensors[f"block{i}.w_down"] = w.w_down
-            else:
-                tensors[f"block{i}.w_up"] = w.w_up
-                tensors[f"block{i}.b_up"] = w.b_up
-                tensors[f"block{i}.w_down"] = w.w_down
-                tensors[f"block{i}.b_down"] = w.b_down
+            for name, arr in vars(w).items():
+                tensors[f"block{i}.{name}"] = arr
             if self.gains is not None:
                 tensors[f"block{i}.norm_gain"] = self.gains[i]
         return tensors, asdict(self.config)
@@ -159,16 +150,11 @@ class FfnStack:
     def from_tensors(tensors: dict[str, np.ndarray], config_dict: dict) -> "FfnStack":
         """Wrap the given arrays as the stack's weights; float32 ones are not copied."""
         config = BlockConfig(**config_dict)
-        kind, names = (
-            (SwiGluWeights, ("w_gate", "w_up", "w_down"))
-            if config.ffn == "swiglu"
-            else (GeluMlpWeights, ("w_up", "b_up", "w_down", "b_down"))
-        )
+        kind = SwiGluWeights if config.ffn == "swiglu" else GeluMlpWeights
         blocks, gains = [], [] if config.rmsnorm else None
         for i in range(config.n_blocks):
-            blocks.append(
-                kind(*(np.asarray(tensors[f"block{i}.{n}"], dtype=FLOAT) for n in names))
-            )
+            arrays = (tensors[f"block{i}.{f.name}"] for f in fields(kind))
+            blocks.append(kind(*(np.asarray(a, dtype=FLOAT) for a in arrays)))
             if config.rmsnorm:
                 gains.append(np.asarray(tensors[f"block{i}.norm_gain"], dtype=FLOAT))
         return FfnStack(config, blocks, gains)

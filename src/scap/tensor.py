@@ -23,7 +23,6 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
-from numpy.ctypeslib import ndpointer
 from scipy.special import erf, expit
 
 FLOAT = np.float32
@@ -128,17 +127,22 @@ def _row_product(x64: np.ndarray, w: np.ndarray, rows) -> np.ndarray:
     cut at multiples of ``SLICE_COLS`` into one slice per worker; the caller
     runs the first and the row pool the others. Each slice equals the
     sequential loop bit for bit, so the cut never changes the result.
+
+    The kernels take bare addresses, so each array is made C-contiguous with
+    the kernel's dtype here and stays referenced until every slice is done.
     """
     rows = np.arange(w.shape[0]) if rows is None else rows
     rows = np.ascontiguousarray(rows, dtype=np.int64)
     x = np.ascontiguousarray(x64, dtype=np.float64)
-    w = np.ascontiguousarray(w)
+    w = np.ascontiguousarray(w, dtype=FLOAT)
     batch, m = x.shape[0], w.shape[1]
     out = np.empty((batch, m))
+    args = (x.ctypes.data, w.ctypes.data, rows.ctypes.data, rows.size, m)
     if batch == 1:
-        kernel, args, y = _row_gemv(), (x[0], w, rows, rows.size, m), out[0]
+        kernel = _row_gemv()
     else:
-        kernel, args, y = _row_gemm(), (x, w, rows, rows.size, m, batch), out
+        kernel, args = _row_gemm(), (*args, batch)
+    y = out.ctypes.data
     groups = -(-m // SLICE_COLS)
     n = max_workers(groups) if batch * rows.size * m >= SPLIT_MACS else 1
     cuts = [min(m, SLICE_COLS * (i * groups // n)) for i in range(n + 1)]
@@ -175,12 +179,10 @@ def _row_gemv():
                     raise KernelError(
                         f"row kernel build or load failed: {' '.join(cmd)}: {exc}"
                     ) from exc
-            f32 = ndpointer(FLOAT, ndim=2, flags="C_CONTIGUOUS")
-            i64 = ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS")
-            for name, ndim, sizes in (("row_gemv", 1, 4), ("row_gemm", 2, 5)):
-                f64 = ndpointer(np.float64, ndim=ndim, flags="C_CONTIGUOUS")
+            ptr = ctypes.c_void_p
+            for name, sizes in (("row_gemv", 4), ("row_gemm", 5)):
                 kernel = getattr(loaded, name)
-                kernel.argtypes = [f64, f32, i64, *[ctypes.c_int64] * sizes, f64]
+                kernel.argtypes = [ptr, ptr, ptr, *[ctypes.c_int64] * sizes, ptr]
                 kernel.restype = None
             _row_gemv_lib = loaded
     return _row_gemv_lib.row_gemv

@@ -246,7 +246,7 @@ def test_criterion_07_overlap_decay():
     )
     for a, b in zip(corr.overlap_sparsity, corr.overlap_sparsity[1:]):
         assert b <= a  # nested prefixes: exactly non-increasing
-    baseline = corr.independent_baseline()
+    baseline = corr.independent_baseline
     for k, o_c, o_i in zip(sizes, corr.overlap_sparsity, baseline):
         if k > 1:
             assert o_c > o_i  # correlation strictly slows the decay

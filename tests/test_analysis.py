@@ -1,5 +1,7 @@
 """Analysis harnesses: overlap decay, sweeps, ablation, report consistency."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -387,7 +389,7 @@ def test_sweep_results_independent_of_thread_cap(monkeypatch):
     threaded = run()
     for a, b in zip(serial.entries, threaded.entries):
         assert a.error == b.error
-        assert a.report.to_payload() == b.report.to_payload()
+        assert asdict(a.report) == asdict(b.report)
     assert serial.pareto_indices == threaded.pareto_indices
 
 

@@ -7,6 +7,7 @@ import pytest
 from scap import analysis, tensor
 from scap.cli import (
     COMMAND_DEFAULTS,
+    COMMANDS,
     COMMON_DEFAULTS,
     CliError,
     build_parser,
@@ -134,6 +135,9 @@ def test_config_file_precedence(tmp_path):
         ("overlap", {"input_scale": float("nan")}, "input_scale must be finite"),
         ("overlap", {"up_bias_offset": float("inf")}, "up_bias_offset must be finite"),
         ("overlap", {"rho": float("-inf")}, "rho must be finite"),
+        ("overlap", {"input_scale": 10**400}, "input_scale must be finite"),
+        ("calibrate", {"estimator": "bogus"}, "estimator must be one of"),
+        ("sweep", {"ffn": "bogus"}, "ffn must be one of"),
     ],
 )
 def test_config_file_values_must_match_default_types(tmp_path, command, content, match):
@@ -155,6 +159,41 @@ def test_config_file_int_stands_for_float(tmp_path):
 def test_every_option_is_an_echoed_config_key(command):
     dests = set(vars(build_parser().parse_args([command]))) - {"command", "config"}
     assert dests == set(COMMON_DEFAULTS) | set(COMMAND_DEFAULTS[command])
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_DEFAULTS))
+def test_every_flag_parses_its_default_back(command):
+    parser = build_parser()
+    for key, default in {**COMMON_DEFAULTS, **COMMAND_DEFAULTS[command]}.items():
+        if type(default) is bool:
+            args = [command, f"--no-{key}"]
+            want = False
+        else:
+            args = [command, "--" + key.replace("_", "-"), str(default)]
+            want = default
+        got = vars(parser.parse_args(args))[key]
+        assert got == want and type(got) is type(want), key
+
+
+def test_float_flag_takes_an_int():
+    scale = build_parser().parse_args(["bench", "--input-scale", "1"]).input_scale
+    assert scale == 1.0 and type(scale) is float
+
+
+def test_help_lists_every_subcommand(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    lines = [line.split(None, 1) for line in capsys.readouterr().out.splitlines()]
+    listed = {line[0]: line[1] for line in lines if len(line) == 2 and line[0] in COMMANDS}
+    assert listed == {
+        "calibrate": "emit tau/eta calibration report",
+        "sweep": "two-axis Pareto grid sweep",
+        "bench": "kernel MAC-ratio sweep",
+        "overlap": "overlap-sparsity decay curve",
+        "ablate-mode": "pruning with vs without mode centering",
+        "roundtrip-check": "weight container round-trip check",
+    }
 
 
 def test_bench_time_option_is_gone(tmp_path, capsys):
@@ -218,6 +257,9 @@ def test_empty_grid_fails_naming_the_key(tmp_path, capsys, command, flag, key):
         (["overlap", "--rho", "nan"], "rho"),
         (["bench", "--d-model", "0"], "d_model"),
         (["bench", "--d-hidden", "0"], "d_hidden"),
+        (["calibrate", "--seed", "-1"], "seed"),
+        (["sweep", "--blocks", "0"], "blocks"),
+        (["calibrate", "--capacity", "0"], "capacity"),
     ],
 )
 def test_bad_arguments_fail_before_calibrating(tmp_path, capsys, monkeypatch, args, name):

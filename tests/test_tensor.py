@@ -2,6 +2,7 @@
 sequential loop, their column split against the unsplit kernels, activation
 values."""
 
+import gc
 import math
 import os
 import signal
@@ -377,6 +378,29 @@ def test_small_one_row_products_stay_on_the_caller(monkeypatch):
     assert submitted == []
     matmul_rows(*_large_case())
     assert len(submitted) == 1  # the spy sees a split
+
+
+@pytest.mark.parametrize(
+    "make,kw",
+    [
+        (_row_case, dict(k=40, m=96, n_rows=32, seed=3)),  # one row
+        (_row_case, dict(k=256, m=512, n_rows=None, batch=2)),  # row_gemm, unsplit
+        (_large_case, {}),  # one row, split
+        (_large_case, dict(batch=5)),  # row_gemm, split
+    ],
+)
+def test_row_kernels_leave_no_cyclic_garbage(monkeypatch, make, kw):
+    """Every product frees all it made by reference counting alone."""
+    monkeypatch.setenv("SCAP_THREADS", "2")
+    case = make(**kw)
+    matmul_rows(*case)  # builds the kernels and the pool
+    gc.collect()
+    gc.disable()
+    try:
+        matmul_rows(*case)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
