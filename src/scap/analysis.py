@@ -159,20 +159,14 @@ def plan_specs(
     site from the distributions the deployed model will actually prune.
     """
     _check_sites(targets)
-    calib_stream = list(calib_stream)
-    first = calibrate(model, calib_stream, capacity=capacity, seed=seed)
+    _check_sites(center_sites, "centering")
+    batches = list(calib_stream)
+    first = calibrate(model, batches, capacity=capacity, seed=seed)
     up_targets = {k: v for k, v in targets.items() if k == UP_GATE_INPUT}
-    specs = make_specs(
-        model, first, up_targets, center_sites=center_sites, estimator=estimator
-    )
     if DOWN_INPUT not in targets:
-        return specs
-    second = calibrate(
-        model,
-        calib_stream,
-        capacity=capacity,
-        seed=seed + 1,
-        specs=specs,
+        return make_specs(model, first, up_targets, center_sites=center_sites, estimator=estimator)
+    up_specs, second = _second_pass(
+        model, batches, first, up_targets, capacity, seed, center_sites, estimator
     )
     down_specs = make_specs(
         model,
@@ -181,7 +175,14 @@ def plan_specs(
         center_sites=center_sites,
         estimator=estimator,
     )
-    return {**specs, **down_specs}
+    return {**up_specs, **down_specs}
+
+
+def _second_pass(model, batches, first, up_targets, capacity, seed, center_sites, estimator):
+    """The Up specs planned from the dense pass ``first``, and the statistics
+    of a pass re-streamed with them applied, from which Down is planned."""
+    up_specs = make_specs(model, first, up_targets, center_sites=center_sites, estimator=estimator)
+    return up_specs, calibrate(model, batches, capacity=capacity, seed=seed + 1, specs=up_specs)
 
 
 # ---------------------------------------------------------------------------
@@ -213,16 +214,24 @@ def measure_sparsity(
     model: FfnStack, specs: dict[HookPoint, PruneSpec], eval_stream
 ) -> SparsityReport:
     """Run the pruned stack over a stream, tallying masks and op counts."""
-    return _evaluate(model, specs, list(eval_stream))[0]
+    return _evaluate(model, specs, _eval_batches(eval_stream))[0]
 
 
 def reconstruction_error(
     model: FfnStack, specs: dict[HookPoint, PruneSpec], eval_stream
 ) -> float:
     """Relative L2 distance between pruned and dense stack outputs."""
-    batches = list(eval_stream)  # a one-shot iterable feeds both passes
+    batches = _eval_batches(eval_stream)  # a one-shot iterable feeds both passes
     dense_outputs = [model.forward(batch) for batch in batches]
     return _evaluate(model, specs, batches, dense_outputs)[1]
+
+
+def _eval_batches(eval_stream) -> list:
+    """The stream as a list; a stream of no rows raises ValueError."""
+    batches = list(eval_stream)
+    if not sum(len(b) for b in batches):
+        raise ValueError("evaluation stream is empty")
+    return batches
 
 
 def _evaluate(model, specs, batches, dense_outputs=None):
@@ -249,8 +258,6 @@ def _evaluate(model, specs, batches, dense_outputs=None):
             diff = y_sparse.astype(np.float64) - y_dense
             num += float(np.sum(diff * diff))
             den += float(np.sum(y_dense**2))
-    if rows == 0:
-        raise ValueError("evaluation stream is empty")
     observations = {
         h.label: HookObservation(
             target_sparsity=specs[h].target_sparsity if h in specs else 0.0,
@@ -399,59 +406,49 @@ def pareto_sweep(
     Quality is the negated relative reconstruction error against the dense
     model.
 
-    Up/Gate statistics are collected once on dense captures; for each Up
-    target a second calibration pass collects the Down-input distribution
-    with that pruning applied (see ``plan_specs``). Every grid point then
-    measures sparsity and reconstruction error in one pruned pass over shared
-    held-out data, and the non-dominated subset under (maximize ffn_sparsity,
-    maximize quality) is reported. Grid points run on a pool of
-    ``tensor.max_workers`` threads (the usable CPUs, or SCAP_THREADS); results
-    are merged in grid order, so output is scheduling-independent. Targets
-    outside [0, 1] raise ValueError before anything is calibrated.
+    The sweep shares ``plan_specs``'s passes: Up/Gate statistics are
+    collected once on dense captures, and for each Up target a second pass
+    collects the Down-input distribution with that pruning applied. Every
+    grid point then measures sparsity and reconstruction error in one pruned
+    pass over shared held-out data, and the non-dominated subset under
+    (maximize ffn_sparsity, maximize quality) is reported. The second passes,
+    then the grid points, run on one pool of ``tensor.max_workers`` threads
+    (the usable CPUs, or SCAP_THREADS); results are merged in grid order, so
+    output is scheduling-independent. Targets outside [0, 1], an unknown
+    centering site and an empty evaluation stream raise ValueError before
+    anything is calibrated.
     """
     check_fractions("grid_up", grid_up)
     check_fractions("grid_down", grid_down)
     workers = max_workers(len(grid_up) * len(grid_down))
+    _check_sites(center_sites, "centering")
+    eval_batches = _eval_batches(eval_stream)
     calib_batches = list(calib_stream)
     first = calibrate(model, calib_batches, capacity=capacity, seed=seed)
-    eval_batches = list(eval_stream)
     dense_outputs = [model.forward(b) for b in eval_batches]
 
-    up_specs = {}
-    down_stats = {}
-    for su in grid_up:
-        up_specs[su] = make_specs(
-            model,
-            first,
-            {UP_GATE_INPUT: su},
-            center_sites=center_sites,
-            estimator=estimator,
+    def second_pass(su):
+        return _second_pass(
+            model, calib_batches, first, {UP_GATE_INPUT: su},
+            capacity, seed, center_sites, estimator,
         )
-        down_stats[su] = calibrate(
-            model,
-            calib_batches,
-            capacity=capacity,
-            seed=seed + 1,
-            specs=up_specs[su],
-        )
-    points = [(su, sd) for su in grid_up for sd in grid_down]
 
     def run_point(point):
         su, sd = point
-        specs = dict(up_specs[su])
-        specs.update(
-            make_specs(
-                model,
-                down_stats[su],
-                {DOWN_INPUT: sd},
-                center_sites=center_sites,
-                estimator=estimator,
-            )
+        up_specs, down_stats = passes[su]
+        down_specs = make_specs(
+            model,
+            down_stats,
+            {DOWN_INPUT: sd},
+            center_sites=center_sites,
+            estimator=estimator,
         )
-        report, err = _evaluate(model, specs, eval_batches, dense_outputs)
+        report, err = _evaluate(model, {**up_specs, **down_specs}, eval_batches, dense_outputs)
         return SweepEntry(su, sd, report, err, -err)
 
+    points = [(su, sd) for su in grid_up for sd in grid_down]
     with ThreadPoolExecutor(max_workers=workers) as pool:
+        passes = dict(zip(grid_up, pool.map(second_pass, grid_up)))
         entries = list(pool.map(run_point, points))
     return SweepResult(entries=entries, pareto_indices=pareto_front(entries))
 
@@ -508,12 +505,13 @@ def mode_centering_ablation(
     For each target sparsity, thresholds are calibrated on |h - eta| and on
     |h| respectively; both variants report observed Down-input sparsity and
     output reconstruction error on the same held-out stream. Targets outside
-    [0, 1] raise ValueError before anything is calibrated.
+    [0, 1] and an empty evaluation stream raise ValueError before anything
+    is calibrated.
     """
     check_fractions("sparsity_grid", sparsity_grid)
+    eval_batches = _eval_batches(eval_stream)
     down_stats = calibrate(model, calib_stream, capacity=capacity, seed=seed)[DOWN_INPUT]
     eta = down_stats.estimate_mode(estimator)
-    eval_batches = list(eval_stream)
     dense_outputs = [model.forward(b) for b in eval_batches]
     points = []
     for s in sparsity_grid:

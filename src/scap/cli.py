@@ -191,6 +191,15 @@ def _save_report(cfg: RunConfig, kind: str, payload: dict, path: Path) -> None:
     io.load_report(path)  # exit 0 only for outputs that validate back
 
 
+def _save_table(cfg: RunConfig, out: Path, kind: str, payload: dict, table) -> list[Path]:
+    """Write ``table`` (header, rows) to ``<kind>.csv`` and the ``kind`` report
+    of ``payload`` to ``<kind>.json``; returns both paths."""
+    csv_path, json_path = out / f"{kind}.csv", out / f"{kind}.json"
+    _write_csv(csv_path, *table, cfg.values)
+    _save_report(cfg, kind, payload, json_path)
+    return [csv_path, json_path]
+
+
 def _streams(cfg: RunConfig):
     """The calibration and held-out streams, drawn from seed + 1 and + 2."""
     return [
@@ -243,12 +252,7 @@ def cmd_sweep(cfg: RunConfig) -> list[Path]:
         center_sites=center,
         estimator=ModeEstimator(kind=cfg.estimator),
     )
-    json_path = out / "sweep.json"
-    _save_report(cfg, "sweep", asdict(result), json_path)
-    csv_path = out / "sweep.csv"
-    header, rows = analysis.sweep_rows(result)
-    _write_csv(csv_path, header, rows, cfg.values)
-    return [json_path, csv_path]
+    return _save_table(cfg, out, "sweep", asdict(result), analysis.sweep_rows(result))
 
 
 def cmd_bench(cfg: RunConfig) -> list[Path]:
@@ -298,12 +302,8 @@ def cmd_bench(cfg: RunConfig) -> list[Path]:
         )
         rows.append(row("scap", s, obs, run.ops.macs))
 
-    csv_path = out / "bench.csv"
-    _write_csv(csv_path, header, rows, cfg.values)
-    json_path = out / "bench.json"
     payload = {"columns": header, "rows": rows}
-    _save_report(cfg, "bench", payload, json_path)
-    return [csv_path, json_path]
+    return _save_table(cfg, out, "bench", payload, (header, rows))
 
 
 def cmd_overlap(cfg: RunConfig) -> list[Path]:
@@ -319,11 +319,8 @@ def cmd_overlap(cfg: RunConfig) -> list[Path]:
     calib_stream, _ = _streams(cfg)
     out = _out_dir(cfg)
     model = init_weights(cfg.block_config(), cfg.seed)
-    calres = analysis.calibrate(
-        model, calib_stream, capacity=cfg.capacity, seed=cfg.seed
-    )
-    specs = analysis.make_specs(
-        model, calres, {UP_GATE_INPUT: cfg.target_sparsity}
+    specs = analysis.plan_specs(
+        model, calib_stream, {UP_GATE_INPUT: cfg.target_sparsity}, cfg.capacity, cfg.seed
     )
     curve = analysis.overlap_curve(
         model,
@@ -333,12 +330,7 @@ def cmd_overlap(cfg: RunConfig) -> list[Path]:
         hook=HookPoint(0, UP_GATE_INPUT),
         n_batches=cfg.n_batches,
     )
-    csv_path = out / "overlap.csv"
-    header, rows = analysis.overlap_rows(curve)
-    _write_csv(csv_path, header, rows, cfg.values)
-    json_path = out / "overlap.json"
-    _save_report(cfg, "overlap", asdict(curve), json_path)
-    return [csv_path, json_path]
+    return _save_table(cfg, out, "overlap", asdict(curve), analysis.overlap_rows(curve))
 
 
 def cmd_ablate_mode(cfg: RunConfig) -> list[Path]:
@@ -358,12 +350,7 @@ def cmd_ablate_mode(cfg: RunConfig) -> list[Path]:
         capacity=cfg.capacity,
         seed=cfg.seed,
     )
-    csv_path = out / "ablation.csv"
-    header, rows = analysis.ablation_rows(result)
-    _write_csv(csv_path, header, rows, cfg.values)
-    json_path = out / "ablation.json"
-    _save_report(cfg, "ablation", asdict(result), json_path)
-    return [csv_path, json_path]
+    return _save_table(cfg, out, "ablation", asdict(result), analysis.ablation_rows(result))
 
 
 def cmd_roundtrip_check(cfg: RunConfig) -> list[Path]:

@@ -23,7 +23,7 @@ from scap.analysis import (
     sweep_rows,
     synthetic_stream,
 )
-from scap.calib import LayerStats
+from scap.calib import LayerStats, ModeEstimator
 from scap.model import DOWN_INPUT, SITES, UP_GATE_INPUT, BlockConfig, HookPoint, init_weights
 from scap.prune import PruneSpec
 
@@ -187,11 +187,14 @@ def test_unknown_target_site_rejected(targets):
             assert repr(name) in str(exc.value)
 
 
-def test_unknown_centering_site_rejected():
+def test_unknown_centering_site_rejected(monkeypatch):
     model = _swiglu_model(blocks=1)
     stream = synthetic_stream(16, 2, 32, seed=1)
     calres = calibrate(model, stream, capacity=1 << 12, seed=2)
     targets = {DOWN_INPUT: 0.5}
+    calls = []
+    observe = LayerStats.observe
+    monkeypatch.setattr(LayerStats, "observe", lambda *a: calls.append(a) or observe(*a))
     plans = (
         lambda: make_specs(model, calres, targets, center_sites=("down",)),
         lambda: plan_specs(model, stream, targets, capacity=1 << 12, center_sites=("down",)),
@@ -204,6 +207,7 @@ def test_unknown_centering_site_rejected():
             plan()
         for name in ("down", *SITES):
             assert repr(name) in str(exc.value)
+    assert calls == []  # rejected before any calibration
     specs = make_specs(model, calres, targets, center_sites=(DOWN_INPUT,))
     assert specs[HookPoint(0, DOWN_INPUT)].eta != 0.0
 
@@ -401,6 +405,49 @@ def test_bad_thread_count_rejected_before_calibrating(monkeypatch):
     with pytest.raises(ValueError, match="SCAP_THREADS"):
         pareto_sweep(model, synthetic_stream(16, 2, 8, seed=1), [], [0.3], [0.4])
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda model, calib: pareto_sweep(model, calib, [], [0.3], [0.4]),
+        lambda model, calib: mode_centering_ablation(model, calib, [], [0.3]),
+    ],
+    ids=["pareto_sweep", "mode_centering_ablation"],
+)
+def test_empty_eval_stream_rejected_before_calibrating(monkeypatch, run):
+    model = _swiglu_model(seed=14, blocks=1)
+    calls = []
+    monkeypatch.setattr(LayerStats, "observe", lambda *a: calls.append(a))
+    with pytest.raises(ValueError, match="evaluation stream is empty"):
+        run(model, synthetic_stream(16, 2, 8, seed=1))
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "build, center_sites, estimator",
+    [
+        (_swiglu_model, (), ModeEstimator()),
+        (_gelu_substrate, (DOWN_INPUT,), ModeEstimator("kde")),
+    ],
+    ids=["swiglu", "gelu-centered-kde"],
+)
+def test_sweep_entries_equal_plan_specs(build, center_sites, estimator):
+    # the sweep and plan_specs plan the same two passes, so every grid point
+    # measures exactly what plan_specs' specs measure
+    model = build()
+    d = model.config.d_model
+    calib = synthetic_stream(d, 4, 64, seed=33)
+    hold = synthetic_stream(d, 4, 64, seed=34)
+    kwargs = dict(capacity=1 << 14, seed=35, center_sites=center_sites, estimator=estimator)
+    result = pareto_sweep(model, calib, hold, [0.3, 0.6], [0.4, 0.7], **kwargs)
+    assert len(result.entries) == 4
+    for e in result.entries:
+        specs = plan_specs(
+            model, calib, {UP_GATE_INPUT: e.target_up_gate, DOWN_INPUT: e.target_down}, **kwargs
+        )
+        assert asdict(measure_sparsity(model, specs, hold)) == asdict(e.report)
+        assert reconstruction_error(model, specs, hold) == e.error
 
 
 def test_pareto_front_helper_tie_handling():
