@@ -3,11 +3,11 @@
 * ``swiglu_ffn`` / ``gelu_ffn``: the one execution path per FFN kind, every
   block of a model stack included. Each site is dense or a ``SparseLinear``
   from ``prune.compile_ffn``: SCAP prunes the input of each projection, with
-  one strict ``|x - eta| > tau`` mask shared by Up and Gate and an
-  independent mask on the Down input, the mode shift compensated through the
-  fused bias.
-* ``cats_swiglu``: gate path computed densely, one shared mask (inclusive
-  ``|v| >= tau``) restricting Up output columns and Down input rows.
+  one mask ``~(|x - eta| <= tau)`` shared by Up and Gate and an independent
+  mask on the Down input, the mode shift compensated through the fused bias.
+* ``cats_swiglu``: gate path computed densely, one shared mask
+  ``~(|v| < tau)`` restricting Up output columns and Down input rows. Both
+  masks keep NaN, so it reaches the output as in the dense path.
 
 Sparse execution is one float64-accumulated ``tensor.matmul_rows`` product per
 projection over the union of weight rows that any batch row keeps, with pruned
@@ -118,18 +118,18 @@ def sparse_fc(
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Mode-shifted, input-pruned FC: the reusable sparse-by-input primitive.
 
-    Shifts ``x`` by finite ``eta`` and keeps elements whose magnitude strictly
-    exceeds finite ``tau >= 0``. One float64-accumulated ``matmul_rows``
-    product multiplies them by the weight rows that any batch row keeps (the
-    row kernel for one row), then adds ``bias_fused``. A batch zeroes its
-    pruned elements of those rows with a bit mask; one row keeps all of them
-    and zeroes nothing. A union of every row is passed whole, ``rows=None``.
-    Returns (output, kept mask, kept-channel MACs).
+    Shifts ``x`` by finite ``eta`` and keeps elements whose magnitude is not
+    at most finite ``tau >= 0``, NaN included. One float64-accumulated
+    ``matmul_rows`` product multiplies them by the weight rows that any batch
+    row keeps (the row kernel for one row), then adds ``bias_fused``. A batch
+    zeroes its pruned elements of those rows with a bit mask; one row keeps
+    all of them and zeroes nothing. A union of every row is passed whole,
+    ``rows=None``. Returns (output, kept mask, kept-channel MACs).
     """
     _check_input(x, weight.shape[0])
     check_threshold(tau, eta)
     x_eta = x - FLOAT(eta)
-    kept = np.abs(x_eta) > tau
+    kept = ~(np.abs(x_eta) <= tau)
     rows = np.flatnonzero(kept.any(axis=0))
     full = rows.size == weight.shape[0]
     x_kept = x_eta if full else x_eta[:, rows]
@@ -174,15 +174,15 @@ def cats_swiglu(
     """Post-silu pruning with one mask coupling Up columns and Down rows.
 
     The gate projection and silu run densely; hidden channels whose silu
-    output magnitude falls below ``tau_silu`` (inclusive comparison) are
-    dropped from both the Up output and the Down input. The silu values of
-    surviving channels are reused, not recomputed.
+    output magnitude falls below ``tau_silu`` are dropped from both the Up
+    output and the Down input. The silu values of surviving channels are
+    reused, not recomputed.
     """
     _check_input(x, w.d)
     check_threshold(tau_silu)
     n, d, h = x.shape[0], w.d, w.h
     v = silu(matmul(x, w.w_gate))
-    kept = np.abs(v) >= tau_silu
+    kept = ~(np.abs(v) < tau_silu)
     rows = np.flatnonzero(kept.any(axis=0))
     # the mask picks Up output columns and the matching Down input rows
     up = matmul_rows(x.astype(np.float64), np.take(w.w_up, rows, axis=1))

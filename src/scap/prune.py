@@ -1,7 +1,7 @@
 """Magnitude pruning of activations and mode-centered sparse FC layers.
 
 The pruning operator, inside ``kernels.sparse_fc``, zeroes activation
-elements whose magnitude does not strictly exceed a calibrated threshold tau.
+elements whose magnitude is at most a calibrated threshold tau; NaN is kept.
 A ``SparseLinear`` freezes a weight matrix together with a scalar mode shift
 eta whose compensating term ``eta * column_sums(W)`` is fused into the bias
 offline, so inference adds only a broadcast subtraction before the usual

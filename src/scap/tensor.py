@@ -8,8 +8,9 @@ weight rows it is given; a batch over at least ``ROW_GEMM_MIN`` weight
 elements runs ``row_gemm``, which adds each output's rows in the same order,
 so every batch row equals its one-row result bit for bit. A large product
 splits its output columns across the usable cores and keeps the bits of one
-thread. A batch over a smaller weight runs one BLAS GEMM. Every operation
-here is pure.
+thread. A batch over a smaller weight runs one BLAS GEMM. In float32,
+``activations.c`` computes ``silu`` as ``x * (1 / (1 + expf(-x)))`` and
+``gelu`` as ``(0.5 * x) * (1 + erf(x / sqrt2))``. Every operation is pure.
 """
 
 from __future__ import annotations
@@ -23,21 +24,24 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
-from scipy.special import erf, expit
 
 FLOAT = np.float32
 
 # the scratch size for drawing (model) and reading (io) weights
 CAST_BLOCK_BYTES = 1 << 20
 
-# builds the row kernels; "-o <library> <source>" is appended. Without
-# -ffp-contract=off a fused multiply-add would change the kernels' rounding.
-# Without -march=native row_gemm took 96 against 40 ms at 4096x11008, batch
-# 32, and 15 against 8 ms at batch 2 (2 vCPUs).
+# builds each compiled source; "-o <library> <source> -lm" is appended.
+# Without -ffp-contract=off a fused multiply-add would change the kernels'
+# rounding. Without -march=native row_gemm took 96 against 40 ms at
+# 4096x11008, batch 32, and 15 against 8 ms at batch 2 (2 vCPUs).
 CC = ("cc", "-O3", "-march=native", "-ffp-contract=off", "-fPIC", "-shared")
-_ROW_GEMV_SRC = Path(__file__).with_name("rowgemv.c")
-_row_gemv_lock = threading.Lock()
-_row_gemv_lib = None
+# each source's functions and argument types; arrays pass as bare addresses
+_P, _N = ctypes.c_void_p, ctypes.c_int64
+_KERNELS = {
+    "rowgemv": {"row_gemv": (_P, _P, _P, *[_N] * 4, _P), "row_gemm": (_P, _P, _P, *[_N] * 5, _P)},
+    "activations": {"silu_f32": (_P, _N, _P), "gelu_f32": (_P, _N, _P)},
+}
+_libs, _lock = {}, threading.Lock()
 # a batch over fewer weight rows x columns than this runs one BLAS GEMM, whose
 # float64 cast is then under CAST_BLOCK_BYTES. Medians on 2 vCPUs at batch
 # 2/8/32/256, row_gemm against BLAS: 128x256 20/28/61/450 against 13/17/47/370
@@ -64,7 +68,7 @@ class DataError(ValueError):
 
 
 class KernelError(RuntimeError):
-    """Raised when the row kernels cannot be compiled or loaded."""
+    """Raised when a compiled source cannot be built or loaded."""
 
 
 def matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -138,10 +142,8 @@ def _row_product(x64: np.ndarray, w: np.ndarray, rows) -> np.ndarray:
     batch, m = x.shape[0], w.shape[1]
     out = np.empty((batch, m))
     args = (x.ctypes.data, w.ctypes.data, rows.ctypes.data, rows.size, m)
-    if batch == 1:
-        kernel = _row_gemv()
-    else:
-        kernel, args = _row_gemm(), (*args, batch)
+    kernel = _kernel("rowgemv", "row_gemv" if batch == 1 else "row_gemm")
+    args += () if batch == 1 else (batch,)  # row_gemm takes the batch size
     y = out.ctypes.data
     groups = -(-m // SLICE_COLS)
     n = max_workers(groups) if batch * rows.size * m >= SPLIT_MACS else 1
@@ -154,64 +156,62 @@ def _row_product(x64: np.ndarray, w: np.ndarray, rows) -> np.ndarray:
     return out
 
 
-def _row_gemv():
-    """``row_gemv`` of ``rowgemv.c``, compiled with ``row_gemm`` at the first
-    use of either in a process into a private temporary directory and loaded
-    from there. The row pool of one thread per CPU but one is made at the
-    same point; its threads only run the kernels and never submit to the
-    pool, so a caller that is itself a pool thread cannot deadlock."""
-    global _row_gemv_lib, _row_pool
-    with _row_gemv_lock:
+def _kernel(source: str, name: str):
+    """Function ``name`` of ``<source>.c`` (see ``_KERNELS``), built once per
+    process under one lock into a private temporary directory and loaded from
+    there. The first use of any kernel makes the row pool of one thread per
+    CPU but one; its threads never submit to it, so no caller can deadlock."""
+    global _row_pool
+    with _lock:
         _row_pool = _row_pool or ThreadPoolExecutor(max(1, _cpus() - 1), "scap-row")
-        if _row_gemv_lib is None:
+        if source not in _libs:
             with tempfile.TemporaryDirectory(prefix="scap-") as tmp:
-                lib = str(Path(tmp) / "rowgemv.so")
-                cmd = [*CC, "-o", lib, str(_ROW_GEMV_SRC)]
+                lib = str(Path(tmp) / f"{source}.so")
+                cmd = [*CC, "-o", lib, str(Path(__file__).with_name(f"{source}.c")), "-lm"]
                 try:
                     subprocess.run(cmd, check=True, capture_output=True, text=True)
                     # the mapping outlives the file, which goes with the directory
                     loaded = ctypes.CDLL(lib)
-                except subprocess.CalledProcessError as exc:
+                except (subprocess.CalledProcessError, OSError) as exc:
+                    detail = getattr(exc, "stderr", None) or exc  # cc's stderr, or the OSError
                     raise KernelError(
-                        f"row kernel build failed: {' '.join(cmd)}\n{exc.stderr}"
+                        f"{source} kernel build or load failed: {' '.join(cmd)}\n{detail}"
                     ) from exc
-                except OSError as exc:
-                    raise KernelError(
-                        f"row kernel build or load failed: {' '.join(cmd)}: {exc}"
-                    ) from exc
-            ptr = ctypes.c_void_p
-            for name, sizes in (("row_gemv", 4), ("row_gemm", 5)):
-                kernel = getattr(loaded, name)
-                kernel.argtypes = [ptr, ptr, ptr, *[ctypes.c_int64] * sizes, ptr]
-                kernel.restype = None
-            _row_gemv_lib = loaded
-    return _row_gemv_lib.row_gemv
-
-
-def _row_gemm():
-    """``row_gemm`` of ``rowgemv.c``, from the library ``_row_gemv`` loads."""
-    _row_gemv()
-    return _row_gemv_lib.row_gemm
+            for fn, argtypes in _KERNELS[source].items():
+                kernel = getattr(loaded, fn)
+                kernel.argtypes, kernel.restype = argtypes, None
+            _libs[source] = loaded
+    return getattr(_libs[source], name)
 
 
 def _after_fork_in_child():
     """A forked child has none of the parent's threads: drop the row pool,
     whose threads it would wait for forever, and a lock one of them held."""
-    global _row_gemv_lock, _row_pool
-    _row_gemv_lock, _row_pool = threading.Lock(), None
+    global _lock, _row_pool
+    _lock, _row_pool = threading.Lock(), None
 
 
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_after_fork_in_child)
 
 
-def silu(x: np.ndarray) -> np.ndarray:
-    """Elementwise x * sigmoid(x)."""
-    x = np.asarray(x, dtype=FLOAT)
-    return (x * expit(x)).astype(FLOAT)
+def silu(x) -> np.ndarray:
+    """Elementwise x * sigmoid(x) as ``x * (1 / (1 + expf(-x)))``, each
+    operation rounded to float32, ``expf`` the C library's. Any array-like
+    goes in; a float32 array of its shape comes out."""
+    return _activation("silu_f32", x)
 
 
-def gelu(x: np.ndarray) -> np.ndarray:
-    """Exact-erf GELU: 0.5 * x * (1 + erf(x / sqrt(2)))."""
-    x = np.asarray(x, dtype=FLOAT)
-    return (0.5 * x * (1.0 + erf(x / np.sqrt(2.0, dtype=FLOAT)))).astype(FLOAT)
+def gelu(x) -> np.ndarray:
+    """Exact-erf GELU as ``(0.5 * x) * (1 + erf(x / sqrt2))`` in float32 but
+    ``erf``, the C library's float64 one; ``sqrt2`` is ``0x3FB504F3``. Any
+    array-like goes in; a float32 array of its shape comes out."""
+    return _activation("gelu_f32", x)
+
+
+def _activation(name: str, x) -> np.ndarray:
+    """``name`` of ``activations.c`` over ``x`` as C-ordered float32."""
+    x = np.asarray(x, dtype=FLOAT, order="C")
+    y = np.empty_like(x)
+    _kernel("activations", name)(x.ctypes.data, x.size, y.ctypes.data)
+    return y

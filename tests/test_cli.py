@@ -1,6 +1,8 @@
 """CLI behaviour: determinism, config precedence, failure modes."""
 
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -281,6 +283,20 @@ def test_default_sweep_never_runs_the_row_kernels(tmp_path, monkeypatch):
     monkeypatch.setattr(tensor, "_row_product", lambda *a: shapes.append(a[0].shape) or real(*a))
     assert _run(["sweep", "--out", tmp_path / "o"]) == 0
     assert shapes == []
+
+
+def test_activations_and_a_sweep_run_without_scipy(tmp_path):
+    code = (
+        "import sys; sys.modules['scipy'] = None\n"
+        "import numpy as np, scap.cli, scap.tensor as t\n"
+        "x = np.linspace(-4, 4, 9, dtype=np.float32)\n"
+        "assert t.silu(x).dtype == t.gelu(x).dtype == np.float32\n"
+        "sys.exit(scap.cli.main(sys.argv[1:]))"
+    )
+    grid = ["--grid-up", "0.3", "--grid-down", "0.5"]
+    args = ["sweep", "--out", str(tmp_path / "o"), *FAST, *grid]
+    subprocess.run([sys.executable, "-c", code, *args], check=True, timeout=120)
+    assert (tmp_path / "o" / "sweep.json").is_file()
 
 
 def test_unknown_config_key_rejected(tmp_path):

@@ -113,6 +113,23 @@ def test_records_count_from_the_masks_of_the_captured_inputs(ffn):
         assert rec.dense_macs == 9 * (up_width + cfg.d_hidden) * cfg.d_model
 
 
+@pytest.mark.parametrize("n", [1, 5])
+@pytest.mark.parametrize("ffn", ["swiglu", "gelu"])
+def test_nan_input_row_gives_a_nan_output_row_as_in_the_dense_forward(ffn, n):
+    # with rmsnorm and the residual off, only the pruned sites carry the NaN
+    cfg = BlockConfig(
+        ffn=ffn, d_model=16, d_hidden=48, n_blocks=2, rmsnorm=False, residual=False
+    )
+    model = init_weights(cfg, seed=32)
+    x = _input(np.random.default_rng(33), n, 16)
+    x[n // 2, 3] = np.nan
+    sparse = model.apply_prune_specs({hook: PruneSpec(0.5) for hook in model.hook_points()})
+    y, records = sparse.forward(x)
+    y_dense = model.forward(x)
+    assert np.isnan(y_dense[n // 2]).all() and records[0].up.pruned > 0
+    np.testing.assert_array_equal(np.isnan(y), np.isnan(y_dense))
+
+
 @pytest.mark.parametrize("ffn", ["swiglu", "gelu"])
 def test_tau_zero_specs_match_dense_within_fusion_rounding(ffn):
     cfg = BlockConfig(ffn=ffn, d_model=16, d_hidden=48, n_blocks=3)

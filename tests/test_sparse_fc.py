@@ -20,12 +20,17 @@ EPS64 = float(np.finfo(np.float64).eps)
 TINY32 = float(np.finfo(F32).smallest_subnormal)
 
 
+def _kept(x, tau, eta):
+    """The pruner's mask: ``|x - eta|`` not at most ``tau``, so NaN is kept."""
+    return ~(np.abs(x - F32(eta)) <= tau)
+
+
 def sparse_fc_rowwise(x, weight, tau, eta=0.0, bias_fused=None):
     """Reference: for each batch row, gather the kept channels and run a GEMV
     over only their weight rows, accumulating in float64."""
     oc = weight.shape[1]
     x_eta = x - F32(eta)
-    kept = np.abs(x_eta) > tau
+    kept = _kept(x, tau, eta)
     w64 = weight.astype(np.float64)
     out = np.zeros((x.shape[0], oc), dtype=np.float64)
     macs = 0
@@ -43,7 +48,7 @@ def sparse_fc_where(x, weight, tau, eta=0.0, bias_fused=None):
     """Bit oracle: the union rows gathered, pruned elements zeroed with
     ``np.where``, one ``matmul_rows`` product over the gathered rows."""
     x_eta = x - F32(eta)
-    kept = np.abs(x_eta) > tau
+    kept = _kept(x, tau, eta)
     rows = np.flatnonzero(kept.any(axis=0))
     x_kept = np.where(kept[:, rows], x_eta[:, rows], F32(0)).astype(np.float64)
     out = matmul_rows(x_kept, weight, rows)
@@ -172,13 +177,13 @@ def _special_case(n, full, tau, eta, bias, d=12, oc=7):
     for i, v in enumerate(SPECIALS):
         x[(5 * i) % n, i] = v
     if full:
-        x[-1, ~(np.abs(x - F32(eta)) > tau).any(axis=0)] = F32(eta + tau + 1)
+        x[-1, ~_kept(x, tau, eta).any(axis=0)] = F32(eta + tau + 1)
     else:
         x[:, -1] = F32(eta)
     w = rng.standard_normal((d, oc)).astype(F32)
     w[0, 0] = -0.0
     b = rng.standard_normal(oc) if bias else None
-    assert (np.abs(x - F32(eta)) > tau).any(axis=0).all() == full
+    assert _kept(x, tau, eta).any(axis=0).all() == full
     return x, w, tau, eta, b
 
 
@@ -195,7 +200,7 @@ def test_special_values_match_the_where_oracle_bit_for_bit(n, full, tau, eta, bi
     x, w, tau, eta, b = _special_case(n, full, tau, eta, bias)
     out, kept, macs = sparse_fc(x, w, tau, eta, b)
     assert _same_bits(out, sparse_fc_where(x, w, tau, eta, b))
-    np.testing.assert_array_equal(kept, np.abs(x - F32(eta)) > tau)
+    np.testing.assert_array_equal(kept, _kept(x, tau, eta))
     assert macs == int(kept.sum()) * w.shape[1]
 
 
@@ -223,7 +228,7 @@ def test_full_union_runs_ungathered_and_one_row_unzeroed(monkeypatch, n, full):
     if full:
         assert rows is None
     else:
-        union = (np.abs(x - F32(eta)) > tau).any(axis=0)
+        union = _kept(x, tau, eta).any(axis=0)
         np.testing.assert_array_equal(rows, np.flatnonzero(union))
     assert len(zeroed) == (n > 1)
     assert _same_bits(out, sparse_fc_where(x, w, tau, eta, b))

@@ -151,7 +151,7 @@ def test_row_gemm_equals_sequential_loop(case):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tensor, "ROW_GEMM_MIN", 0)
         mp.setenv("SCAP_THREADS", "1")
-        slices = _recorded_slices(mp, "_row_gemm")
+        slices = _recorded_slices(mp, "row_gemm")
         out = matmul_rows(x64, w, rows)
     assert slices == [(0, w.shape[1])]
     assert out.shape == (x64.shape[0], w.shape[1]) and out.dtype == np.float64
@@ -187,6 +187,15 @@ def test_matmul_rows_rejects_non_float32_weights():
         matmul_rows(np.ones((1, 2)), np.ones((2, 3)))
 
 
+def _first_use(source):
+    """A call that needs the compiled ``source``, and its expected result."""
+    if source == "rowgemv":
+        x64, w, rows = _row_case(50, 30, 37, seed=2)
+        return lambda: matmul_rows(x64, w, rows)[0], _sequential_rows(x64, w, rows)
+    return lambda: silu(ACTIVATION_X), _from_bits(SILU_BITS)
+
+
+@pytest.mark.parametrize("source", ["rowgemv", "activations"])
 @pytest.mark.parametrize(
     "cc,needle",
     [
@@ -194,27 +203,24 @@ def test_matmul_rows_rejects_non_float32_weights():
         (("cc", "-fno-such-flag"), "error"),  # the compiler's stderr
     ],
 )
-def test_row_kernel_build_failure_raises_kernel_error(monkeypatch, cc, needle):
+def test_row_kernel_build_failure_raises_kernel_error(monkeypatch, cc, needle, source):
     monkeypatch.setattr(tensor, "CC", cc)
-    monkeypatch.setattr(tensor, "_row_gemv_lib", None)
+    monkeypatch.setattr(tensor, "_libs", {})
     with pytest.raises(KernelError) as err:
-        matmul_rows(np.ones((1, 2)), np.ones((2, 3), np.float32))
+        _first_use(source)[0]()
     command, _, detail = str(err.value).partition(" ".join(cc))
-    assert command and needle in detail
+    assert source in command and needle in detail
 
 
-def test_row_kernel_compiles_once_under_concurrent_first_use(monkeypatch):
-    monkeypatch.setattr(tensor, "_row_gemv_lib", None)
+@pytest.mark.parametrize("source", ["rowgemv", "activations"])
+def test_row_kernel_compiles_once_under_concurrent_first_use(monkeypatch, source):
+    monkeypatch.setattr(tensor, "_libs", {})
     builds = []
     run = subprocess.run
     monkeypatch.setattr(subprocess, "run", lambda *a, **kw: builds.append(a) or run(*a, **kw))
-    x64, w, rows = _row_case(50, 30, 37, seed=2)
-    want = _sequential_rows(x64, w, rows)
+    call, want = _first_use(source)
     results = []
-    threads = [
-        threading.Thread(target=lambda: results.append(matmul_rows(x64, w, rows)))
-        for _ in range(6)
-    ]
+    threads = [threading.Thread(target=lambda: results.append(call())) for _ in range(6)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -226,23 +232,26 @@ def test_row_kernel_compiles_once_under_concurrent_first_use(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert len(builds) == 1
-    assert len(results) == 6 and all(np.array_equal(r[0], want) for r in results)
+    assert len(results) == 6 and all(np.array_equal(r, want, equal_nan=True) for r in results)
 
 
-def _recorded_slices(mp, name="_row_gemv"):
+def _recorded_slices(mp, name="row_gemv"):
     """Patch the row kernel ``name``, within MonkeyPatch ``mp``, to record the
     ``(lo, hi)`` column slice of every call; returns the list of slices."""
-    real, slices = getattr(tensor, name), []
+    real, slices = tensor._kernel, []
 
-    def recording(*args):
-        slices.append(args[-3:-1])
-        return real()(*args)
+    def kernel(source, fn):
+        compiled = real(source, fn)  # compiles the kernel and makes the pool
+        if fn != name:
+            return compiled
 
-    def kernel():
-        real()  # compiles the kernel and makes the pool
+        def recording(*args):
+            slices.append(args[-3:-1])
+            return compiled(*args)
+
         return recording
 
-    mp.setattr(tensor, name, kernel)
+    mp.setattr(tensor, "_kernel", kernel)
     return slices
 
 
@@ -273,7 +282,7 @@ def test_split_row_product_equals_sequential_loop(case):
     """Forced to split at every size, a one-row product cuts its columns into
     ordered slices that start at multiples of ``SLICE_COLS`` and tile
     ``[0, m)`` once, and equals the sequential loop bit for bit."""
-    _check_split(*case, "_row_gemv")
+    _check_split(*case, "row_gemv")
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -286,7 +295,7 @@ def test_split_row_gemm_equals_sequential_loop(case):
     """The same for a batch forced onto ``row_gemm``: every row of it."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tensor, "ROW_GEMM_MIN", 0)
-        _check_split(*case, "_row_gemm")
+        _check_split(*case, "row_gemm")
 
 
 def _check_split(x64, w, rows, threads, kernel):
@@ -367,7 +376,7 @@ def _check_concurrent_callers(monkeypatch, cases):
 
 def test_small_one_row_products_stay_on_the_caller(monkeypatch):
     monkeypatch.setenv("SCAP_THREADS", "2")
-    tensor._row_gemv()  # makes the pool
+    tensor._kernel("rowgemv", "row_gemv")  # makes the pool
     submitted = []
     submit = tensor._row_pool.submit
     monkeypatch.setattr(
@@ -446,8 +455,40 @@ def test_thread_count_comes_from_affinity_or_cap(monkeypatch, value, want):
 
 
 def test_importing_the_cli_compiles_nothing():
-    code = "import scap.cli, scap.tensor as t; assert t._row_gemv_lib is None"
+    code = (
+        "import sys, scap.cli, scap.tensor as t; assert not t._libs; "
+        "assert not [m for m in sys.modules if m.partition('.')[0] == 'scipy']"
+    )
     subprocess.run([sys.executable, "-c", code], check=True)
+
+
+# The activations' bits at +-0, +-1, the GELU tail, saturation, +-88, +-inf,
+# NaN and a subnormal, as scipy's float32 expit and float64 erf gave them;
+# NaN compares as NaN, whatever its sign and payload.
+ACTIVATION_X = np.array(
+    [0.0, -0.0, 1.0, -1.0, -5.0, -6.0, -13.0, 30.0, 88.0, -88.0]
+    + [np.inf, -np.inf, np.nan, 2.0**-130],
+    dtype=np.float32,
+)
+_NAN = 0x7FC00000
+SILU_BITS = [
+    0x00000000, 0x80000000, 0x3F3B26A8, 0xBE89B2B1, 0xBD0911D0, 0xBC731198, 0xB7F67E1F,
+    0x41F00000, 0x42B00000, 0x83354DDB, 0x7F800000, _NAN, _NAN, 0x00040000,
+]
+GELU_BITS = [
+    0x00000000, 0x80000000, 0x3F57625E, 0xBE227686, 0xB5C80000, 0x80000000, 0x80000000,
+    0x41F00000, 0x42B00000, 0x80000000, 0x7F800000, _NAN, _NAN, 0x00040000,
+]
+
+
+def _from_bits(bits):
+    return np.array(bits, dtype=np.uint32).view(np.float32)
+
+
+def _same_bits(a, b):
+    """Equal shapes, dtypes and bits, any NaN equal to any NaN."""
+    same = (a.view(np.uint32) == b.view(np.uint32)) | (np.isnan(a) & np.isnan(b))
+    return a.shape == b.shape and a.dtype == b.dtype == np.float32 and bool(same.all())
 
 
 def test_silu_values():
@@ -458,6 +499,7 @@ def test_silu_values():
     assert out[0, 1] == pytest.approx(1.0 / (1.0 + math.exp(-1.0)), abs=1e-6)
     assert out[0, 1] == pytest.approx(0.7310586, abs=1e-6)
     assert out[0, 2] == pytest.approx(30.0, rel=1e-6)  # sigmoid saturates to 1
+    assert _same_bits(silu(ACTIVATION_X), _from_bits(SILU_BITS))
 
 
 def test_gelu_values():
@@ -468,6 +510,28 @@ def test_gelu_values():
     assert out[0, 1] == pytest.approx(0.5 * (1.0 + math.erf(1.0 / math.sqrt(2.0))), abs=1e-6)
     assert out[0, 1] == pytest.approx(0.8413447, abs=1e-6)
     assert abs(out[0, 2]) < 1e-7  # erf saturates to -1
+    assert _same_bits(gelu(ACTIVATION_X), _from_bits(GELU_BITS))
+
+
+@pytest.mark.parametrize("fn", [silu, gelu])
+def test_activations_keep_the_shape_and_return_float32(fn):
+    x = np.linspace(-6.0, 6.0, 24).reshape(4, 6)  # float64, cast on the way in
+    full = fn(x.astype(np.float32))
+    cases = [(x[1, 2], full[1, 2]), (x[1], full[1]), (x.T, full.T), (x[:, ::2], full[:, ::2])]
+    for arg, want in cases + [(x.tolist(), full)]:
+        out = fn(arg)
+        assert isinstance(out, np.ndarray) and _same_bits(out, np.asarray(want))
+
+
+def test_activations_equal_scipy_bit_for_bit_on_a_strided_sweep():
+    """The scipy formulas the activations replaced, on about 1M float32 bit
+    patterns spread over every sign and exponent."""
+    special = pytest.importorskip("scipy.special")
+    x = np.arange(0, 1 << 32, 4093, dtype=np.uint64).astype(np.uint32).view(np.float32)
+    with np.errstate(invalid="ignore"):
+        want_silu = x * special.expit(x)
+        want_gelu = 0.5 * x * (1.0 + special.erf(x / np.sqrt(2.0, dtype=np.float32)))
+    assert _same_bits(silu(x), want_silu) and _same_bits(gelu(x), want_gelu)
 
 
 @pytest.mark.parametrize("fn", [silu, gelu])
