@@ -124,13 +124,17 @@ def make_specs(
     """Derive per-hook PruneSpecs from calibrated statistics.
 
     ``targets`` maps a site name to its target sparsity; sites absent from
-    the map stay dense, and a name not in ``SITES`` raises ValueError. Sites
-    listed in ``center_sites`` (which must also name ``SITES``) get a mode
-    shift eta, with tau recalibrated on the shifted magnitudes. Each site's
-    spec is computed once and shared by that site's hook in every block.
+    the map stay dense, and a name not in ``SITES``, or without statistics in
+    ``calibration``, raises ValueError. Sites listed in ``center_sites``
+    (which must also name ``SITES``) get a mode shift eta, with tau
+    recalibrated on the shifted magnitudes. Each site's spec is computed once
+    and shared by that site's hook in every block.
     """
     _check_sites(targets)
     _check_sites(center_sites, "centering")
+    missing = sorted(set(targets) - set(calibration))
+    if missing:
+        raise ValueError(f"target sites {missing} have no calibration")
     site_specs = {}
     for site, s in targets.items():
         st = calibration[site]
@@ -251,8 +255,8 @@ def _evaluate(model, specs, batches, dense_outputs=None):
                 hook = HookPoint(b, site)
                 pruned[hook] += run.pruned
                 total[hook] += run.kept.size
-            macs += rec.up.macs + rec.down.macs
-            dense_macs += rec.dense_macs
+                macs += run.macs
+                dense_macs += run.dense_macs
         if dense_outputs is not None:
             y_dense = dense_outputs[i].astype(np.float64)
             diff = y_sparse.astype(np.float64) - y_dense

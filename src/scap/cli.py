@@ -279,12 +279,12 @@ def cmd_bench(cfg: RunConfig) -> list[Path]:
         "dense_macs",
         "macs_ratio",
     ]
-    dense_macs = kernels.dense_macs_swiglu(batch, d, h)
+    _, gated, dense = kernels.swiglu_ffn(x, w)
+    dense_macs = dense.dense_macs
 
     def row(scheme, target, observed, macs):
         return [scheme, d, h, batch, target, observed, macs, dense_macs, macs / dense_macs]
 
-    dense = kernels.swiglu_ffn(x, w)
     rows = [row("dense", 0.0, 0.0, dense.ops.macs)]
     silu_mag = np.abs(silu(matmul(x, w.w_gate)))
     for s in grid:
@@ -292,15 +292,13 @@ def cmd_bench(cfg: RunConfig) -> list[Path]:
         rows.append(row("cats", s, 2.0 / 3.0 * (count.elements_pruned / (batch * h)), count.macs))
     for s in grid:
         tau_x = float(np.quantile(np.abs(x), s))
-        tau_g = float(np.quantile(np.abs(dense.down_in), s))
-        run = kernels.swiglu_ffn(
-            x, w, *compile_ffn(w, PruneSpec(tau_x), PruneSpec(tau_g))
-        )
-        kept_x, kept_g = run.up.kept, run.down.kept
+        tau_g = float(np.quantile(np.abs(gated), s))
+        _, _, rec = kernels.swiglu_ffn(x, w, *compile_ffn(w, PruneSpec(tau_x), PruneSpec(tau_g)))
+        kept_x, kept_g = rec.up.kept, rec.down.kept
         obs = kernels.ffn_sparsity(
             1.0 - kept_x.sum() / kept_x.size, 1.0 - kept_g.sum() / kept_g.size
         )
-        rows.append(row("scap", s, obs, run.ops.macs))
+        rows.append(row("scap", s, obs, rec.ops.macs))
 
     payload = {"columns": header, "rows": rows}
     return _save_table(cfg, out, "bench", payload, (header, rows))

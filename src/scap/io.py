@@ -197,8 +197,8 @@ def save_model(model, path) -> None:
 
 
 def load_model(path):
-    """Reconstruct an FfnStack saved with ``save_model``, bitwise; a
-    container whose config or tensors describe no model raises ManifestError."""
+    """Reconstruct an FfnStack saved with ``save_model``, bitwise; a container
+    whose config and tensors do not describe one model raises ManifestError."""
     from .model import FfnStack
 
     tensors, config = load_tensors(path)

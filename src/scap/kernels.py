@@ -18,13 +18,15 @@ gathered. For one row (a decode token) that union is exactly the kept rows, so
 nothing needs zeroing, and the compiled row kernel reads only those rows of
 the weight. A batch runs the compiled batch kernel over the union, in which
 each row's output equals its one-row result bit for bit, or one BLAS GEMM when
-the union weight is below ``tensor.ROW_GEMM_MIN`` elements. A site's counts
-live in one ``SiteRun``: its kept mask and the kept-channel MACs of the
-projections that read it; ``site_ops`` sums a block's sites into an
-``OpCount``. Kept-channel MACs are at one row the multiply-accumulates the row
-kernel performs, at a batch fewer than the union product computes. They are an
-operation count, not a time. Wall-clock is measured by the benchmark in
-``perfbench/``.
+the union weight is below ``tensor.ROW_GEMM_MIN`` elements. Each FFN forward
+returns its output, its Down input and the block's one ``BlockRecord``: a
+``SiteRun`` per site of ``SITES``, counted where its projections run, holding
+the site's kept mask and the kept-channel and dense MACs of the projections
+that read it (dense: the site's input elements times their output widths).
+Every block count is a view of the two. Kept-channel MACs are at one row the
+multiply-accumulates the row kernel performs, at a batch fewer than the union
+product computes. They are an operation count, not a time. Wall-clock is
+measured by the benchmark in ``perfbench/``.
 """
 
 from __future__ import annotations
@@ -36,6 +38,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .tensor import FLOAT, ShapeError, gelu, matmul, matmul_rows, silu
+
+UP_GATE_INPUT = "up_gate_input"
+DOWN_INPUT = "down_input"
+SITES = (UP_GATE_INPUT, DOWN_INPUT)
 
 
 class OpCount(NamedTuple):
@@ -60,14 +66,12 @@ class SwiGluWeights:
     w_down: np.ndarray
 
     def __post_init__(self):
-        if self.w_gate.shape != self.w_up.shape:
+        if self.w_gate.ndim != 2 or self.w_gate.shape != self.w_up.shape:
             raise ShapeError(
-                f"gate/up shapes differ: {self.w_gate.shape} vs {self.w_up.shape}"
+                f"gate/up must be one 2-D shape: {self.w_gate.shape} vs {self.w_up.shape}"
             )
-        if self.w_down.shape[0] != self.w_gate.shape[1]:
-            raise ShapeError(
-                f"down input dim {self.w_down.shape[0]} != hidden dim {self.w_gate.shape[1]}"
-            )
+        if self.w_down.shape != (self.h, self.d):
+            raise ShapeError(f"down shape {self.w_down.shape} != (hidden, model) dims")
 
     @property
     def d(self) -> int:
@@ -88,12 +92,12 @@ class GeluMlpWeights:
     b_down: np.ndarray
 
     def __post_init__(self):
-        if self.b_up.shape != (self.w_up.shape[1],):
-            raise ShapeError("b_up length must equal hidden dim")
-        if self.w_down.shape[0] != self.w_up.shape[1]:
-            raise ShapeError("down input dim must equal hidden dim")
-        if self.b_down.shape != (self.w_down.shape[1],):
-            raise ShapeError("b_down length must equal output dim")
+        if self.w_up.ndim != 2 or self.b_up.shape != (self.h,):
+            raise ShapeError("w_up must be 2-D and b_up as long as its hidden dim")
+        if self.w_down.shape != (self.h, self.d):
+            raise ShapeError(f"down shape {self.w_down.shape} != (hidden, model) dims")
+        if self.b_down.shape != (self.d,):
+            raise ShapeError("b_down length must equal the model dim")
 
     @property
     def d(self) -> int:
@@ -160,14 +164,6 @@ def check_threshold(tau: float, eta: float = 0.0) -> None:
         raise ValueError(f"eta must be finite, got {eta}")
 
 
-def dense_macs_swiglu(batch: int, d: int, h: int) -> int:
-    return batch * (2 * d * h + h * d)
-
-
-def dense_macs_gelu_mlp(batch: int, d: int, h: int) -> int:
-    return batch * (d * h + h * d)
-
-
 def cats_swiglu(
     tau_silu: float, x: np.ndarray, w: SwiGluWeights
 ) -> tuple[np.ndarray, OpCount]:
@@ -192,47 +188,64 @@ def cats_swiglu(
 
 
 class SiteRun(NamedTuple):
-    """One pruning site of one FFN forward: the kept mask of its input and
-    the kept-channel MACs of the projections that read it."""
+    """One pruning site of one FFN forward: the kept mask of its input, and
+    the kept-channel and dense MACs of the projections that read it."""
 
     kept: np.ndarray  # all True when the site runs dense
     macs: int
+    dense_macs: int  # input elements x the output widths of its projections
 
     @property
     def pruned(self) -> int:
         return self.kept.size - int(np.count_nonzero(self.kept))
 
 
-def site_ops(*sites: SiteRun) -> OpCount:
-    """The summed counts of one block's sites."""
-    return OpCount(sum(s.macs for s in sites), sum(s.pruned for s in sites))
+class BlockRecord(NamedTuple):
+    """One FFN block of one forward: the ``SiteRun`` of each site. Every
+    count is a view of the two runs. A record holds masks only, never an
+    activation."""
 
-
-class FfnRun(NamedTuple):
-    """One FFN block forward: output, Down input, and both sites."""
-
-    y: np.ndarray
-    down_in: np.ndarray
     up: SiteRun
     down: SiteRun
 
     @property
+    def sites(self) -> dict[str, SiteRun]:
+        return dict(zip(SITES, self))
+
+    @property
+    def pruned(self) -> dict[str, int]:
+        """site -> zeroed elements"""
+        return {site: run.pruned for site, run in self.sites.items()}
+
+    @property
+    def total(self) -> dict[str, int]:
+        """site -> elements seen"""
+        return {site: run.kept.size for site, run in self.sites.items()}
+
+    @property
+    def dense_macs(self) -> int:
+        return self.up.dense_macs + self.down.dense_macs
+
+    @property
     def ops(self) -> OpCount:
-        return site_ops(self.up, self.down)
+        return OpCount(self.up.macs + self.down.macs, self.up.pruned + self.down.pruned)
 
 
 def _fc(x, layer, weight, bias=None):
     """One FC: the compiled ``SparseLinear`` layer, or dense when it is None."""
     if layer is not None:
-        return layer.fc(x)
+        return sparse_fc(x, layer.weight, layer.tau, layer.eta, layer.bias_fused)
     y = matmul(x, weight)
     if bias is not None:
         y = y + bias
     return y, np.ones(x.shape, dtype=bool), x.size * weight.shape[1]
 
 
-def swiglu_ffn(x: np.ndarray, w: SwiGluWeights, up=None, down=None) -> FfnRun:
-    """The SwiGLU block (silu(x W_gate) * (x W_up)) W_down, dense or pruned.
+def swiglu_ffn(
+    x: np.ndarray, w: SwiGluWeights, up=None, down=None
+) -> tuple[np.ndarray, np.ndarray, BlockRecord]:
+    """The SwiGLU block (silu(x W_gate) * (x W_up)) W_down, dense or pruned:
+    (output, Down input, record).
 
     ``up`` is the (Up, Gate) pair of compiled ``SparseLinear`` layers, which
     share one mask of ``x``; ``down`` is the compiled Down layer, which prunes
@@ -245,11 +258,15 @@ def swiglu_ffn(x: np.ndarray, w: SwiGluWeights, up=None, down=None) -> FfnRun:
     gate, _, macs_gate = _fc(x, gate_layer, w.w_gate)
     z = silu(gate) * u
     y, kept_z, macs_down = _fc(z, down, w.w_down)
-    return FfnRun(y, z, SiteRun(kept_x, macs_up + macs_gate), SiteRun(kept_z, macs_down))
+    up_run = SiteRun(kept_x, macs_up + macs_gate, x.size * 2 * w.h)
+    return y, z, BlockRecord(up_run, SiteRun(kept_z, macs_down, z.size * w.d))
 
 
-def gelu_ffn(x: np.ndarray, w: GeluMlpWeights, up=None, down=None) -> FfnRun:
-    """The GELU MLP block gelu(x W_up + b_up) W_down + b_down, dense or pruned.
+def gelu_ffn(
+    x: np.ndarray, w: GeluMlpWeights, up=None, down=None
+) -> tuple[np.ndarray, np.ndarray, BlockRecord]:
+    """The GELU MLP block gelu(x W_up + b_up) W_down + b_down, dense or
+    pruned: (output, Down input, record).
 
     ``up`` and ``down`` are None (dense) or compiled ``SparseLinear`` layers
     whose fused biases carry ``b_up`` and ``b_down``.
@@ -257,7 +274,9 @@ def gelu_ffn(x: np.ndarray, w: GeluMlpWeights, up=None, down=None) -> FfnRun:
     u, kept_x, macs_up = _fc(x, up, w.w_up, w.b_up)
     hidden = gelu(u)
     y, kept_h, macs_down = _fc(hidden, down, w.w_down, w.b_down)
-    return FfnRun(y, hidden, SiteRun(kept_x, macs_up), SiteRun(kept_h, macs_down))
+    return y, hidden, BlockRecord(
+        SiteRun(kept_x, macs_up, x.size * w.h), SiteRun(kept_h, macs_down, hidden.size * w.d)
+    )
 
 
 def ffn_sparsity(s_x: float, s_gated: float) -> float:

@@ -10,11 +10,13 @@ sites per block expose the activations that pruning targets:
   intermediate for SwiGLU, the GELU output for the MLP).
 
 Every block runs through the one FFN path of its kind, ``kernels.swiglu_ffn``
-or ``kernels.gelu_ffn``. ``apply_prune_specs`` compiles each spec once into
-the ``SparseLinear`` layer of its site, fusing any mode-shift compensation
-into that layer's bias, and returns a sparse view whose forwards reuse those
+or ``kernels.gelu_ffn``, which returns the block's output, its Down input and
+its one ``BlockRecord`` (declared in ``kernels`` with the site names, and
+re-exported here). ``apply_prune_specs`` compiles each spec once into the
+``SparseLinear`` layer of its site, fusing any mode-shift compensation into
+that layer's bias, and returns a sparse view whose forwards reuse those
 layers; hook points without a spec keep the exact dense code path, bit for
-bit.
+bit. A stack is checked against its config when it is built.
 """
 
 from __future__ import annotations
@@ -25,14 +27,12 @@ from typing import Iterable, Mapping, NamedTuple
 import numpy as np
 
 from . import kernels
-from .kernels import GeluMlpWeights, OpCount, SiteRun, SwiGluWeights
+from .kernels import DOWN_INPUT, SITES, UP_GATE_INPUT  # noqa: F401 (re-exported)
+from .kernels import BlockRecord, GeluMlpWeights, SwiGluWeights
 from .prune import PruneSpec, compile_ffn
 from .tensor import CAST_BLOCK_BYTES, FLOAT, ShapeError
 
-UP_GATE_INPUT = "up_gate_input"
-DOWN_INPUT = "down_input"
-SITES = (UP_GATE_INPUT, DOWN_INPUT)
-FFN_KINDS = ("swiglu", "gelu")
+FFN_KINDS = {"swiglu": SwiGluWeights, "gelu": GeluMlpWeights}  # kind -> its weights
 
 _NORM_EPS = 1e-6
 
@@ -65,38 +65,17 @@ class BlockConfig:
             raise ValueError("d_model, d_hidden, n_blocks must all be >= 1")
 
 
-class BlockRecord(NamedTuple):
-    """One block of one forward pass: the ``SiteRun`` (kept mask, MACs) of
-    each site and the block's dense MACs. Every other count is a view derived
-    from the two runs. A record holds masks only, never an activation."""
-
-    up: SiteRun
-    down: SiteRun
-    dense_macs: int
-
-    @property
-    def sites(self) -> dict[str, SiteRun]:
-        return dict(zip(SITES, (self.up, self.down)))
-
-    @property
-    def pruned(self) -> dict[str, int]:
-        """site -> zeroed elements"""
-        return {site: run.pruned for site, run in self.sites.items()}
-
-    @property
-    def total(self) -> dict[str, int]:
-        """site -> elements seen"""
-        return {site: run.kept.size for site, run in self.sites.items()}
-
-    @property
-    def ops(self) -> OpCount:
-        return kernels.site_ops(self.up, self.down)
-
-
 class FfnStack:
-    """Dense toy model: immutable weights, pure forwards."""
+    """Dense toy model: immutable weights, pure forwards. Its weights must
+    match its config; ShapeError otherwise."""
 
     def __init__(self, config: BlockConfig, blocks, gains):
+        d, h, n = config.d_model, config.d_hidden, config.n_blocks
+        if [(type(w), w.d, w.h) for w in blocks] != [(FFN_KINDS[config.ffn], d, h)] * n:
+            raise ShapeError(f"blocks are not n_blocks={n} {config.ffn} FFNs of dims ({d}, {h})")
+        shapes = None if gains is None else [g.shape for g in gains]
+        if shapes != ([(d,)] * n if config.rmsnorm else None):
+            raise ShapeError(f"norm gains must be one ({d},) per block exactly when rmsnorm is set")
         self.config = config
         self.blocks = blocks
         self.gains = gains
@@ -148,16 +127,20 @@ class FfnStack:
 
     @staticmethod
     def from_tensors(tensors: dict[str, np.ndarray], config_dict: dict) -> "FfnStack":
-        """Wrap the given arrays as the stack's weights; float32 ones are not copied."""
+        """Wrap the given arrays as the stack's weights, float32 ones uncopied;
+        a tensor that the config does not describe raises ValueError."""
         config = BlockConfig(**config_dict)
-        kind = SwiGluWeights if config.ffn == "swiglu" else GeluMlpWeights
-        blocks, gains = [], [] if config.rmsnorm else None
-        for i in range(config.n_blocks):
-            arrays = (tensors[f"block{i}.{f.name}"] for f in fields(kind))
-            blocks.append(kind(*(np.asarray(a, dtype=FLOAT) for a in arrays)))
-            if config.rmsnorm:
-                gains.append(np.asarray(tensors[f"block{i}.norm_gain"], dtype=FLOAT))
-        return FfnStack(config, blocks, gains)
+        kind, ids = FFN_KINDS[config.ffn], range(config.n_blocks)
+        left = dict(tensors)
+
+        def take(i, name):
+            return np.asarray(left.pop(f"block{i}.{name}"), dtype=FLOAT)
+
+        weights = [kind(*(take(i, f.name) for f in fields(kind))) for i in ids]
+        gains = [take(i, "norm_gain") for i in ids] if config.rmsnorm else None
+        if left:
+            raise ValueError(f"tensors the config does not describe: {sorted(left)}")
+        return FfnStack(config, weights, gains)
 
 
 class SparseStack:
@@ -265,22 +248,17 @@ def _run_stack(model, x, sites, capture_hooks):
         raise ShapeError(
             f"input shape {x.shape} incompatible with d_model={model.config.d_model}"
         )
-    if model.config.ffn == "swiglu":
-        ffn, dense_macs = kernels.swiglu_ffn, kernels.dense_macs_swiglu
-    else:
-        ffn, dense_macs = kernels.gelu_ffn, kernels.dense_macs_gelu_mlp
+    ffn = kernels.swiglu_ffn if model.config.ffn == "swiglu" else kernels.gelu_ffn
     captured = {}
     records = []
     cur = x
     for b, weights in enumerate(model.blocks):
         h_in = _rmsnorm(cur, model.gains[b]) if model.gains is not None else cur
-        run = ffn(h_in, weights, *(sites[b] if sites else (None, None)))
-        for site, tensor in zip(SITES, (h_in, run.down_in)):
+        y, down_in, record = ffn(h_in, weights, *(sites[b] if sites else (None, None)))
+        for site, tensor in zip(SITES, (h_in, down_in)):
             hook = HookPoint(b, site)
             if hook in capture_hooks:
                 captured[hook] = tensor.copy()
-        records.append(
-            BlockRecord(run.up, run.down, dense_macs(h_in.shape[0], weights.d, weights.h))
-        )
-        cur = (cur + run.y).astype(FLOAT) if model.config.residual else run.y
+        records.append(record)
+        cur = (cur + y).astype(FLOAT) if model.config.residual else y
     return cur, captured, records

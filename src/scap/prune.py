@@ -6,8 +6,8 @@ A ``SparseLinear`` freezes a weight matrix together with a scalar mode shift
 eta whose compensating term ``eta * column_sums(W)`` is fused into the bias
 offline, so inference adds only a broadcast subtraction before the usual
 masked GEMM. ``compile_ffn`` turns one FFN block's specs into the
-``SparseLinear`` sites that ``kernels.swiglu_ffn`` and ``kernels.gelu_ffn``
-execute.
+``SparseLinear`` sites whose fields ``kernels.swiglu_ffn`` and
+``kernels.gelu_ffn`` pass to ``kernels.sparse_fc``, one call per projection.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calib import check_fractions
-from .kernels import SwiGluWeights, check_threshold, sparse_fc
+from .kernels import SwiGluWeights, check_threshold
 from .tensor import FLOAT, ShapeError
 
 
@@ -39,11 +39,11 @@ class SparseLinear:
 
     ``bias_fused = bias + eta * column_sums(weight)`` is computed at
     construction as a read-only float64 array (a missing bias counts as
-    zero; with no bias and eta 0 it is None, nothing to add); ``fc`` computes
-    ``prune(x - eta, tau) @ W + bias_fused`` through ``sparse_fc``: one
-    float64-accumulated GEMM over the weight rows that at least one batch row
-    keeps, counting kept-channel MACs. A float32 weight is held by reference,
-    as a read-only view, never copied.
+    zero; with no bias and eta 0 it is None, nothing to add). The FFN
+    forwards run it as ``sparse_fc(x, weight, tau, eta, bias_fused)``, which
+    computes ``prune(x - eta, tau) @ W + bias_fused`` in one float64 GEMM over
+    the weight rows that any batch row keeps. A float32 weight is held by
+    reference, as a read-only view, never copied.
     """
 
     def __init__(self, weight: np.ndarray, bias: np.ndarray | None, spec: PruneSpec):
@@ -64,11 +64,6 @@ class SparseLinear:
         if fused is not None:
             fused.setflags(write=False)
         self.bias_fused = fused
-
-    def fc(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-        """``sparse_fc`` with this layer's weight, tau, eta and fused bias:
-        (output, kept mask, kept-channel MACs)."""
-        return sparse_fc(x, self.weight, self.tau, self.eta, self.bias_fused)
 
 
 def compile_ffn(w, up: PruneSpec | None, down: PruneSpec | None):

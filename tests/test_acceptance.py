@@ -27,7 +27,6 @@ from scap.cli import main as cli_main
 from scap.kernels import (
     SwiGluWeights,
     cats_swiglu,
-    dense_macs_swiglu,
     ffn_sparsity,
     swiglu_ffn,
 )
@@ -36,22 +35,27 @@ from scap.prune import PruneSpec, SparseLinear, compile_ffn
 from scap.tensor import matmul, silu
 
 
+def dense_macs_swiglu(batch, d, h):
+    """Oracle: Up and Gate read d inputs into h outputs each, Down h into d."""
+    return batch * (2 * d * h + h * d)
+
+
 def _scap_masks(tau_x, tau_g, x, w):
     """OpCount and the (Up/Gate, Down) kept masks from the one SwiGLU path."""
-    run = swiglu_ffn(x, w, *compile_ffn(w, PruneSpec(tau_x), PruneSpec(tau_g)))
-    return run.ops, run.up.kept, run.down.kept
+    _, _, rec = swiglu_ffn(x, w, *compile_ffn(w, PruneSpec(tau_x), PruneSpec(tau_g)))
+    return rec.ops, rec.up.kept, rec.down.kept
 
 
 def dense_swiglu(x, w):
     """(output, OpCount) of the unpruned SwiGLU block."""
-    run = swiglu_ffn(x, w)
-    return run.y, run.ops
+    y, _, rec = swiglu_ffn(x, w)
+    return y, rec.ops
 
 
 def scap_swiglu(tau_x, tau_gated, x, w):
     """(output, OpCount) of the SwiGLU block with both sites pruned."""
-    run = swiglu_ffn(x, w, *compile_ffn(w, PruneSpec(tau_x), PruneSpec(tau_gated)))
-    return run.y, run.ops
+    y, _, rec = swiglu_ffn(x, w, *compile_ffn(w, PruneSpec(tau_x), PruneSpec(tau_gated)))
+    return y, rec.ops
 
 
 def _report(criterion: str, detail: str) -> None:
@@ -72,7 +76,7 @@ def test_criterion_01_mode_centering_functional_equivalence():
         eta = float(rng.uniform(-2.0, 2.0))
         x = rng.standard_normal((4, ic)).astype(np.float32)
         layer = SparseLinear(w, b, PruneSpec(tau=0.0, eta=eta))
-        y, _, _ = layer.fc(x)
+        y, _, _ = kernels.sparse_fc(x, layer.weight, layer.tau, layer.eta, layer.bias_fused)
         dense = matmul(x, w) + b
         worst = max(worst, float(np.max(np.abs(y.astype(np.float64) - dense))))
         assert np.allclose(y, dense, atol=1e-5)

@@ -187,6 +187,20 @@ def test_unknown_target_site_rejected(targets):
             assert repr(name) in str(exc.value)
 
 
+def test_target_site_without_calibration_rejected(monkeypatch):
+    model = _swiglu_model(blocks=1)
+    calres = calibrate(model, synthetic_stream(16, 2, 32, seed=1), capacity=1 << 12, seed=2)
+    up_only = {UP_GATE_INPUT: calres[UP_GATE_INPUT]}
+    calls = []
+    threshold = LayerStats.centered_quantile_threshold
+    monkeypatch.setattr(
+        LayerStats, "centered_quantile_threshold", lambda *a: calls.append(a) or threshold(*a)
+    )
+    with pytest.raises(ValueError, match=repr(DOWN_INPUT)):
+        make_specs(model, up_only, {UP_GATE_INPUT: 0.5, DOWN_INPUT: 0.5})
+    assert calls == []  # rejected before any site is planned
+
+
 def test_unknown_centering_site_rejected(monkeypatch):
     model = _swiglu_model(blocks=1)
     stream = synthetic_stream(16, 2, 32, seed=1)

@@ -141,6 +141,44 @@ def test_malformed_model_container_raises_manifest_error(tmp_path, case):
         load_model(path)
 
 
+def _mismatch_config(tensors, config, case):
+    if case == "down output width 1":  # broadcast through the residual add
+        tensors["block0.w_down"] = tensors["block0.w_down"][:, :1]
+        if "block0.b_down" in tensors:
+            tensors["block0.b_down"] = tensors["block0.b_down"][:1]
+    elif case == "norm gain of length 1":
+        tensors["block0.norm_gain"] = tensors["block0.norm_gain"][:1]
+    elif case == "d_model below the weights":
+        config["d_model"] = 5
+    elif case == "n_blocks below the tensors":  # block 1 would be dropped
+        config["n_blocks"] = 1
+    elif case == "1-D up weights":
+        for name in ("block0.w_up", "block0.w_gate"):
+            if name in tensors:
+                tensors[name] = tensors[name].reshape(-1)
+
+
+@pytest.mark.parametrize("ffn", ["swiglu", "gelu"])
+@pytest.mark.parametrize(
+    "case",
+    [
+        "down output width 1",
+        "norm gain of length 1",
+        "d_model below the weights",
+        "n_blocks below the tensors",
+        "1-D up weights",
+    ],
+)
+def test_container_that_disagrees_with_its_config_raises_manifest_error(tmp_path, ffn, case):
+    model = init_weights(BlockConfig(ffn=ffn, d_model=8, d_hidden=16, n_blocks=2), seed=4)
+    tensors, config = model.to_tensors()
+    _mismatch_config(tensors, config, case)
+    path = tmp_path / "m.scap"
+    save_tensors(tensors, path, extra=config)
+    with pytest.raises(ManifestError):
+        load_model(path)
+
+
 def test_overlapping_offsets_rejected(tmp_path):
     path = tmp_path / "bad.scap"
     blob = np.zeros(8, dtype="<f4").tobytes()

@@ -7,7 +7,6 @@ from scap.kernels import (
     GeluMlpWeights,
     SwiGluWeights,
     cats_swiglu,
-    dense_macs_swiglu,
     ffn_sparsity,
     gelu_ffn,
     mlp_ffn_sparsity,
@@ -25,37 +24,42 @@ def _swiglu(rng, d, h):
     )
 
 
+def dense_macs_swiglu(batch, d, h):
+    """Oracle: Up and Gate read d inputs into h outputs each, Down h into d."""
+    return batch * (2 * d * h + h * d)
+
+
 def _scap_masks(tau_x, tau_z, x, w, eta_z=0.0):
     """OpCount and the (Up/Gate, Down) kept masks from the one FFN path."""
     ffn = swiglu_ffn if isinstance(w, SwiGluWeights) else gelu_ffn
-    run = ffn(x, w, *compile_ffn(w, PruneSpec(tau_x), PruneSpec(tau_z, eta_z)))
-    return run.ops, run.up.kept, run.down.kept
+    _, _, rec = ffn(x, w, *compile_ffn(w, PruneSpec(tau_x), PruneSpec(tau_z, eta_z)))
+    return rec.ops, rec.up.kept, rec.down.kept
 
 
 def dense_swiglu(x, w):
     """(output, OpCount) of the unpruned SwiGLU block."""
-    run = swiglu_ffn(x, w)
-    return run.y, run.ops
+    y, _, rec = swiglu_ffn(x, w)
+    return y, rec.ops
 
 
 def dense_gelu_mlp(x, w):
     """(output, OpCount) of the unpruned GELU MLP block."""
-    run = gelu_ffn(x, w)
-    return run.y, run.ops
+    y, _, rec = gelu_ffn(x, w)
+    return y, rec.ops
 
 
 def scap_swiglu(tau_x, tau_gated, x, w, eta_x=0.0, eta_gated=0.0):
     """(output, OpCount) of the SwiGLU block with both sites pruned."""
     sites = compile_ffn(w, PruneSpec(tau_x, eta_x), PruneSpec(tau_gated, eta_gated))
-    run = swiglu_ffn(x, w, *sites)
-    return run.y, run.ops
+    y, _, rec = swiglu_ffn(x, w, *sites)
+    return y, rec.ops
 
 
 def scap_gelu_mlp(tau_x, tau_h, eta_h, x, w):
     """(output, OpCount) of the GELU MLP with both sites pruned, the hidden
     activation mode-shifted by ``eta_h``."""
-    run = gelu_ffn(x, w, *compile_ffn(w, PruneSpec(tau_x), PruneSpec(tau_h, eta_h)))
-    return run.y, run.ops
+    y, _, rec = gelu_ffn(x, w, *compile_ffn(w, PruneSpec(tau_x), PruneSpec(tau_h, eta_h)))
+    return y, rec.ops
 
 
 def _gelu_mlp(rng, d, h, bias_offset=0.0):

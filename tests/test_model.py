@@ -114,6 +114,26 @@ def test_records_count_from_the_masks_of_the_captured_inputs(ffn):
 
 
 @pytest.mark.parametrize("n", [1, 5])
+@pytest.mark.parametrize("pruned", [False, True])
+@pytest.mark.parametrize("ffn", ["swiglu", "gelu"])
+def test_each_site_counts_the_dense_macs_of_the_projections_reading_it(ffn, pruned, n):
+    d, h = 16, 48
+    model = init_weights(BlockConfig(ffn=ffn, d_model=d, d_hidden=h, n_blocks=2), seed=34)
+    specs = {hook: PruneSpec(0.5) for hook in model.hook_points()} if pruned else {}
+    _, records = model.apply_prune_specs(specs).forward(_input(np.random.default_rng(35), n, d))
+    # input elements x output widths: SwiGLU's Up and Gate both read x
+    up_widths = 2 * h if ffn == "swiglu" else h
+    for rec in records:
+        assert (rec.up.dense_macs, rec.down.dense_macs) == (n * d * up_widths, n * h * d)
+        assert rec.dense_macs == sum(run.dense_macs for run in rec.sites.values())
+        for run in rec.sites.values():
+            if pruned:
+                assert run.pruned > 0 and 0 <= run.macs <= run.dense_macs
+            else:
+                assert run.macs == run.dense_macs
+
+
+@pytest.mark.parametrize("n", [1, 5])
 @pytest.mark.parametrize("ffn", ["swiglu", "gelu"])
 def test_nan_input_row_gives_a_nan_output_row_as_in_the_dense_forward(ffn, n):
     # with rmsnorm and the residual off, only the pruned sites carry the NaN

@@ -23,8 +23,8 @@ def _prune(x, tau):
 
 
 def _forward(layer, x):
-    """(output, OpCount) of one ``SparseLinear`` call."""
-    y, kept, macs = layer.fc(x)
+    """(output, OpCount) of ``sparse_fc`` on one ``SparseLinear`` layer."""
+    y, kept, macs = sparse_fc(x, layer.weight, layer.tau, layer.eta, layer.bias_fused)
     return y, OpCount(macs, kept.size - int(np.count_nonzero(kept)))
 
 
