@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from scap import analysis
+from scap import analysis, tensor
 from scap.cli import (
     COMMAND_DEFAULTS,
     COMMANDS,
@@ -272,6 +272,17 @@ def test_bad_arguments_fail_before_calibrating(tmp_path, capsys, monkeypatch, ar
     assert calls == []
     err = capsys.readouterr().err
     assert err.startswith(f"scap: error: {name} must") and err.count("\n") == 1
+
+
+def test_default_sweep_never_runs_the_row_kernels(tmp_path, monkeypatch):
+    """Every product of a default sweep is a batch over a weight below
+    ``tensor.ROW_GEMM_MIN``, where one BLAS GEMM is faster than the row
+    kernels."""
+    shapes = []
+    real = tensor._row_product
+    monkeypatch.setattr(tensor, "_row_product", lambda *a: shapes.append(a[0].shape) or real(*a))
+    assert _run(["sweep", "--out", tmp_path / "o"]) == 0
+    assert shapes == []
 
 
 def test_activations_and_a_sweep_run_without_scipy(tmp_path):
