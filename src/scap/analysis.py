@@ -158,34 +158,29 @@ def plan_specs(
     Pruning the Up/Gate inputs perturbs the gated tensors, so Down
     thresholds quantiled on dense captures land above their target (the
     effect is small at production widths but grows as 1/sqrt(d) at desk
-    scale). The first pass calibrates the Up/Gate site on dense captures;
-    the second re-streams with those specs applied and derives the Down
-    site from the distributions the deployed model will actually prune.
+    scale). The first pass calibrates on dense captures; when both sites
+    have a target, the second re-streams with the Up/Gate specs applied and
+    derives the Down site from the distributions the deployed model will
+    actually prune. A single target is planned from the dense pass alone.
     """
     _check_sites(targets)
     _check_sites(center_sites, "centering")
+    plan = {"center_sites": center_sites, "estimator": estimator}
     batches = list(calib_stream)
     first = calibrate(model, batches, capacity=capacity, seed=seed)
-    up_targets = {k: v for k, v in targets.items() if k == UP_GATE_INPUT}
-    if DOWN_INPUT not in targets:
-        return make_specs(model, first, up_targets, center_sites=center_sites, estimator=estimator)
+    if set(targets) != set(SITES):
+        return make_specs(model, first, targets, **plan)
     up_specs, second = _second_pass(
-        model, batches, first, up_targets, capacity, seed, center_sites, estimator
+        model, batches, first, targets[UP_GATE_INPUT], capacity, seed, plan
     )
-    down_specs = make_specs(
-        model,
-        second,
-        {DOWN_INPUT: targets[DOWN_INPUT]},
-        center_sites=center_sites,
-        estimator=estimator,
-    )
-    return {**up_specs, **down_specs}
+    return {**up_specs, **make_specs(model, second, {DOWN_INPUT: targets[DOWN_INPUT]}, **plan)}
 
 
-def _second_pass(model, batches, first, up_targets, capacity, seed, center_sites, estimator):
-    """The Up specs planned from the dense pass ``first``, and the statistics
-    of a pass re-streamed with them applied, from which Down is planned."""
-    up_specs = make_specs(model, first, up_targets, center_sites=center_sites, estimator=estimator)
+def _second_pass(model, batches, first, up_target, capacity, seed, plan):
+    """The Up specs planned (with ``make_specs`` options ``plan``) from the
+    dense pass ``first``, and the statistics of a pass re-streamed with them
+    applied, from which Down is planned."""
+    up_specs = make_specs(model, first, {UP_GATE_INPUT: up_target}, **plan)
     return up_specs, calibrate(model, batches, capacity=capacity, seed=seed + 1, specs=up_specs)
 
 
@@ -426,27 +421,19 @@ def pareto_sweep(
     check_fractions("grid_down", grid_down)
     workers = max_workers(len(grid_up) * len(grid_down))
     _check_sites(center_sites, "centering")
+    plan = {"center_sites": center_sites, "estimator": estimator}
     eval_batches = _eval_batches(eval_stream)
     calib_batches = list(calib_stream)
     first = calibrate(model, calib_batches, capacity=capacity, seed=seed)
     dense_outputs = [model.forward(b) for b in eval_batches]
 
     def second_pass(su):
-        return _second_pass(
-            model, calib_batches, first, {UP_GATE_INPUT: su},
-            capacity, seed, center_sites, estimator,
-        )
+        return _second_pass(model, calib_batches, first, su, capacity, seed, plan)
 
     def run_point(point):
         su, sd = point
         up_specs, down_stats = passes[su]
-        down_specs = make_specs(
-            model,
-            down_stats,
-            {DOWN_INPUT: sd},
-            center_sites=center_sites,
-            estimator=estimator,
-        )
+        down_specs = make_specs(model, down_stats, {DOWN_INPUT: sd}, **plan)
         report, err = _evaluate(model, {**up_specs, **down_specs}, eval_batches, dense_outputs)
         return SweepEntry(su, sd, report, err, -err)
 
@@ -506,30 +493,27 @@ def mode_centering_ablation(
 ) -> AblationResult:
     """Down-input pruning with eta = estimated mode versus eta = 0.
 
-    For each target sparsity, thresholds are calibrated on |h - eta| and on
-    |h| respectively; both variants report observed Down-input sparsity and
-    output reconstruction error on the same held-out stream. Targets outside
-    [0, 1] and an empty evaluation stream raise ValueError before anything
-    is calibrated.
+    For each target sparsity, ``make_specs`` plans the Down site with
+    thresholds calibrated on |h - eta| and on |h| respectively; both variants
+    report observed Down-input sparsity and output reconstruction error on
+    the same held-out stream. Targets outside [0, 1] and an empty evaluation
+    stream raise ValueError before anything is calibrated.
     """
     check_fractions("sparsity_grid", sparsity_grid)
     eval_batches = _eval_batches(eval_stream)
-    down_stats = calibrate(model, calib_stream, capacity=capacity, seed=seed)[DOWN_INPUT]
-    eta = down_stats.estimate_mode(estimator)
+    stats = calibrate(model, calib_stream, capacity=capacity, seed=seed)
+    eta = stats[DOWN_INPUT].estimate_mode(estimator)
     dense_outputs = [model.forward(b) for b in eval_batches]
     points = []
     for s in sparsity_grid:
-        row = {}
-        for tag, eta_use in (("with", eta), ("without", 0.0)):
-            tau = down_stats.centered_quantile_threshold(s, eta_use)
-            specs = {
-                hook: PruneSpec(tau=tau, eta=eta_use, target_sparsity=s)
-                for hook in model.hook_points()
-                if hook.site == DOWN_INPUT
-            }
+        row = []
+        for center in ((DOWN_INPUT,), ()):
+            specs = make_specs(
+                model, stats, {DOWN_INPUT: s}, center_sites=center, estimator=estimator
+            )
             report, err = _evaluate(model, specs, eval_batches, dense_outputs)
-            row[tag] = (report.site_sparsity[DOWN_INPUT], err)
-        (s_with, e_with), (s_without, e_without) = row["with"], row["without"]
+            row += [report.site_sparsity[DOWN_INPUT], err]
+        s_with, e_with, s_without, e_without = row
         points.append(AblationPoint(s, s_with, s_without, e_with, e_without))
     return AblationResult(points=points, eta=eta, iso_error_gain=iso_error_gain(points))
 

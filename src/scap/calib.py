@@ -22,7 +22,11 @@ from .tensor import DataError
 DEFAULT_RESERVOIR_CAPACITY = 1 << 20
 KDE_GRID_POINTS = 2048
 DEFAULT_SEED = 2025
-ESTIMATOR_KINDS = ("mean", "median", "kde")
+ESTIMATOR_KINDS = {  # kind -> eta of a raw float32 sample
+    "mean": lambda vals: float(np.mean(vals, dtype=np.float64)),
+    "median": lambda vals: float(np.quantile(vals, 0.5)),
+    "kde": lambda vals: _kde_mode(vals),
+}
 
 
 def check_fractions(name: str, values) -> None:
@@ -77,6 +81,7 @@ class LayerStats:
         self._buf = np.empty(capacity, dtype=np.float32)
         self.filled = 0
         self.seen_count = 0
+        self._modes = {}  # estimator kind -> eta of the current sample
 
     @property
     def abs_reservoir(self) -> np.ndarray:
@@ -84,7 +89,11 @@ class LayerStats:
 
     @property
     def raw_reservoir(self) -> np.ndarray:
-        return self._buf[: self.filled]
+        """The sample as a read-only view: ``observe`` alone writes it, and
+        clears the modes cached from it."""
+        view = self._buf[: self.filled]
+        view.setflags(write=False)
+        return view
 
     def observe(self, activations: np.ndarray) -> "LayerStats":
         """Fold an activation tensor's elements into the reservoir.
@@ -95,6 +104,7 @@ class LayerStats:
         flat = np.asarray(activations, dtype=np.float32).ravel()
         if not np.all(np.isfinite(flat)):
             raise DataError(f"{self.layer_id}: activations contain NaN or Inf")
+        self._modes.clear()
         take = min(self.capacity - self.filled, flat.size)
         self._buf[self.filled : self.filled + take] = flat[:take]
         self.filled += take
@@ -127,15 +137,15 @@ class LayerStats:
         return float(np.quantile(magnitudes, target_sparsity))
 
     def estimate_mode(self, estimator: ModeEstimator = ModeEstimator()) -> float:
-        """eta from the raw reservoir, per the configured estimator."""
-        vals = self.raw_reservoir
-        if vals.size == 0:
+        """eta from the raw reservoir, per the configured estimator, computed
+        at most once per reservoir state (threads that miss together store
+        the same value)."""
+        if self.filled == 0:
             raise CalibrationError(f"{self.layer_id}: no observations recorded")
-        if estimator.kind == "mean":
-            return float(np.mean(vals, dtype=np.float64))
-        if estimator.kind == "median":
-            return float(np.quantile(vals, 0.5))
-        return _kde_mode(vals)
+        kind = estimator.kind
+        if kind not in self._modes:
+            self._modes[kind] = ESTIMATOR_KINDS[kind](self.raw_reservoir)
+        return self._modes[kind]
 
 
 def _kde_mode(values: np.ndarray) -> float:

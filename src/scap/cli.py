@@ -21,23 +21,22 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, io, kernels
+from . import analysis, calib, io, kernels
 from .calib import ESTIMATOR_KINDS, ModeEstimator, check_fractions
-from .model import FFN_KINDS, BlockConfig, init_weights
-from .prune import PruneSpec, compile_ffn
+from .model import DOWN_INPUT, FFN_KINDS, UP_GATE_INPUT, BlockConfig, FfnStack, init_weights
 from .tensor import matmul, silu
 
 COMMON_DEFAULTS = {
-    "seed": 2025,
+    "seed": calib.DEFAULT_SEED,
     "out": "scap-out",
     "d_model": 32,
     "d_hidden": 96,
     "blocks": 2,
     "ffn": "swiglu",
     "estimator": "mean",
-    "capacity": 1 << 20,
-    "calib_sequences": 64,
-    "sequence_len": 256,
+    "capacity": calib.DEFAULT_RESERVOIR_CAPACITY,
+    "calib_sequences": analysis.CALIB_SEQUENCES,
+    "sequence_len": analysis.CALIB_SEQUENCE_LEN,
     "input_scale": 1.0,
     "up_bias_offset": 0.0,
     "rmsnorm": True,
@@ -213,8 +212,6 @@ def _streams(cfg: RunConfig):
 
 def cmd_calibrate(cfg: RunConfig) -> list[Path]:
     """emit tau/eta calibration report"""
-    from .calib import report_entry
-
     grid = _floats(cfg, "sparsity_grid")
     check_fractions("sparsity_grid", grid)
     calib_stream, _ = _streams(cfg)
@@ -225,7 +222,7 @@ def cmd_calibrate(cfg: RunConfig) -> list[Path]:
     )
     payload = {
         "layers": {
-            gid: report_entry(st, grid) for gid, st in sorted(calres.items())
+            gid: calib.report_entry(st, grid) for gid, st in sorted(calres.items())
         },
         "hooks": {h.label: h.site for h in model.hook_points()},
     }
@@ -240,7 +237,7 @@ def cmd_sweep(cfg: RunConfig) -> list[Path]:
     calib_stream, eval_stream = _streams(cfg)
     out = _out_dir(cfg)
     model = init_weights(cfg.block_config(), cfg.seed)
-    center = ("down_input",) if cfg.ffn == "gelu" else ()
+    center = (DOWN_INPUT,) if cfg.ffn == "gelu" else ()
     result = analysis.pareto_sweep(
         model,
         calib_stream,
@@ -257,6 +254,8 @@ def cmd_sweep(cfg: RunConfig) -> list[Path]:
 
 def cmd_bench(cfg: RunConfig) -> list[Path]:
     """kernel MAC-ratio sweep"""
+    if cfg.ffn != "swiglu":
+        raise CliError("bench requires --ffn swiglu (CATS and SCAP run one SwiGLU block)")
     grid = _floats(cfg, "sparsity_grid")
     check_fractions("sparsity_grid", grid)
     out = _out_dir(cfg)
@@ -268,6 +267,8 @@ def cmd_bench(cfg: RunConfig) -> list[Path]:
         (rng.standard_normal((h, d)) / np.sqrt(h)).astype(np.float32),
     )
     x = rng.standard_normal((batch, d)).astype(np.float32)
+    config = BlockConfig(d_model=d, d_hidden=h, n_blocks=1, residual=False, rmsnorm=False)
+    block = FfnStack(config, [w], None)
     header = [
         "scheme",
         "d",
@@ -279,7 +280,7 @@ def cmd_bench(cfg: RunConfig) -> list[Path]:
         "dense_macs",
         "macs_ratio",
     ]
-    _, gated, dense = kernels.swiglu_ffn(x, w)
+    _, _, dense = kernels.swiglu_ffn(x, w)
     dense_macs = dense.dense_macs
 
     def row(scheme, target, observed, macs):
@@ -290,10 +291,10 @@ def cmd_bench(cfg: RunConfig) -> list[Path]:
     for s in grid:
         _, count = kernels.cats_swiglu(float(np.quantile(silu_mag, s)), x, w)
         rows.append(row("cats", s, 2.0 / 3.0 * (count.elements_pruned / (batch * h)), count.macs))
+    stats = analysis.calibrate(block, [x], capacity=cfg.capacity, seed=cfg.seed)
     for s in grid:
-        tau_x = float(np.quantile(np.abs(x), s))
-        tau_g = float(np.quantile(np.abs(gated), s))
-        _, _, rec = kernels.swiglu_ffn(x, w, *compile_ffn(w, PruneSpec(tau_x), PruneSpec(tau_g)))
+        specs = analysis.make_specs(block, stats, {UP_GATE_INPUT: s, DOWN_INPUT: s})
+        _, (rec,) = block.apply_prune_specs(specs).forward(x)
         kept_x, kept_g = rec.up.kept, rec.down.kept
         obs = kernels.ffn_sparsity(
             1.0 - kept_x.sum() / kept_x.size, 1.0 - kept_g.sum() / kept_g.size
@@ -306,7 +307,7 @@ def cmd_bench(cfg: RunConfig) -> list[Path]:
 
 def cmd_overlap(cfg: RunConfig) -> list[Path]:
     """overlap-sparsity decay curve"""
-    from .model import UP_GATE_INPUT, HookPoint
+    from .model import HookPoint
 
     batch_sizes = _floats(cfg, "batch_sizes", int)
     analysis.check_overlap_sizes(batch_sizes, cfg.n_batches)

@@ -21,6 +21,8 @@ bit. A stack is checked against its config when it is built.
 
 from __future__ import annotations
 
+import numbers
+import sys
 from dataclasses import asdict, dataclass, fields
 from typing import Iterable, Mapping, NamedTuple
 
@@ -48,7 +50,8 @@ class HookPoint(NamedTuple):
 
 @dataclass(frozen=True)
 class BlockConfig:
-    """Stack hyperparameters; `up_bias_offset` shifts GELU hidden modes."""
+    """Stack hyperparameters; `up_bias_offset` shifts GELU hidden modes.
+    A field of the wrong type (a bool is not a number) raises ValueError."""
 
     ffn: str = "swiglu"
     d_model: int = 32
@@ -59,10 +62,20 @@ class BlockConfig:
     up_bias_offset: float = 0.0
 
     def __post_init__(self):
-        if self.ffn not in FFN_KINDS:
+        dims, flags = (self.d_model, self.d_hidden, self.n_blocks), (self.residual, self.rmsnorm)
+        if not isinstance(self.ffn, str) or self.ffn not in FFN_KINDS:
             raise ValueError(f"unknown ffn kind: {self.ffn!r}")
-        if min(self.d_model, self.d_hidden, self.n_blocks) < 1:
+        if any(isinstance(v, bool) or not isinstance(v, numbers.Integral) for v in dims):
+            raise ValueError(f"d_model, d_hidden, n_blocks must be ints, got {dims}")
+        if min(dims) < 1:
             raise ValueError("d_model, d_hidden, n_blocks must all be >= 1")
+        if not all(isinstance(v, bool) for v in flags):
+            raise ValueError(f"residual and rmsnorm must be bools, got {flags}")
+        offset = self.up_bias_offset
+        # false for NaN, inf and an int beyond the float range alike
+        finite = isinstance(offset, numbers.Real) and abs(offset) <= sys.float_info.max
+        if isinstance(offset, bool) or not finite:
+            raise ValueError(f"up_bias_offset must be a finite number, got {offset!r}")
 
 
 class FfnStack:

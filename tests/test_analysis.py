@@ -5,6 +5,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+import scap.calib
 from scap import kernels
 from scap.analysis import (
     AblationPoint,
@@ -24,12 +25,20 @@ from scap.analysis import (
     synthetic_stream,
 )
 from scap.calib import LayerStats, ModeEstimator
+from scap.cli import COMMAND_DEFAULTS
 from scap.model import DOWN_INPUT, SITES, UP_GATE_INPUT, BlockConfig, HookPoint, init_weights
 from scap.prune import PruneSpec
 
 
 def _swiglu_model(seed=0, d=16, h=48, blocks=2):
     return init_weights(BlockConfig(d_model=d, d_hidden=h, n_blocks=blocks), seed=seed)
+
+
+def _spy_kde(monkeypatch) -> list:
+    """Records the sample size of every ``calib._kde_mode`` call."""
+    calls, kde = [], scap.calib._kde_mode
+    monkeypatch.setattr(scap.calib, "_kde_mode", lambda v: calls.append(v.size) or kde(v))
+    return calls
 
 
 def _gelu_substrate(seed=3, d=24, h=96, offset=1.2):
@@ -224,6 +233,19 @@ def test_unknown_centering_site_rejected(monkeypatch):
     assert calls == []  # rejected before any calibration
     specs = make_specs(model, calres, targets, center_sites=(DOWN_INPUT,))
     assert specs[HookPoint(0, DOWN_INPUT)].eta != 0.0
+
+
+@pytest.mark.parametrize("site", SITES)
+def test_plan_specs_with_one_target_makes_one_pass(monkeypatch, site):
+    model = _swiglu_model(blocks=2)
+    stream = synthetic_stream(16, 3, 32, seed=1)
+    calls = []
+    observe = LayerStats.observe
+    monkeypatch.setattr(LayerStats, "observe", lambda *a: calls.append(a) or observe(*a))
+    specs = plan_specs(model, stream, {site: 0.5}, capacity=1 << 12, seed=2)
+    assert len(calls) == len(stream) * len(model.hook_points())
+    dense = make_specs(model, calibrate(model, stream, capacity=1 << 12, seed=2), {site: 0.5})
+    assert specs == dense
 
 
 def test_make_specs_plans_each_site_once(monkeypatch):
@@ -464,6 +486,19 @@ def test_sweep_entries_equal_plan_specs(build, center_sites, estimator):
         assert reconstruction_error(model, specs, hold) == e.error
 
 
+def test_sweep_estimates_each_second_pass_mode_once(monkeypatch):
+    # one thread, so no two grid points of one Up target miss the cache together
+    monkeypatch.setenv("SCAP_THREADS", "1")
+    calls = _spy_kde(monkeypatch)
+    model = _gelu_substrate()
+    stream = synthetic_stream(24, 2, 32, seed=41)
+    pareto_sweep(
+        model, stream, stream, [0.2, 0.4, 0.6], [0.3, 0.5, 0.7], capacity=1 << 12, seed=42,
+        center_sites=(DOWN_INPUT,), estimator=ModeEstimator("kde"),
+    )
+    assert len(calls) == 3  # one per Up target's Down statistics, not one per point
+
+
 def test_pareto_front_helper_tie_handling():
     class E:
         def __init__(self, f, q):
@@ -505,6 +540,37 @@ def test_ablation_shifted_substrate_gains_sparsity():
     # centered pruning is near-lossless where uncentered pruning is not
     mid = result.points[1]
     assert mid.err_with < mid.err_without
+
+
+def test_default_grid_ablation_estimates_the_mode_once(monkeypatch):
+    calls = _spy_kde(monkeypatch)
+    grid = [float(v) for v in COMMAND_DEFAULTS["ablate-mode"]["sparsity_grid"].split(",")]
+    stream = synthetic_stream(24, 2, 32, scale=0.1, seed=43)
+    result = mode_centering_ablation(_gelu_substrate(), stream, stream, grid, capacity=1 << 12)
+    assert len(result.points) == len(grid) == 8
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("centered", [True, False])
+def test_ablation_points_equal_plan_specs(centered):
+    # the ablation plans each variant through make_specs from one dense pass,
+    # as plan_specs plans a Down-only target
+    model = _gelu_substrate()
+    calib_stream = synthetic_stream(24, 4, 64, scale=0.1, seed=44)
+    hold = synthetic_stream(24, 4, 64, scale=0.1, seed=45)
+    estimator, kwargs = ModeEstimator("kde"), dict(capacity=1 << 14, seed=46)
+    result = mode_centering_ablation(model, calib_stream, hold, [0.3, 0.6], estimator, **kwargs)
+    center_sites = (DOWN_INPUT,) if centered else ()
+    for p in result.points:
+        specs = plan_specs(
+            model, calib_stream, {DOWN_INPUT: p.target_sparsity},
+            center_sites=center_sites, estimator=estimator, **kwargs,
+        )
+        observed, err = (p.observed_with, p.err_with) if centered else (
+            p.observed_without, p.err_without
+        )
+        assert measure_sparsity(model, specs, hold).site_sparsity[DOWN_INPUT] == observed
+        assert reconstruction_error(model, specs, hold) == err
 
 
 def window_sparsity_gain(values: np.ndarray, tau: float, eta: float) -> float:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scap import calib
 from scap.calib import (
     KDE_GRID_POINTS,
     CalibrationError,
@@ -200,6 +201,31 @@ def test_mode_translation_equivariance():
     assert sb.estimate_mode(KDE) == pytest.approx(
         sa.estimate_mode(KDE) + shift, abs=2 * grid_step + 1e-5
     )
+
+
+def test_each_estimator_runs_once_per_reservoir_state(monkeypatch):
+    calls = []
+    kde = calib._kde_mode
+    monkeypatch.setattr(calib, "_kde_mode", lambda v: calls.append(v.copy()) or kde(v))
+    rng = np.random.default_rng(8)
+    st_ = _stats(_shifted_gelu_mixture(2000, seed=9), capacity=8000)
+    first = {e.kind: st_.estimate_mode(e) for e in (MEAN, MEDIAN, KDE)}
+    assert {e.kind: st_.estimate_mode(e) for e in (MEAN, MEDIAN, KDE)} == first
+    assert len(calls) == 1
+    st_.observe(rng.normal(1.0, 0.02, size=4000))  # moves every estimate
+    again = {e.kind: st_.estimate_mode(e) for e in (MEAN, MEDIAN, KDE)}
+    assert len(calls) == 2 and np.array_equal(calls[1], st_.raw_reservoir)
+    fresh = _stats(st_.raw_reservoir, capacity=8000)
+    assert again == {e.kind: fresh.estimate_mode(e) for e in (MEAN, MEDIAN, KDE)}
+    assert all(again[k] != first[k] for k in first)
+
+
+def test_raw_reservoir_is_read_only():
+    st_ = _stats([1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="read-only"):
+        st_.raw_reservoir[0] = 5.0
+    st_.observe(np.array([4.0], dtype=np.float32))  # observe still writes it
+    assert st_.raw_reservoir.tolist() == [1.0, 2.0, 3.0, 4.0]
 
 
 def test_estimator_validation():

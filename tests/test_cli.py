@@ -4,9 +4,10 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from scap import analysis, tensor
+from scap import analysis, kernels, tensor
 from scap.cli import (
     COMMAND_DEFAULTS,
     COMMANDS,
@@ -17,6 +18,7 @@ from scap.cli import (
     resolve_config,
 )
 from scap.io import load_report
+from scap.prune import PruneSpec, compile_ffn
 
 FAST = [
     "--d-model", "12",
@@ -98,6 +100,45 @@ def test_bench_csv_structure(tmp_path):
     ]
     schemes = {line.split(",")[0] for line in lines[2:]}
     assert schemes == {"dense", "cats", "scap"}
+
+
+def test_bench_scap_rows_equal_batch_quantile_oracle(tmp_path):
+    # the oracle is bench's former SCAP path: exact batch quantiles of |x| and
+    # |gated| as taus, compiled by hand and run through swiglu_ffn; every bench
+    # value fits the reservoir, so planning through make_specs gives its bytes
+    d, h, batch, seed, grid = 12, 40, 6, 5, [0.1, 0.35, 0.5, 0.9]
+    out = tmp_path / "bench"
+    args = ["--d-model", d, "--d-hidden", h, "--batch", batch, "--seed", seed]
+    grid_arg = ["--sparsity-grid", ",".join(map(str, grid))]
+    assert _run(["bench", "--out", out, *args, *grid_arg]) == 0
+    rows = load_report(out / "bench.json")["payload"]["rows"]
+    rng = np.random.default_rng(seed)
+    w = kernels.SwiGluWeights(*(
+        (rng.standard_normal((m, n)) / np.sqrt(m)).astype(np.float32)
+        for m, n in ((d, h), (d, h), (h, d))
+    ))
+    x = rng.standard_normal((batch, d)).astype(np.float32)
+    _, gated, dense = kernels.swiglu_ffn(x, w)
+    expected = []
+    for s in grid:
+        tau_x = float(np.quantile(np.abs(x), s))
+        tau_g = float(np.quantile(np.abs(gated), s))
+        _, _, rec = kernels.swiglu_ffn(x, w, *compile_ffn(w, PruneSpec(tau_x), PruneSpec(tau_g)))
+        kept_x, kept_g = rec.up.kept, rec.down.kept
+        obs = kernels.ffn_sparsity(
+            1.0 - kept_x.sum() / kept_x.size, 1.0 - kept_g.sum() / kept_g.size
+        )
+        macs, dense_macs = rec.ops.macs, dense.dense_macs
+        expected.append(["scap", d, h, batch, s, obs, macs, dense_macs, macs / dense_macs])
+    assert [r for r in rows if r[0] == "scap"] == expected
+    assert expected[0][6] > expected[-1][6]  # the grid spans real pruning
+
+
+def test_bench_requires_swiglu(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert _run(["bench", "--out", out, "--ffn", "gelu"] + FAST) == 1
+    assert "--ffn swiglu" in capsys.readouterr().err
+    assert not out.exists()  # rejected before any file is written
 
 
 def test_config_file_precedence(tmp_path):

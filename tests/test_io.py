@@ -92,6 +92,12 @@ def _break_manifest(header, case):
         header["config"]["colour"] = 1
     elif case == "bad ffn value":
         header["config"]["ffn"] = "relu"
+    elif case == "string residual":  # truthy, so the residual add would run
+        header["config"]["residual"] = "false"
+    elif case == "float d_model":
+        header["config"]["d_model"] = 8.0
+    elif case == "nan up_bias_offset":
+        header["config"]["up_bias_offset"] = float("nan")
     elif case == "wrong-shaped tensor":  # same byte_len, transposed shape
         header["tensors"]["block0.w_up"]["shape"] = [16, 8]
     elif case == "negative dimensions":  # same byte_len
@@ -120,6 +126,9 @@ def _break_manifest(header, case):
         "missing tensor",
         "unknown config key",
         "bad ffn value",
+        "string residual",
+        "float d_model",
+        "nan up_bias_offset",
         "wrong-shaped tensor",
         "negative dimensions",
         "fractional dimension",

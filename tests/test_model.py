@@ -264,3 +264,26 @@ def test_input_shape_validation():
     model = init_weights(BlockConfig(d_model=8, d_hidden=16, n_blocks=1), seed=0)
     with pytest.raises(ShapeError):
         model.forward(np.zeros((2, 9), np.float32))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("ffn", 1),
+        ("ffn", ["swiglu"]),
+        ("d_model", 8.0),
+        ("d_hidden", True),
+        ("n_blocks", "2"),
+        ("residual", "false"),
+        ("rmsnorm", 1),
+        ("up_bias_offset", "1.2"),
+        ("up_bias_offset", True),
+        ("up_bias_offset", float("nan")),
+        ("up_bias_offset", float("inf")),
+        ("up_bias_offset", 10**400),
+    ],
+)
+def test_config_rejects_a_field_of_the_wrong_type(field, value):
+    with pytest.raises(ValueError, match=field):
+        BlockConfig(**{field: value})
+    BlockConfig(d_model=np.int64(8), up_bias_offset=1)  # numpy ints and int offsets pass
