@@ -85,22 +85,28 @@ def calibrate(
     capacity: int = DEFAULT_RESERVOIR_CAPACITY,
     seed: int = DEFAULT_SEED,
     specs: dict[HookPoint, PruneSpec] | None = None,
+    sites: tuple[str, ...] = SITES,
 ) -> dict[str, LayerStats]:
     """Stream calibration batches through the model, hooks observing.
 
-    Returns one ``LayerStats`` per site name. Activations are pooled per
-    site: all blocks' Up/Gate inputs feed one ``LayerStats`` and all Down
-    inputs another, so one threshold serves a uniform target per site.
-    Passing ``specs`` routes the
-    capture through the pruned view, so statistics reflect the distributions
-    a deployed model sees.
+    Returns one ``LayerStats`` per name in ``sites``, and observes only
+    those sites' hooks; a name not in ``SITES`` raises ValueError before
+    anything is observed. Activations are pooled per site: all blocks'
+    Up/Gate inputs feed one ``LayerStats`` and all Down inputs another, so
+    one threshold serves a uniform target per site. Each site's sampling
+    seed comes from its index in ``sorted(SITES)``, so a site's statistics
+    do not depend on which other sites are observed. Passing ``specs``
+    routes the capture through the pruned view, so statistics reflect the
+    distributions a deployed model sees.
     """
-    hooks = model.hook_points()
+    _check_sites(sites, "calibration")
+    hooks = [h for h in model.hook_points() if h.site in sites]
     runner = model if not specs else model.apply_prune_specs(specs)
     stats = {}
     for i, site in enumerate(sorted(SITES)):
-        site_seed = int(np.random.SeedSequence([seed, i]).generate_state(1)[0])
-        stats[site] = LayerStats(site, capacity=capacity, seed=site_seed)
+        if site in sites:
+            site_seed = int(np.random.SeedSequence([seed, i]).generate_state(1)[0])
+            stats[site] = LayerStats(site, capacity=capacity, seed=site_seed)
     for batch in calib_stream:
         _, captured = runner.forward_with_hooks(batch, hooks)
         for h in hooks:
@@ -158,30 +164,42 @@ def plan_specs(
     Pruning the Up/Gate inputs perturbs the gated tensors, so Down
     thresholds quantiled on dense captures land above their target (the
     effect is small at production widths but grows as 1/sqrt(d) at desk
-    scale). The first pass calibrates on dense captures; when both sites
-    have a target, the second re-streams with the Up/Gate specs applied and
-    derives the Down site from the distributions the deployed model will
-    actually prune. A single target is planned from the dense pass alone.
+    scale). When both sites have a target, a dense pass observes the Up/Gate
+    site alone and plans its specs, and is dropped; a second pass re-streams
+    with those specs applied and observes the Down site alone, from which
+    Down is planned as the deployed model will actually prune it. A single
+    target is planned from one dense pass that observes that site alone.
     """
     _check_sites(targets)
     _check_sites(center_sites, "centering")
     plan = {"center_sites": center_sites, "estimator": estimator}
     batches = list(calib_stream)
-    first = calibrate(model, batches, capacity=capacity, seed=seed)
     if set(targets) != set(SITES):
-        return make_specs(model, first, targets, **plan)
-    up_specs, second = _second_pass(
-        model, batches, first, targets[UP_GATE_INPUT], capacity, seed, plan
+        dense = calibrate(model, batches, capacity=capacity, seed=seed, sites=tuple(targets))
+        return make_specs(model, dense, targets, **plan)
+    (up_specs,) = _plan_up(model, batches, [targets[UP_GATE_INPUT]], capacity, seed, plan)
+    (down_specs,) = _second_pass(
+        model, batches, up_specs, [targets[DOWN_INPUT]], capacity, seed, plan
     )
-    return {**up_specs, **make_specs(model, second, {DOWN_INPUT: targets[DOWN_INPUT]}, **plan)}
+    return {**up_specs, **down_specs}
 
 
-def _second_pass(model, batches, first, up_target, capacity, seed, plan):
-    """The Up specs planned (with ``make_specs`` options ``plan``) from the
-    dense pass ``first``, and the statistics of a pass re-streamed with them
-    applied, from which Down is planned."""
-    up_specs = make_specs(model, first, {UP_GATE_INPUT: up_target}, **plan)
-    return up_specs, calibrate(model, batches, capacity=capacity, seed=seed + 1, specs=up_specs)
+def _plan_up(model, batches, up_targets, capacity, seed, plan) -> list[dict]:
+    """The Up specs of each target, planned (with ``make_specs`` options
+    ``plan``) from one dense pass that observes the Up/Gate site alone; the
+    pass's statistics die when this returns."""
+    first = calibrate(model, batches, capacity=capacity, seed=seed, sites=(UP_GATE_INPUT,))
+    return [make_specs(model, first, {UP_GATE_INPUT: s}, **plan) for s in up_targets]
+
+
+def _second_pass(model, batches, up_specs, down_targets, capacity, seed, plan) -> list[dict]:
+    """The Down specs of each target, planned from one pass re-streamed with
+    ``up_specs`` applied that observes the Down site alone; its statistics
+    die when this returns."""
+    second = calibrate(
+        model, batches, capacity=capacity, seed=seed + 1, specs=up_specs, sites=(DOWN_INPUT,)
+    )
+    return [make_specs(model, second, {DOWN_INPUT: s}, **plan) for s in down_targets]
 
 
 # ---------------------------------------------------------------------------
@@ -405,17 +423,21 @@ def pareto_sweep(
     Quality is the negated relative reconstruction error against the dense
     model.
 
-    The sweep shares ``plan_specs``'s passes: Up/Gate statistics are
-    collected once on dense captures, and for each Up target a second pass
-    collects the Down-input distribution with that pruning applied. Every
-    grid point then measures sparsity and reconstruction error in one pruned
-    pass over shared held-out data, and the non-dominated subset under
-    (maximize ffn_sparsity, maximize quality) is reported. The second passes,
-    then the grid points, run on one pool of ``tensor.max_workers`` threads
-    (the usable CPUs, or SCAP_THREADS); results are merged in grid order, so
-    output is scheduling-independent. Targets outside [0, 1], an unknown
-    centering site and an empty evaluation stream raise ValueError before
-    anything is calibrated.
+    The sweep shares ``plan_specs``'s passes: one dense pass observes the
+    Up/Gate site alone, plans the Up specs of every ``grid_up`` target and
+    is dropped; then, for each Up target, a second pass observes the Down
+    site alone with that pruning applied and plans every ``grid_down``
+    target from that one sample. Every grid point then measures sparsity
+    and reconstruction error in one pruned pass over shared held-out data,
+    and the non-dominated subset under (maximize ffn_sparsity, maximize
+    quality) is reported. The second passes and the grid points run on one
+    pool of ``tensor.max_workers`` threads (the usable CPUs, or
+    SCAP_THREADS): each second pass submits its grid points as soon as it
+    has planned them, no task waits on another, and a pass's statistics die
+    when its task returns. Results are collected in grid order, so output is
+    scheduling-independent. Targets outside [0, 1], an unknown centering
+    site and an empty evaluation stream raise ValueError before anything is
+    calibrated.
     """
     check_fractions("grid_up", grid_up)
     check_fractions("grid_down", grid_down)
@@ -424,23 +446,23 @@ def pareto_sweep(
     plan = {"center_sites": center_sites, "estimator": estimator}
     eval_batches = _eval_batches(eval_stream)
     calib_batches = list(calib_stream)
-    first = calibrate(model, calib_batches, capacity=capacity, seed=seed)
+    up_plans = _plan_up(model, calib_batches, grid_up, capacity, seed, plan)
     dense_outputs = [model.forward(b) for b in eval_batches]
 
-    def second_pass(su):
-        return _second_pass(model, calib_batches, first, su, capacity, seed, plan)
-
-    def run_point(point):
-        su, sd = point
-        up_specs, down_stats = passes[su]
-        down_specs = make_specs(model, down_stats, {DOWN_INPUT: sd}, **plan)
-        report, err = _evaluate(model, {**up_specs, **down_specs}, eval_batches, dense_outputs)
+    def run_point(su, sd, specs):
+        report, err = _evaluate(model, specs, eval_batches, dense_outputs)
         return SweepEntry(su, sd, report, err, -err)
 
-    points = [(su, sd) for su in grid_up for sd in grid_down]
+    def second_pass(su, up_specs):
+        down_plans = _second_pass(model, calib_batches, up_specs, grid_down, capacity, seed, plan)
+        return [
+            pool.submit(run_point, su, sd, {**up_specs, **down_specs})
+            for sd, down_specs in zip(grid_down, down_plans)
+        ]
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        passes = dict(zip(grid_up, pool.map(second_pass, grid_up)))
-        entries = list(pool.map(run_point, points))
+        passes = [pool.submit(second_pass, su, up) for su, up in zip(grid_up, up_plans)]
+        entries = [point.result() for p in passes for point in p.result()]
     return SweepResult(entries=entries, pareto_indices=pareto_front(entries))
 
 
@@ -493,15 +515,16 @@ def mode_centering_ablation(
 ) -> AblationResult:
     """Down-input pruning with eta = estimated mode versus eta = 0.
 
-    For each target sparsity, ``make_specs`` plans the Down site with
-    thresholds calibrated on |h - eta| and on |h| respectively; both variants
+    One dense pass observes the Down site alone. For each target sparsity,
+    ``make_specs`` plans that site with thresholds calibrated on |h - eta|
+    and on |h| respectively, each read from one sorted sample; both variants
     report observed Down-input sparsity and output reconstruction error on
     the same held-out stream. Targets outside [0, 1] and an empty evaluation
     stream raise ValueError before anything is calibrated.
     """
     check_fractions("sparsity_grid", sparsity_grid)
     eval_batches = _eval_batches(eval_stream)
-    stats = calibrate(model, calib_stream, capacity=capacity, seed=seed)
+    stats = calibrate(model, calib_stream, capacity=capacity, seed=seed, sites=(DOWN_INPUT,))
     eta = stats[DOWN_INPUT].estimate_mode(estimator)
     dense_outputs = [model.forward(b) for b in eval_batches]
     points = []

@@ -6,13 +6,15 @@ sampling, so calibrations over arbitrarily long streams stay within a fixed
 memory budget. From the reservoir we derive
 
 * ``quantile_threshold``: tau as the target-sparsity quantile of |X|, or of
-  |X - eta| for a mode-shifted pruner (``centered_quantile_threshold``),
+  |X - eta| for a mode-shifted pruner (``centered_quantile_threshold``), read
+  from one sorted copy of those magnitudes per eta,
 * ``estimate_mode``: eta as the empirical mean, median, or the argmax of a
   Gaussian-kernel density over an evenly spaced grid.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,15 +84,12 @@ class LayerStats:
         self.filled = 0
         self.seen_count = 0
         self._modes = {}  # estimator kind -> eta of the current sample
-
-    @property
-    def abs_reservoir(self) -> np.ndarray:
-        return np.abs(self.raw_reservoir)
+        self._sorted = {}  # eta -> sorted |X - eta| of the current sample
 
     @property
     def raw_reservoir(self) -> np.ndarray:
         """The sample as a read-only view: ``observe`` alone writes it, and
-        clears the modes cached from it."""
+        clears the modes and sorted magnitudes cached from it."""
         view = self._buf[: self.filled]
         view.setflags(write=False)
         return view
@@ -105,6 +104,7 @@ class LayerStats:
         if not np.all(np.isfinite(flat)):
             raise DataError(f"{self.layer_id}: activations contain NaN or Inf")
         self._modes.clear()
+        self._sorted.clear()
         take = min(self.capacity - self.filled, flat.size)
         self._buf[self.filled : self.filled + take] = flat[:take]
         self.filled += take
@@ -125,16 +125,22 @@ class LayerStats:
         return self.centered_quantile_threshold(target_sparsity, 0.0)
 
     def centered_quantile_threshold(self, target_sparsity: float, eta: float) -> float:
-        """tau for a mode-shifted pruner: quantile of |X - eta| (of the float32
-        magnitudes |X| when eta is 0)."""
+        """tau for a mode-shifted pruner: ``np.quantile(m, float(target_sparsity))``
+        of the magnitudes m = |X - eta| (the float32 |X| when eta is 0).
+
+        m is sorted at most once per eta and reservoir state, and every
+        target reads its tau from that copy. A non-finite eta raises
+        ValueError.
+        """
         check_fractions("target_sparsity", [target_sparsity])
+        if not math.isfinite(eta):
+            raise ValueError(f"{self.layer_id}: eta must be finite, got {eta}")
         if self.filled == 0:
             raise CalibrationError(f"{self.layer_id}: no observations recorded")
-        if eta == 0.0:
-            magnitudes = self.abs_reservoir
-        else:
-            magnitudes = np.abs(self.raw_reservoir.astype(np.float64) - eta)
-        return float(np.quantile(magnitudes, target_sparsity))
+        eta = float(eta)
+        if eta not in self._sorted:
+            self._sorted[eta] = _sorted_magnitudes(self.raw_reservoir, eta)
+        return _sorted_quantile(self._sorted[eta], float(target_sparsity))
 
     def estimate_mode(self, estimator: ModeEstimator = ModeEstimator()) -> float:
         """eta from the raw reservoir, per the configured estimator, computed
@@ -146,6 +152,30 @@ class LayerStats:
         if kind not in self._modes:
             self._modes[kind] = ESTIMATOR_KINDS[kind](self.raw_reservoir)
         return self._modes[kind]
+
+
+def _sorted_magnitudes(raw: np.ndarray, eta: float) -> np.ndarray:
+    """|raw - eta| in ascending order: float32 when eta is 0, else float64."""
+    if eta == 0.0:
+        magnitudes = np.abs(raw)
+    else:
+        magnitudes = np.subtract(raw, eta, dtype=np.float64)
+        np.abs(magnitudes, out=magnitudes)
+    magnitudes.sort()
+    return magnitudes
+
+
+def _sorted_quantile(ordered: np.ndarray, q: float) -> float:
+    """``np.quantile(ordered, q)`` for a sorted sample and a float q, bit for
+    bit: numpy's "linear" rule at v = (n - 1) * q, interpolated in the
+    sample's dtype from the upper neighbour when the weight is 0.5 or more."""
+    n = ordered.size
+    v = (n - 1) * q
+    lo = math.floor(v)
+    t = v - lo
+    a, b = ordered[lo], ordered[min(lo + 1, n - 1)]
+    diff = b - a
+    return float(b - diff * (1 - t) if t >= 0.5 else a + diff * t)
 
 
 def _kde_mode(values: np.ndarray) -> float:

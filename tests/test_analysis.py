@@ -1,10 +1,12 @@
 """Analysis harnesses: overlap decay, sweeps, ablation, report consistency."""
 
+from collections import Counter
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+import scap.analysis
 import scap.calib
 from scap import kernels
 from scap.analysis import (
@@ -38,6 +40,22 @@ def _spy_kde(monkeypatch) -> list:
     """Records the sample size of every ``calib._kde_mode`` call."""
     calls, kde = [], scap.calib._kde_mode
     monkeypatch.setattr(scap.calib, "_kde_mode", lambda v: calls.append(v.size) or kde(v))
+    return calls
+
+
+def _spy_sorts(monkeypatch) -> list:
+    """Records the sample size of every ``calib._sorted_magnitudes`` call."""
+    calls, sort = [], scap.calib._sorted_magnitudes
+    monkeypatch.setattr(
+        scap.calib, "_sorted_magnitudes", lambda raw, eta: calls.append(raw.size) or sort(raw, eta)
+    )
+    return calls
+
+
+def _spy_observe(monkeypatch) -> list:
+    """Records the ``LayerStats`` of every ``observe`` call."""
+    calls, observe = [], LayerStats.observe
+    monkeypatch.setattr(LayerStats, "observe", lambda st_, x: calls.append(st_) or observe(st_, x))
     return calls
 
 
@@ -243,9 +261,81 @@ def test_plan_specs_with_one_target_makes_one_pass(monkeypatch, site):
     observe = LayerStats.observe
     monkeypatch.setattr(LayerStats, "observe", lambda *a: calls.append(a) or observe(*a))
     specs = plan_specs(model, stream, {site: 0.5}, capacity=1 << 12, seed=2)
-    assert len(calls) == len(stream) * len(model.hook_points())
+    assert len(calls) == len(stream) * model.config.n_blocks  # that site's hooks alone
+    assert {stats.layer_id for stats, _ in calls} == {site}
     dense = make_specs(model, calibrate(model, stream, capacity=1 << 12, seed=2), {site: 0.5})
     assert specs == dense
+
+
+@pytest.mark.parametrize("sites", [(UP_GATE_INPUT,), (DOWN_INPUT,), (DOWN_INPUT, UP_GATE_INPUT)])
+def test_calibrate_chosen_sites_equal_an_all_site_run(sites):
+    model = _swiglu_model(blocks=2)
+    stream = synthetic_stream(16, 3, 32, seed=1)
+    up = make_specs(model, calibrate(model, stream, capacity=1 << 10, seed=2), {UP_GATE_INPUT: 0.4})
+    for specs in (None, up):  # dense and pruned captures
+        full = calibrate(model, stream, capacity=1 << 10, seed=2, specs=specs)
+        chosen = calibrate(model, stream, capacity=1 << 10, seed=2, specs=specs, sites=sites)
+        assert set(chosen) == set(sites)
+        for site in sites:
+            a, b = chosen[site], full[site]
+            assert a.raw_reservoir.tobytes() == b.raw_reservoir.tobytes()
+            assert (a.seen_count, a.seed) == (b.seen_count, b.seed)
+
+
+def test_calibrate_rejects_an_unknown_site_before_observing(monkeypatch):
+    model = _swiglu_model(blocks=1)
+    calls = _spy_observe(monkeypatch)
+    with pytest.raises(ValueError) as exc:
+        calibrate(model, synthetic_stream(16, 2, 32, seed=1), sites=(UP_GATE_INPUT, "down"))
+    for name in ("down", *SITES):
+        assert repr(name) in str(exc.value)
+    assert calls == []
+
+
+def test_sweep_passes_observe_only_the_sites_they_plan(monkeypatch):
+    model = _swiglu_model(blocks=2)
+    stream = synthetic_stream(16, 3, 32, seed=1)
+    passes, calibrate_ = [], scap.analysis.calibrate
+
+    def spy(*args, **kwargs):
+        stats = calibrate_(*args, **kwargs)
+        passes.append((kwargs.get("specs") is not None, stats))
+        return stats
+
+    monkeypatch.setattr(scap.analysis, "calibrate", spy)
+    observed = _spy_observe(monkeypatch)
+    pareto_sweep(model, stream, stream, [0.2, 0.5], [0.3, 0.6], capacity=1 << 12, seed=3)
+    # one dense pass over Up/Gate, then one pruned pass over Down per Up target
+    assert [(pruned, sorted(stats)) for pruned, stats in passes] == [
+        (False, [UP_GATE_INPUT]), (True, [DOWN_INPUT]), (True, [DOWN_INPUT]),
+    ]
+    planned = [st_ for _, stats in passes for st_ in stats.values()]
+    per_stats = Counter(id(st_) for st_ in observed)
+    assert per_stats == {id(st_): len(stream) * model.config.n_blocks for st_ in planned}
+
+
+@pytest.mark.parametrize(
+    "build, center_sites",
+    [(_swiglu_model, ()), (lambda: _gelu_substrate(d=16, h=48), (DOWN_INPUT,))],
+    ids=["swiglu", "gelu-centered"],
+)
+def test_default_grid_sweep_sorts_each_sample_once(monkeypatch, build, center_sites):
+    sorts = _spy_sorts(monkeypatch)
+    grid_up, grid_down = (
+        [float(t) for t in COMMAND_DEFAULTS["sweep"][key].split(",")]
+        for key in ("grid_up", "grid_down")
+    )
+    assert (len(grid_up), len(grid_down)) == (3, 3)
+    model = build()
+    stream = synthetic_stream(16, 2, 32, seed=1)
+    pareto_sweep(
+        model, stream, stream, grid_up, grid_down, capacity=1 << 12, seed=3,
+        center_sites=center_sites,
+    )
+    # one Up sample, then one Down sample per Up target, each of 2 x 32 rows per block
+    cfg = model.config
+    up, down = (min(1 << 12, 2 * 32 * w * cfg.n_blocks) for w in (cfg.d_model, cfg.d_hidden))
+    assert sorts == [up, down, down, down]
 
 
 def test_make_specs_plans_each_site_once(monkeypatch):

@@ -7,12 +7,14 @@ from hypothesis import strategies as st
 
 from scap import calib
 from scap.calib import (
+    DEFAULT_RESERVOIR_CAPACITY,
     KDE_GRID_POINTS,
     CalibrationError,
     LayerStats,
     ModeEstimator,
     report_entry,
 )
+from scap.cli import COMMAND_DEFAULTS
 from scap.tensor import DataError
 
 KDE = ModeEstimator(kind="kde")
@@ -44,7 +46,6 @@ def test_observe_rejects_non_finite_before_recording(bad):
         st_.observe(np.array([[1.0, bad], [3.0, 4.0]], dtype=np.float32))
     assert st_.seen_count == seen
     np.testing.assert_array_equal(st_.raw_reservoir, raw)
-    np.testing.assert_array_equal(st_.abs_reservoir, np.abs(raw))
     assert st_.quantile_threshold(0.5) == 1.0
 
 
@@ -53,7 +54,6 @@ def test_below_capacity_reservoir_is_exhaustive():
     st_ = LayerStats("l", capacity=10, seed=1)
     st_.observe(vals)
     assert sorted(st_.raw_reservoir.tolist()) == sorted(vals.tolist())
-    assert sorted(st_.abs_reservoir.tolist()) == sorted(np.abs(vals).tolist())
 
 
 def test_reservoir_is_unbiased_over_long_stream():
@@ -79,7 +79,6 @@ def test_observe_is_deterministic():
     a = _stats(data, capacity=512, seed=9)
     b = _stats(data, capacity=512, seed=9)
     assert np.array_equal(a.raw_reservoir, b.raw_reservoir)
-    assert np.array_equal(a.abs_reservoir, b.abs_reservoir)
 
 
 # ---------------------------------------------------------------------------
@@ -121,12 +120,95 @@ def test_quantile_monotone_in_target(values, s1, s2):
 def test_quantile_self_consistency():
     rng = np.random.default_rng(17)
     st_ = _stats(rng.standard_normal(5000))
-    reservoir = st_.abs_reservoir
+    reservoir = np.abs(st_.raw_reservoir)
     n = reservoir.size
     for s in np.arange(0.1, 0.95, 0.1):
         tau = st_.quantile_threshold(float(s))
         frac = float(np.mean(reservoir <= tau))
         assert abs(frac - s) <= 1.0 / n + 1e-12
+
+
+# every sparsity target a CLI default names, and both ends of [0, 1]
+CLI_TARGETS = sorted(
+    {0.0, 1.0, COMMAND_DEFAULTS["overlap"]["target_sparsity"]}
+    | {
+        float(tok)
+        for cmd in COMMAND_DEFAULTS.values()
+        for key in ("sparsity_grid", "grid_up", "grid_down")
+        if key in cmd
+        for tok in cmd[key].split(",")
+    }
+)
+
+
+def _bits(x: float) -> bytes:
+    return np.float64(x).tobytes()
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    st.one_of(st.integers(1, 16), st.integers(17, 5000)),
+    st.sampled_from([1, 2, 7, 40, 5000]),
+    st.sampled_from([0.0, 0.5, -1.25, 0.1]),
+    st.integers(0, 2**32 - 1),
+)
+def test_sorted_read_equals_np_quantile_bit_for_bit(n, distinct, eta, seed):
+    # n draws from ``distinct`` random levels make heavy duplicates; a small n
+    # leaves neighbours far apart, where the two interpolation forms round
+    # differently; eta 0 reads float32 magnitudes, any other eta float64 ones
+    rng = np.random.default_rng(seed)
+    levels = rng.standard_normal(distinct).astype(np.float32)
+    st_ = _stats(levels[rng.integers(0, distinct, size=n)], capacity=8192)
+    raw = st_.raw_reservoir
+    unsorted = np.abs(raw) if eta == 0.0 else np.abs(raw.astype(np.float64) - eta)
+    assert unsorted.dtype == (np.float32 if eta == 0.0 else np.float64)
+    for q in [*CLI_TARGETS, float(rng.random())]:
+        got = st_.centered_quantile_threshold(q, eta)
+        assert _bits(got) == _bits(np.quantile(unsorted, q)), (q, n)
+
+
+def test_sorted_read_equals_np_quantile_at_default_capacity():
+    values = np.random.default_rng(4).standard_normal(DEFAULT_RESERVOIR_CAPACITY + 77)
+    st_ = _stats(values, capacity=DEFAULT_RESERVOIR_CAPACITY)
+    for eta in (0.0, 0.3):
+        unsorted = np.abs(st_.raw_reservoir.astype(np.float64 if eta else np.float32) - eta)
+        for q in CLI_TARGETS:
+            assert _bits(st_.centered_quantile_threshold(q, eta)) == _bits(np.quantile(unsorted, q))
+
+
+def _spy_sorts(monkeypatch) -> list:
+    """Records (sample size, eta) of every ``calib._sorted_magnitudes`` call."""
+    calls, sort = [], calib._sorted_magnitudes
+    monkeypatch.setattr(
+        calib, "_sorted_magnitudes", lambda raw, eta: calls.append((raw.size, eta)) or sort(raw, eta)
+    )
+    return calls
+
+
+def test_each_eta_sorts_once_per_reservoir_state(monkeypatch):
+    sorts = _spy_sorts(monkeypatch)
+    st_ = _stats(np.random.default_rng(6).standard_normal(3000))
+    first = [st_.centered_quantile_threshold(q, eta) for eta in (0.0, 0.4) for q in CLI_TARGETS]
+    again = [st_.centered_quantile_threshold(q, eta) for eta in (0.0, 0.4) for q in CLI_TARGETS]
+    assert again == first
+    assert st_.quantile_threshold(0.5) == st_.centered_quantile_threshold(0.5, -0.0)
+    assert sorts == [(3000, 0.0), (3000, 0.4)]
+    # a read after an observe sorts, and reads, the new sample
+    st_.observe(np.full(3000, 9.0, dtype=np.float32))
+    assert st_.quantile_threshold(0.9) == 9.0
+    assert st_.centered_quantile_threshold(0.9, 0.4) == np.quantile(
+        np.abs(st_.raw_reservoir.astype(np.float64) - 0.4), 0.9
+    )
+    assert sorts[2:] == [(6000, 0.0), (6000, 0.4)]
+
+
+@pytest.mark.parametrize("eta", [np.nan, np.inf, -np.inf])
+def test_non_finite_eta_rejected_before_sorting(monkeypatch, eta):
+    sorts = _spy_sorts(monkeypatch)
+    st_ = _stats([1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match=f"eta must be finite, got {eta}"):
+        st_.centered_quantile_threshold(0.5, eta)
+    assert sorts == []
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Memory contract: building, saving and loading a stack hold one copy of its
-weights plus a scratch of about ``CAST_BLOCK_BYTES``, and a sparse forward's
-records hold only their kept masks, measured with tracemalloc (numpy reports
-its data buffers to it)."""
+weights plus a scratch of about ``CAST_BLOCK_BYTES``, a sparse forward's
+records hold only their kept masks, and a serial sweep holds fewer than two
+reservoirs at once, measured with tracemalloc (numpy reports its data buffers
+to it)."""
 
 import gc
 import tracemalloc
@@ -9,6 +10,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from scap.analysis import pareto_sweep, synthetic_stream
+from scap.calib import DEFAULT_RESERVOIR_CAPACITY
 from scap.io import load_model, save_model
 from scap.model import BlockConfig, init_weights
 from scap.prune import PruneSpec
@@ -77,3 +80,18 @@ def test_one_row_records_hold_their_masks_and_no_activation():
     masks = sum(run.kept.nbytes for run in runs)
     assert masks == 2 * (d + h)
     assert held - base <= masks + 4096
+
+
+def test_serial_sweep_holds_under_two_reservoirs_plus_its_streams(monkeypatch):
+    # each pass's statistics die before the next pass starts; keeping them
+    # would hold a reservoir per site per pass, 8 on this 3x3 grid
+    monkeypatch.setenv("SCAP_THREADS", "1")
+    model = init_weights(BlockConfig(d_model=16, d_hidden=48, n_blocks=2), seed=0)
+    calib = synthetic_stream(16, 2, 32, seed=1)
+    hold = synthetic_stream(16, 2, 32, seed=2)
+    grids = ([0.2, 0.4, 0.6], [0.3, 0.5, 0.7])
+    pareto_sweep(model, calib, hold, *grids, capacity=64)  # warm up outside the trace
+    _, peak = _traced_peak(lambda: pareto_sweep(model, calib, hold, *grids))
+    reservoir = DEFAULT_RESERVOIR_CAPACITY * np.dtype(np.float32).itemsize
+    streams = sum(b.nbytes for b in calib + hold)
+    assert peak < 2 * reservoir + streams
