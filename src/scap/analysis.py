@@ -12,7 +12,8 @@ pruned stack against its dense twin on held-out data; higher is better.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+# unused here, but perfbench/spans.py patches analysis.ThreadPoolExecutor by name
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import astuple, dataclass, fields
 
 import numpy as np
@@ -27,7 +28,6 @@ from .calib import (
 )
 from .model import DOWN_INPUT, SITES, UP_GATE_INPUT, FfnStack, HookPoint
 from .prune import PruneSpec
-from .tensor import max_workers
 
 CALIB_SEQUENCES = 64
 CALIB_SEQUENCE_LEN = 256
@@ -425,44 +425,31 @@ def pareto_sweep(
 
     The sweep shares ``plan_specs``'s passes: one dense pass observes the
     Up/Gate site alone, plans the Up specs of every ``grid_up`` target and
-    is dropped; then, for each Up target, a second pass observes the Down
-    site alone with that pruning applied and plans every ``grid_down``
-    target from that one sample. Every grid point then measures sparsity
-    and reconstruction error in one pruned pass over shared held-out data,
-    and the non-dominated subset under (maximize ffn_sparsity, maximize
-    quality) is reported. The second passes and the grid points run on one
-    pool of ``tensor.max_workers`` threads (the usable CPUs, or
-    SCAP_THREADS): each second pass submits its grid points as soon as it
-    has planned them, no task waits on another, and a pass's statistics die
-    when its task returns. Results are collected in grid order, so output is
-    scheduling-independent. Targets outside [0, 1], an unknown centering
-    site and an empty evaluation stream raise ValueError before anything is
-    calibrated.
+    is dropped; then, for each Up target in grid order, a second pass
+    observes the Down site alone with that pruning applied, plans every
+    ``grid_down`` target from that one sample, and each of those grid points
+    measures sparsity and reconstruction error in one pruned pass over
+    shared held-out data. Everything runs on the calling thread, so only one
+    pass's statistics are alive at a time. The non-dominated subset under
+    (maximize ffn_sparsity, maximize quality) is reported. Targets outside
+    [0, 1], an unknown centering site and an empty evaluation stream raise
+    ValueError before anything is calibrated.
     """
     check_fractions("grid_up", grid_up)
     check_fractions("grid_down", grid_down)
-    workers = max_workers(len(grid_up) * len(grid_down))
     _check_sites(center_sites, "centering")
     plan = {"center_sites": center_sites, "estimator": estimator}
     eval_batches = _eval_batches(eval_stream)
     calib_batches = list(calib_stream)
     up_plans = _plan_up(model, calib_batches, grid_up, capacity, seed, plan)
     dense_outputs = [model.forward(b) for b in eval_batches]
-
-    def run_point(su, sd, specs):
-        report, err = _evaluate(model, specs, eval_batches, dense_outputs)
-        return SweepEntry(su, sd, report, err, -err)
-
-    def second_pass(su, up_specs):
+    entries = []
+    for su, up_specs in zip(grid_up, up_plans):
         down_plans = _second_pass(model, calib_batches, up_specs, grid_down, capacity, seed, plan)
-        return [
-            pool.submit(run_point, su, sd, {**up_specs, **down_specs})
-            for sd, down_specs in zip(grid_down, down_plans)
-        ]
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        passes = [pool.submit(second_pass, su, up) for su, up in zip(grid_up, up_plans)]
-        entries = [point.result() for p in passes for point in p.result()]
+        for sd, down_specs in zip(grid_down, down_plans):
+            specs = {**up_specs, **down_specs}
+            report, err = _evaluate(model, specs, eval_batches, dense_outputs)
+            entries.append(SweepEntry(su, sd, report, err, -err))
     return SweepResult(entries=entries, pareto_indices=pareto_front(entries))
 
 

@@ -144,8 +144,7 @@ class LayerStats:
 
     def estimate_mode(self, estimator: ModeEstimator = ModeEstimator()) -> float:
         """eta from the raw reservoir, per the configured estimator, computed
-        at most once per reservoir state (threads that miss together store
-        the same value)."""
+        at most once per reservoir state."""
         if self.filled == 0:
             raise CalibrationError(f"{self.layer_id}: no observations recorded")
         kind = estimator.kind

@@ -24,7 +24,7 @@ import numpy as np
 from . import analysis, calib, io, kernels
 from .calib import ESTIMATOR_KINDS, ModeEstimator, check_fractions
 from .model import DOWN_INPUT, FFN_KINDS, UP_GATE_INPUT, BlockConfig, FfnStack, init_weights
-from .tensor import matmul, silu
+from .tensor import matmul, max_workers, silu
 
 COMMON_DEFAULTS = {
     "seed": calib.DEFAULT_SEED,
@@ -68,6 +68,9 @@ COMMAND_DEFAULTS = {
 }
 
 CHOICES = {"ffn": FFN_KINDS, "estimator": ESTIMATOR_KINDS}
+# block keys bench echoes but never reads: it runs one block with no norm,
+# residual or bias offset, so a value other than the default is rejected
+BENCH_IGNORES = ("blocks", "rmsnorm", "residual", "up_bias_offset")
 
 
 class CliError(RuntimeError):
@@ -256,6 +259,9 @@ def cmd_bench(cfg: RunConfig) -> list[Path]:
     """kernel MAC-ratio sweep"""
     if cfg.ffn != "swiglu":
         raise CliError("bench requires --ffn swiglu (CATS and SCAP run one SwiGLU block)")
+    ignored = [k for k in BENCH_IGNORES if cfg.values[k] != COMMON_DEFAULTS[k]]
+    if ignored:
+        raise CliError(f"bench ignores {', '.join(ignored)}: it runs one bare SwiGLU block")
     grid = _floats(cfg, "sparsity_grid")
     check_fractions("sparsity_grid", grid)
     out = _out_dir(cfg)
@@ -391,6 +397,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args)
+        max_workers(1)  # rejects a malformed SCAP_THREADS before any command runs
         written = COMMANDS[cfg.command](cfg)
         for path in written:
             if not Path(path).is_file() or Path(path).stat().st_size == 0:

@@ -1,5 +1,6 @@
 """Analysis harnesses: overlap decay, sweeps, ablation, report consistency."""
 
+import threading
 from collections import Counter
 from dataclasses import asdict
 
@@ -523,14 +524,19 @@ def test_sweep_results_independent_of_thread_cap(monkeypatch):
     assert serial.pareto_indices == threaded.pareto_indices
 
 
-def test_bad_thread_count_rejected_before_calibrating(monkeypatch):
+def test_sweep_runs_on_the_calling_thread(monkeypatch):
+    # every pass and grid point runs on the caller's thread, whatever the cap
+    monkeypatch.setenv("SCAP_THREADS", "4")
+    threads = []
+    for name in ("calibrate", "_evaluate"):
+        fn = getattr(scap.analysis, name)
+        spy = lambda *a, _fn=fn, **k: threads.append(threading.get_ident()) or _fn(*a, **k)
+        monkeypatch.setattr(scap.analysis, name, spy)
     model = _swiglu_model(seed=14, blocks=1)
-    calls = []
-    monkeypatch.setattr(LayerStats, "observe", lambda *a: calls.append(a))
-    monkeypatch.setenv("SCAP_THREADS", "abc")
-    with pytest.raises(ValueError, match="SCAP_THREADS"):
-        pareto_sweep(model, synthetic_stream(16, 2, 8, seed=1), [], [0.3], [0.4])
-    assert calls == []
+    stream = synthetic_stream(16, 2, 32, seed=1)
+    pareto_sweep(model, stream, stream, [0.3, 0.6], [0.4, 0.7], capacity=1 << 12)
+    assert len(threads) == 1 + 2 + 4  # the dense pass, 2 Down passes, 4 points
+    assert set(threads) == {threading.get_ident()}
 
 
 @pytest.mark.parametrize(
@@ -577,8 +583,6 @@ def test_sweep_entries_equal_plan_specs(build, center_sites, estimator):
 
 
 def test_sweep_estimates_each_second_pass_mode_once(monkeypatch):
-    # one thread, so no two grid points of one Up target miss the cache together
-    monkeypatch.setenv("SCAP_THREADS", "1")
     calls = _spy_kde(monkeypatch)
     model = _gelu_substrate()
     stream = synthetic_stream(24, 2, 32, seed=41)

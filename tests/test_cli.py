@@ -141,6 +141,24 @@ def test_bench_requires_swiglu(tmp_path, capsys):
     assert not out.exists()  # rejected before any file is written
 
 
+@pytest.mark.parametrize(
+    "flag, key",
+    [
+        (["--blocks", "4"], "blocks"),
+        (["--no-rmsnorm"], "rmsnorm"),
+        (["--no-residual"], "residual"),
+        (["--up-bias-offset", "0.5"], "up_bias_offset"),
+    ],
+)
+def test_bench_rejects_block_flags_it_ignores(tmp_path, capsys, flag, key):
+    # bench runs one bare SwiGLU block, so it would echo a config it did not run
+    out = tmp_path / "o"
+    assert _run(["bench", "--out", out, *flag]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"scap: error: bench ignores {key}:") and err.count("\n") == 1
+    assert not out.exists()  # rejected before any file is written
+
+
 def test_config_file_precedence(tmp_path):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({"seed": 123, "d_model": 20}))
@@ -391,6 +409,18 @@ def test_bad_thread_count_fails_with_one_line(tmp_path, monkeypatch, capsys):
     assert _run(["sweep", "--out", tmp_path / "o"] + FAST) == 1
     err = capsys.readouterr().err
     assert err.startswith("scap: error: SCAP_THREADS") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_every_command_rejects_a_bad_thread_count_before_running(
+    tmp_path, monkeypatch, capsys, command
+):
+    monkeypatch.setenv("SCAP_THREADS", "abc")
+    out = tmp_path / "o"
+    assert _run([command, "--out", out] + FAST) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("scap: error: SCAP_THREADS") and err.count("\n") == 1
+    assert not out.exists()  # rejected before the command writes anything
 
 
 @pytest.mark.parametrize("debug", [None, "0", "1"])

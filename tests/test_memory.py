@@ -1,13 +1,14 @@
 """Memory contract: building, saving and loading a stack hold one copy of its
 weights plus a scratch of about ``CAST_BLOCK_BYTES``, a sparse forward's
-records hold only their kept masks, and a serial sweep holds fewer than two
-reservoirs at once, measured with tracemalloc (numpy reports its data buffers
-to it)."""
+records hold only their kept masks, and a sweep holds under two reservoirs at
+once serially and under one and a half with threads allowed, measured with
+tracemalloc (numpy reports its data buffers to it)."""
 
 import gc
 import tracemalloc
 
 import numpy as np
+import numpy.random  # noqa: F401  (else its lazy import lands in the first traced call)
 import pytest
 
 from scap.analysis import pareto_sweep, synthetic_stream
@@ -95,3 +96,18 @@ def test_serial_sweep_holds_under_two_reservoirs_plus_its_streams(monkeypatch):
     reservoir = DEFAULT_RESERVOIR_CAPACITY * np.dtype(np.float32).itemsize
     streams = sum(b.nbytes for b in calib + hold)
     assert peak < 2 * reservoir + streams
+
+
+def test_sweep_with_threads_holds_one_pass_of_statistics(monkeypatch):
+    # the sweep runs its passes one after another whatever SCAP_THREADS says;
+    # three concurrent Down passes on this grid would hold three reservoirs
+    monkeypatch.setenv("SCAP_THREADS", "4")
+    model = init_weights(BlockConfig(d_model=16, d_hidden=48, n_blocks=2), seed=0)
+    calib = synthetic_stream(16, 8, 32, seed=1)
+    hold = synthetic_stream(16, 2, 32, seed=2)
+    grids = ([0.2, 0.4, 0.6], [0.3, 0.5, 0.7])
+    pareto_sweep(model, calib, hold, *grids, capacity=64)  # warm up outside the trace
+    _, peak = _traced_peak(lambda: pareto_sweep(model, calib, hold, *grids))
+    reservoir = DEFAULT_RESERVOIR_CAPACITY * np.dtype(np.float32).itemsize
+    streams = sum(b.nbytes for b in calib + hold)
+    assert peak < 1.5 * reservoir + streams
