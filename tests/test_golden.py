@@ -1,4 +1,5 @@
-"""Golden SHA-256 digests of every CLI artifact at default settings.
+"""Golden SHA-256 digests of every CLI artifact at default settings, and of
+small configs that reach paths the defaults do not.
 
 The determinism tests compare reruns with each other; these pin the bytes
 themselves, so a kernel or analysis change that shifts any output is seen.
@@ -62,3 +63,33 @@ def test_default_artifact_digests(tmp_path, monkeypatch, command):
     assert digests == GOLDEN[command]
     if command in NO_ROW_KERNELS:
         assert shapes == []
+
+
+# Small dims and streams with a capacity below each site's stream, so both
+# reservoirs draw past capacity (at defaults the Up/Gate one fills exactly),
+# plus a centered GELU sweep on the KDE estimator. The table runs in well
+# under 2 s.
+SMALL = ["--d-model", "16", "--d-hidden", "48", "--calib-sequences", "4",
+         "--sequence-len", "32", "--capacity", "1000"]
+GOLDEN_SMALL = {
+    "calibrate": (["calibrate", *SMALL], {
+        "calibration.json": "4957286934c6480a8fd187b61d89e81c6c6a4640d67bbfc68c7cb520ea4af0cf",
+    }),
+    "sweep": (["sweep", *SMALL], {
+        "sweep.csv": "3ebadd1269c7c5567e0a5ef054186c6aea4c1e597200f12c70a01eda6cbd8839",
+        "sweep.json": "80236ec0936cd32648c75bc247cfcc0e2546359c78b6d598531b6f9265aa68d6",
+    }),
+    "sweep-gelu-kde": (["sweep", *SMALL, "--ffn", "gelu", "--estimator", "kde"], {
+        "sweep.csv": "eb43e509b0ff9a9095faafb7e8b3d9d10ce9d506dc4b1c276af9350984e82042",
+        "sweep.json": "5bc43f2955267b78981f37868975eb8cd11e62553f9e0e154d330b8555cd83c9",
+    }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SMALL))
+def test_small_config_artifact_digests(tmp_path, monkeypatch, name):
+    monkeypatch.chdir(tmp_path)
+    argv, want = GOLDEN_SMALL[name]
+    assert main([*argv, "--out", OUT]) == 0
+    written = sorted(p for p in (tmp_path / OUT).iterdir() if p.is_file())
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in written} == want
