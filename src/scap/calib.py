@@ -14,12 +14,13 @@ memory budget. From the reservoir we derive
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import DataError
+from .tensor import DataError, _kernel
 
 DEFAULT_RESERVOIR_CAPACITY = 1 << 20
 KDE_GRID_POINTS = 2048
@@ -61,10 +62,11 @@ class ModeEstimator:
 class LayerStats:
     """Calibration accumulator for one pruning site (pooled over blocks).
 
-    Holds a uniform sample of raw X (vectorized Algorithm R) for mode
-    estimation; its magnitudes are a uniform sample of |X| for threshold
-    quantiles. Sampling is driven by a generator spawned deterministically
-    from ``seed``.
+    Holds a uniform sample of raw X (Algorithm R) for mode estimation; its
+    magnitudes are a uniform sample of |X| for threshold quantiles. Sampling
+    is driven by a generator spawned deterministically from ``seed``, whose
+    draws are numpy's ``Generator.integers`` algorithm run in a compiled
+    loop (``reservoir_draw`` of ``activations.c``).
     """
 
     def __init__(
@@ -97,8 +99,14 @@ class LayerStats:
     def observe(self, activations: np.ndarray) -> "LayerStats":
         """Fold an activation tensor's elements into the reservoir.
 
-        NaN or Inf raises ``DataError`` before anything is recorded; it would
-        otherwise make every threshold NaN.
+        Elements fill free slots in order. Past capacity, the element at
+        stream position t draws j uniform on [0, t) and replaces slot j when
+        j < capacity: one compiled loop, in stream order, draws each j as
+        ``Generator.integers(0, t)`` would (Lemire's bounded-integer method)
+        from this generator's own bits, under its lock. So the sample and the
+        generator state are those of numpy's vectorized formulation, bit for
+        bit. NaN or Inf raises ``DataError`` before anything is recorded; it
+        would otherwise make every threshold NaN.
         """
         flat = np.asarray(activations, dtype=np.float32).ravel()
         if not np.all(np.isfinite(flat)):
@@ -111,12 +119,13 @@ class LayerStats:
         self.seen_count += take
         rest = flat[take:]
         if rest.size:
-            # item at stream position t replaces slot j ~ U[0, t) iff j < capacity;
-            # fancy assignment applies duplicates in order, matching sequential R
-            positions = self.seen_count + 1 + np.arange(rest.size, dtype=np.int64)
-            j = self._rng.integers(0, positions)
-            accept = j < self.capacity
-            self._buf[j[accept]] = rest[accept]
+            bitgen = self._rng.bit_generator
+            c = bitgen.ctypes  # the generator's state and functions as addresses
+            next64, next32 = (ctypes.cast(f, ctypes.c_void_p).value for f in c[2:4])
+            draw = _kernel("activations", "reservoir_draw")
+            with bitgen.lock:
+                draw(rest.ctypes.data, rest.size, self.seen_count, self.capacity,
+                     self._buf.ctypes.data, c.state_address, next64, next32)
             self.seen_count += rest.size
         return self
 

@@ -9,8 +9,10 @@ elements runs ``row_gemm``, which adds each output's rows in the same order,
 so every batch row equals its one-row result bit for bit. A large product
 splits its output columns across the usable cores and keeps the bits of one
 thread. A batch over a smaller weight runs one BLAS GEMM. In float32,
-``activations.c`` computes ``silu`` as ``x * (1 / (1 + expf(-x)))`` and
-``gelu`` as ``(0.5 * x) * (1 + erf(x / sqrt2))``. Every operation is pure.
+``activations.c`` computes ``silu`` as ``x * (1 / (1 + expf(-x)))``, in a
+vectorised loop that writes out glibc's ``expf`` algorithm bit for bit, and
+``gelu`` as ``(0.5 * x) * (1 + erf(x / sqrt2))``. The same source holds the
+reservoir draw of ``calib.LayerStats``. Every operation is pure.
 """
 
 from __future__ import annotations
@@ -39,7 +41,11 @@ CC = ("cc", "-O3", "-march=native", "-ffp-contract=off", "-fPIC", "-shared")
 _P, _N = ctypes.c_void_p, ctypes.c_int64
 _KERNELS = {
     "rowgemv": {"row_gemv": (_P, _P, _P, *[_N] * 4, _P), "row_gemm": (_P, _P, _P, *[_N] * 5, _P)},
-    "activations": {"silu_f32": (_P, _N, _P), "gelu_f32": (_P, _N, _P)},
+    "activations": {
+        "silu_f32": (_P, _N, _P),
+        "gelu_f32": (_P, _N, _P),
+        "reservoir_draw": (_P, *[_N] * 3, *[_P] * 4),
+    },
 }
 _libs, _lock = {}, threading.Lock()
 # a batch over fewer weight rows x columns than this runs one BLAS GEMM, whose
@@ -197,8 +203,11 @@ if hasattr(os, "register_at_fork"):
 
 def silu(x) -> np.ndarray:
     """Elementwise x * sigmoid(x) as ``x * (1 / (1 + expf(-x)))``, each
-    operation rounded to float32, ``expf`` the C library's. Any array-like
-    goes in; a float32 array of its shape comes out."""
+    operation rounded to float32. ``expf`` is glibc 2.36's algorithm written
+    out in ``activations.c`` so that the loop vectorises; it equals that
+    library's ``expf`` (its FMA build) on every float32 input, so silu keeps
+    the bits of a loop over it, a NaN's sign aside. Any array-like goes in;
+    a float32 array of its shape comes out."""
     return _activation("silu_f32", x)
 
 

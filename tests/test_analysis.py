@@ -9,6 +9,7 @@ import pytest
 
 import scap.analysis
 import scap.calib
+import scap.tensor
 from scap import kernels
 from scap.analysis import (
     AblationPoint,
@@ -505,19 +506,32 @@ def test_sweep_table_mirrors_published_grid_shape():
 
 
 def test_sweep_results_independent_of_thread_cap(monkeypatch):
-    model = _swiglu_model(seed=14, blocks=1)
-    calib = synthetic_stream(16, 4, 64, seed=27)
-    hold = synthetic_stream(16, 4, 64, seed=28)
+    # 64-row batches over 128x1024 weights reach ROW_GEMM_MIN and SPLIT_MACS,
+    # so the cap changes how row_gemm's output columns are cut
+    model = _swiglu_model(seed=14, d=128, h=1024, blocks=1)
+    calib = synthetic_stream(128, 2, 64, seed=27)
+    hold = synthetic_stream(128, 2, 64, seed=28)
+    real, slices = scap.tensor._kernel, []
 
-    def run():
-        return pareto_sweep(
+    def kernel(source, name):
+        compiled = real(source, name)
+        if name != "row_gemm":
+            return compiled
+        return lambda *args: slices.append(args[-3:-1]) or compiled(*args)
+
+    monkeypatch.setattr(scap.tensor, "_kernel", kernel)
+
+    def run(threads):
+        monkeypatch.setenv("SCAP_THREADS", threads)
+        slices.clear()
+        result = pareto_sweep(
             model, calib, hold, [0.3, 0.6], [0.4, 0.7], capacity=1 << 14, seed=29
         )
+        return result, set(slices)
 
-    monkeypatch.setenv("SCAP_THREADS", "1")
-    serial = run()
-    monkeypatch.setenv("SCAP_THREADS", "4")
-    threaded = run()
+    (serial, serial_cuts), (threaded, threaded_cuts) = run("1"), run("2")
+    assert serial_cuts == {(0, 1024), (0, 128)}  # Up/Gate and Down, uncut
+    assert threaded_cuts == {(0, 512), (512, 1024), (0, 64), (64, 128)}
     for a, b in zip(serial.entries, threaded.entries):
         assert a.error == b.error
         assert asdict(a.report) == asdict(b.report)

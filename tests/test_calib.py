@@ -81,6 +81,74 @@ def test_observe_is_deterministic():
     assert np.array_equal(a.raw_reservoir, b.raw_reservoir)
 
 
+class _NumpyReservoir:
+    """Algorithm R as numpy formulates it, the oracle of the compiled draw:
+    past capacity, the value at stream position t replaces slot
+    ``j = Generator.integers(0, t)`` when j < capacity, and a fancy
+    assignment applies the slots drawn twice in stream order. Its generator
+    is spawned from the seed as ``LayerStats`` spawns its own."""
+
+    def __init__(self, capacity, seed):
+        self.rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[1])
+        self.buf = np.empty(capacity, dtype=np.float32)
+        self.capacity, self.filled, self.seen = capacity, 0, 0
+
+    def observe(self, values):
+        flat = np.asarray(values, dtype=np.float32).ravel()
+        take = min(self.capacity - self.filled, flat.size)
+        self.buf[self.filled : self.filled + take] = flat[:take]
+        self.filled += take
+        self.seen += take
+        rest = flat[take:]
+        positions = self.seen + 1 + np.arange(rest.size, dtype=np.int64)
+        j = self.rng.integers(0, positions)
+        accept = j < self.capacity
+        self.buf[j[accept]] = rest[accept]
+        self.seen += rest.size
+
+
+def _assert_same_reservoir(stats, oracle):
+    assert stats.seen_count == oracle.seen
+    assert stats.raw_reservoir.tobytes() == oracle.buf[: oracle.filled].tobytes()
+    assert stats._rng.bit_generator.state == oracle.rng.bit_generator.state
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 4096),
+    st.lists(st.tuples(st.integers(1, 10_000), st.booleans()), min_size=1, max_size=5),
+    st.integers(0, 2**32 - 1),
+)
+def test_observe_equals_the_numpy_draw(capacity, observes, seed):
+    """After every observe the compiled draw leaves the reservoir bytes, the
+    seen count and the generator state that numpy's formulation leaves.
+    Values are the stream positions, or (with repeats) a few distinct ones."""
+    stats = LayerStats("t", capacity=capacity, seed=seed)
+    oracle = _NumpyReservoir(capacity, seed)
+    for size, repeats in observes:
+        values = oracle.seen + np.arange(size, dtype=np.float32)
+        values = values % 3 if repeats else values
+        stats.observe(values)
+        oracle.observe(values)
+        _assert_same_reservoir(stats, oracle)
+
+
+@pytest.mark.parametrize("seen", [2**31, 2**32 - 5, 2**62])
+def test_observe_draws_at_large_stream_positions(seen):
+    """From seen count 2^32 - 5 one observe draws below 2^32 - 1 from 32-bit
+    words, at 2^32 - 1 one raw word, and above it from 64-bit words. Just
+    past 2^31 and 2^62 Lemire's method rejects about a half and a quarter of
+    its 32- and 64-bit words, so the retries are compared too."""
+    stats, oracle = LayerStats("t", capacity=8, seed=4), _NumpyReservoir(8, 4)
+    for reservoir in (stats, oracle):
+        reservoir.observe(np.arange(8, dtype=np.float32))
+    stats.seen_count = oracle.seen = seen
+    values = np.arange(100, 140, dtype=np.float32)
+    stats.observe(values)
+    oracle.observe(values)
+    _assert_same_reservoir(stats, oracle)
+
+
 # ---------------------------------------------------------------------------
 # quantile thresholds
 

@@ -336,12 +336,17 @@ def test_bad_arguments_fail_before_calibrating(tmp_path, capsys, monkeypatch, ar
 def test_default_sweep_never_runs_the_row_kernels(tmp_path, monkeypatch):
     """Every product of a default sweep is a batch over a weight below
     ``tensor.ROW_GEMM_MIN``, where one BLAS GEMM is faster than the row
-    kernels."""
-    shapes = []
-    real = tensor._row_product
+    kernels. Its compiled loops (silu and the reservoir draw) share one
+    source, so a fresh process runs ``cc`` once."""
+    shapes, compiles = [], []
+    real, run = tensor._row_product, tensor.subprocess.run
     monkeypatch.setattr(tensor, "_row_product", lambda *a: shapes.append(a[0].shape) or real(*a))
+    monkeypatch.setattr(tensor, "_libs", {})  # as in a fresh process
+    spy = lambda cmd, **kw: compiles.append(cmd[0]) or run(cmd, **kw)
+    monkeypatch.setattr(tensor.subprocess, "run", spy)
     assert _run(["sweep", "--out", tmp_path / "o"]) == 0
     assert shapes == []
+    assert compiles == ["cc"]
 
 
 def test_activations_and_a_sweep_run_without_scipy(tmp_path):

@@ -2,6 +2,8 @@
 sequential loop, their column split against the unsplit kernels, activation
 values."""
 
+import ctypes
+import ctypes.util
 import gc
 import math
 import os
@@ -532,6 +534,35 @@ def test_activations_equal_scipy_bit_for_bit_on_a_strided_sweep():
         want_silu = x * special.expit(x)
         want_gelu = 0.5 * x * (1.0 + special.erf(x / np.sqrt(2.0, dtype=np.float32)))
     assert _same_bits(silu(x), want_silu) and _same_bits(gelu(x), want_gelu)
+
+
+def _libm_silu(x):
+    """``x * (1 / (1 + expf(-x)))`` per element, in float32 numpy scalars,
+    ``expf`` the C library's through ctypes."""
+    libm = ctypes.CDLL(ctypes.util.find_library("m"))
+    libm.expf.argtypes, libm.expf.restype = (ctypes.c_float,), ctypes.c_float
+    one = np.float32(1.0)
+    with np.errstate(all="ignore"):
+        out = [v * (one / (one + np.float32(libm.expf(-v)))) for v in x.tolist()]
+    return np.array(out, dtype=np.float32)
+
+
+def test_silu_equals_libm_expf_silu_at_special_values():
+    """Zeros, subnormals, infinities, NaN, large finite values and the
+    float32 neighbours of the points where expf's special cases begin: its
+    |x| >= 88 check, overflow past 0x1.62e42ep6 and underflow below
+    -0x1.9fe368p6 and -0x1.9d1d9ep6."""
+    edges = [88.0] + [float.fromhex(h) for h in ("0x1.62e42ep6", "0x1.9fe368p6", "0x1.9d1d9ep6")]
+    edges = np.array(edges, dtype=np.float32)
+    edges = np.concatenate([edges, -edges])
+    near = [np.nextafter(edges, np.float32(s * np.inf)) for s in (-1, 1)]
+    subnormal = np.array([1, 2, 0x400000, 0x7FFFFF], dtype=np.uint32).view(np.float32)
+    big = [1000.0, -1000.0, np.finfo(np.float32).max, np.finfo(np.float32).min]
+    x = np.concatenate(
+        [[0.0, -0.0, np.inf, -np.inf], subnormal, -subnormal, big, edges, *near]
+    ).astype(np.float32)
+    assert _same_bits(silu(x), _libm_silu(x))
+    assert np.isnan(silu(np.array([np.nan, -np.nan], dtype=np.float32))).all()
 
 
 @pytest.mark.parametrize("fn", [silu, gelu])
