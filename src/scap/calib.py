@@ -121,7 +121,9 @@ class LayerStats:
         if rest.size:
             bitgen = self._rng.bit_generator
             c = bitgen.ctypes  # the generator's state and functions as addresses
-            next64, next32 = (ctypes.cast(f, ctypes.c_void_p).value for f in c[2:4])
+            next64, next32 = (
+                ctypes.cast(f, ctypes.c_void_p).value for f in (c.next_uint64, c.next_uint32)
+            )
             draw = _kernel("activations", "reservoir_draw")
             with bitgen.lock:
                 draw(rest.ctypes.data, rest.size, self.seen_count, self.capacity,
