@@ -3,10 +3,10 @@
 Subcommands: calibrate, sweep, bench, overlap, ablate-mode, roundtrip-check.
 Every run is deterministic under a fixed --seed and writes machine-readable
 JSON (and CSV plot data) into --out; the effective configuration is echoed
-into each artifact. Each flag but --config is generated from the default of
-one configuration key (``COMMON_DEFAULTS``, ``COMMAND_DEFAULTS``), so every
-flag is a configuration key by construction. Flag precedence: command line >
---config file > defaults.
+into each artifact. ``COMMAND_DEFAULTS`` maps each command to the default of
+every configuration key it reads, and only those: its flags (all but
+--config), the keys its --config file may hold and its echo are generated
+from that one map. Flag precedence: command line > --config file > defaults.
 """
 
 from __future__ import annotations
@@ -23,54 +23,57 @@ import numpy as np
 
 from . import analysis, calib, io, kernels
 from .calib import ESTIMATOR_KINDS, ModeEstimator, check_fractions
-from .model import DOWN_INPUT, FFN_KINDS, UP_GATE_INPUT, BlockConfig, FfnStack, init_weights
+from .model import (
+    DOWN_INPUT, FFN_KINDS, UP_GATE_INPUT, BlockConfig, FfnStack, HookPoint, init_weights
+)
 from .tensor import matmul, max_workers, silu
 
-COMMON_DEFAULTS = {
-    "seed": calib.DEFAULT_SEED,
-    "out": "scap-out",
-    "d_model": 32,
-    "d_hidden": 96,
-    "blocks": 2,
-    "ffn": "swiglu",
-    "estimator": "mean",
+# each command declares exactly the keys it reads, spread from these groups
+_RUN = {"seed": calib.DEFAULT_SEED, "out": "scap-out"}
+_DIMS = {"d_model": 32, "d_hidden": 96}
+_BLOCK = {
+    **_DIMS, "blocks": 2, "ffn": "swiglu", "up_bias_offset": 0.0, "rmsnorm": True, "residual": True
+}
+_STREAMS = {
     "capacity": calib.DEFAULT_RESERVOIR_CAPACITY,
     "calib_sequences": analysis.CALIB_SEQUENCES,
     "sequence_len": analysis.CALIB_SEQUENCE_LEN,
     "input_scale": 1.0,
-    "up_bias_offset": 0.0,
-    "rmsnorm": True,
-    "residual": True,
 }
+_CALIB_RUN = {**_RUN, **_BLOCK, **_STREAMS}
 
 COMMAND_DEFAULTS = {
-    "calibrate": {"sparsity_grid": "0.2,0.3,0.4,0.5,0.6,0.7,0.8"},
-    "sweep": {"grid_up": "0.2,0.4,0.6", "grid_down": "0.3,0.5,0.7"},
+    "calibrate": {**_CALIB_RUN, "sparsity_grid": "0.2,0.3,0.4,0.5,0.6,0.7,0.8"},
+    "sweep": {
+        **_CALIB_RUN, "estimator": "mean", "grid_up": "0.2,0.4,0.6", "grid_down": "0.3,0.5,0.7"
+    },
     "bench": {
+        **_RUN,
+        **_DIMS,
+        "capacity": calib.DEFAULT_RESERVOIR_CAPACITY,
         "sparsity_grid": "0.1,0.2,0.3,0.4,0.5,0.6",
         "batch": 8,
     },
     "overlap": {
+        **_CALIB_RUN,
         "batch_sizes": "1,2,4,8,16",
         "rho": 0.5,
         "target_sparsity": 0.6,
         "n_batches": 16,
     },
     "ablate-mode": {
+        **_CALIB_RUN,
+        "estimator": "kde",
         "sparsity_grid": "0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8",
         "ffn": "gelu",
-        "estimator": "kde",
         "up_bias_offset": 1.2,
         "input_scale": 0.1,
         "rmsnorm": False,
     },
-    "roundtrip-check": {},
+    "roundtrip-check": {**_RUN, **_BLOCK},
 }
 
 CHOICES = {"ffn": FFN_KINDS, "estimator": ESTIMATOR_KINDS}
-# block keys bench echoes but never reads: it runs one block with no norm,
-# residual or bias offset, so a value other than the default is rejected
-BENCH_IGNORES = ("blocks", "rmsnorm", "residual", "up_bias_offset")
 
 
 class CliError(RuntimeError):
@@ -113,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     for command, run in COMMANDS.items():
         p = sub.add_parser(command, help=run.__doc__.splitlines()[0])
         p.add_argument("--config", type=str, help="JSON config file")
-        for key, default in {**COMMON_DEFAULTS, **COMMAND_DEFAULTS[command]}.items():
+        for key, default in COMMAND_DEFAULTS[command].items():
             if type(default) is bool:
                 p.add_argument(f"--no-{key}", action="store_const", const=False, dest=key)
             else:
@@ -124,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     command = args.command
-    defaults = {**COMMON_DEFAULTS, **COMMAND_DEFAULTS[command]}
+    defaults = COMMAND_DEFAULTS[command]
     values = dict(defaults)
     if args.config:
         path = Path(args.config)
@@ -257,11 +260,6 @@ def cmd_sweep(cfg: RunConfig) -> list[Path]:
 
 def cmd_bench(cfg: RunConfig) -> list[Path]:
     """kernel MAC-ratio sweep"""
-    if cfg.ffn != "swiglu":
-        raise CliError("bench requires --ffn swiglu (CATS and SCAP run one SwiGLU block)")
-    ignored = [k for k in BENCH_IGNORES if cfg.values[k] != COMMON_DEFAULTS[k]]
-    if ignored:
-        raise CliError(f"bench ignores {', '.join(ignored)}: it runs one bare SwiGLU block")
     grid = _floats(cfg, "sparsity_grid")
     check_fractions("sparsity_grid", grid)
     out = _out_dir(cfg)
@@ -313,8 +311,6 @@ def cmd_bench(cfg: RunConfig) -> list[Path]:
 
 def cmd_overlap(cfg: RunConfig) -> list[Path]:
     """overlap-sparsity decay curve"""
-    from .model import HookPoint
-
     batch_sizes = _floats(cfg, "batch_sizes", int)
     analysis.check_overlap_sizes(batch_sizes, cfg.n_batches)
     check_fractions("target_sparsity", [cfg.target_sparsity])

@@ -34,6 +34,8 @@ from scap.model import DOWN_INPUT, UP_GATE_INPUT, BlockConfig, init_weights
 from scap.prune import PruneSpec, SparseLinear, compile_ffn
 from scap.tensor import matmul, silu
 
+from test_cli import fast
+
 
 def dense_macs_swiglu(batch, d, h):
     """Oracle: Up and Gate read d inputs into h outputs each, Down h into d."""
@@ -291,11 +293,6 @@ def test_criterion_08_scheme_equivalence():
 
 
 def test_criterion_09_determinism_and_persistence(tmp_path):
-    fast = [
-        "--d-model", "12", "--d-hidden", "24", "--blocks", "2",
-        "--calib-sequences", "3", "--sequence-len", "48",
-        "--capacity", "4096", "--seed", "909",
-    ]
     per_command = {
         "calibrate": ["--sparsity-grid", "0.3,0.5,0.7"],
         "sweep": ["--grid-up", "0.3,0.6", "--grid-down", "0.4,0.7"],
@@ -306,7 +303,7 @@ def test_criterion_09_determinism_and_persistence(tmp_path):
     }
     for command, extra in per_command.items():
         out = tmp_path / command
-        args = [command, "--out", str(out)] + fast + extra
+        args = [command, "--out", str(out)] + fast(command, seed=909) + extra
         assert cli_main(args) == 0, command
         first = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
         assert cli_main(args) == 0, command

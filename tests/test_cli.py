@@ -7,12 +7,12 @@ import sys
 import numpy as np
 import pytest
 
-from scap import analysis, kernels, tensor
+from scap import analysis, cli, kernels, tensor
 from scap.cli import (
     COMMAND_DEFAULTS,
     COMMANDS,
-    COMMON_DEFAULTS,
     CliError,
+    RunConfig,
     build_parser,
     main,
     resolve_config,
@@ -20,15 +20,22 @@ from scap.cli import (
 from scap.io import load_report
 from scap.prune import PruneSpec, compile_ffn
 
-FAST = [
-    "--d-model", "12",
-    "--d-hidden", "24",
-    "--blocks", "2",
-    "--calib-sequences", "3",
-    "--sequence-len", "48",
-    "--capacity", "4096",
-    "--seed", "77",
-]
+FAST = {
+    "d_model": 12,
+    "d_hidden": 24,
+    "blocks": 2,
+    "calib_sequences": 3,
+    "sequence_len": 48,
+    "capacity": 4096,
+    "seed": 77,
+}
+
+
+def fast(command, **overrides):
+    """The flags of ``FAST`` (with ``overrides``) that ``command`` declares."""
+    values = {**FAST, **overrides}
+    declared = [key for key in values if key in COMMAND_DEFAULTS[command]]
+    return [arg for key in declared for arg in ("--" + key.replace("_", "-"), str(values[key]))]
 
 
 def _run(args):
@@ -54,7 +61,7 @@ def _snapshot(directory):
 )
 def test_subcommands_write_byte_identical_outputs(tmp_path, command, extra):
     out = tmp_path / command
-    args = [command, "--out", out] + FAST + extra
+    args = [command, "--out", out] + fast(command) + extra
     assert _run(args) == 0
     first = _snapshot(out)
     assert first, "command wrote no files"
@@ -64,7 +71,7 @@ def test_subcommands_write_byte_identical_outputs(tmp_path, command, extra):
 
 def test_calibration_report_contents(tmp_path):
     out = tmp_path / "cal"
-    assert _run(["calibrate", "--out", out] + FAST) == 0
+    assert _run(["calibrate", "--out", out] + fast("calibrate")) == 0
     report = load_report(out / "calibration.json")
     assert report["kind"] == "calibration"
     assert report["config"]["seed"] == 77
@@ -80,7 +87,7 @@ def test_calibration_report_contents(tmp_path):
 def test_eta_estimators_agree_on_centered_data(tmp_path):
     # SwiGLU hook distributions are centered; mean and KDE modes coincide
     out = tmp_path / "cal"
-    assert _run(["calibrate", "--out", out, "--ffn", "swiglu"] + FAST) == 0
+    assert _run(["calibrate", "--out", out, "--ffn", "swiglu"] + fast("calibrate")) == 0
     report = load_report(out / "calibration.json")
     for layer in report["payload"]["layers"].values():
         eta = layer["eta"]
@@ -90,7 +97,7 @@ def test_eta_estimators_agree_on_centered_data(tmp_path):
 
 def test_bench_csv_structure(tmp_path):
     out = tmp_path / "bench"
-    assert _run(["bench", "--out", out, "--batch", "4"] + FAST) == 0
+    assert _run(["bench", "--out", out, "--batch", "4"] + fast("bench")) == 0
     lines = (out / "bench.csv").read_text().splitlines()
     assert lines[0].startswith("# config:")
     header = lines[1].split(",")
@@ -134,13 +141,6 @@ def test_bench_scap_rows_equal_batch_quantile_oracle(tmp_path):
     assert expected[0][6] > expected[-1][6]  # the grid spans real pruning
 
 
-def test_bench_requires_swiglu(tmp_path, capsys):
-    out = tmp_path / "o"
-    assert _run(["bench", "--out", out, "--ffn", "gelu"] + FAST) == 1
-    assert "--ffn swiglu" in capsys.readouterr().err
-    assert not out.exists()  # rejected before any file is written
-
-
 @pytest.mark.parametrize(
     "flag, key",
     [
@@ -148,14 +148,24 @@ def test_bench_requires_swiglu(tmp_path, capsys):
         (["--no-rmsnorm"], "rmsnorm"),
         (["--no-residual"], "residual"),
         (["--up-bias-offset", "0.5"], "up_bias_offset"),
+        (["--ffn", "gelu"], "ffn"),
+        (["--input-scale", "2"], "input_scale"),
+        (["--estimator", "kde"], "estimator"),
     ],
 )
 def test_bench_rejects_block_flags_it_ignores(tmp_path, capsys, flag, key):
-    # bench runs one bare SwiGLU block, so it would echo a config it did not run
+    # bench runs one bare SwiGLU block on one drawn batch, so it declares none
+    # of these keys: as a flag or in a config file (even at another command's
+    # default) each would be echoed into a run it did not change
     out = tmp_path / "o"
-    assert _run(["bench", "--out", out, *flag]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"scap: error: bench ignores {key}:") and err.count("\n") == 1
+    with pytest.raises(SystemExit) as exc:
+        _run(["bench", "--out", out, *flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({key: COMMAND_DEFAULTS["ablate-mode"][key]}))
+    assert _run(["bench", "--out", out, "--config", cfg_file]) == 1
+    assert capsys.readouterr().err == f"scap: error: unknown config keys: [{key!r}]\n"
     assert not out.exists()  # rejected before any file is written
 
 
@@ -197,7 +207,7 @@ def test_config_file_precedence(tmp_path):
         ("overlap", {"up_bias_offset": float("inf")}, "up_bias_offset must be finite"),
         ("overlap", {"rho": float("-inf")}, "rho must be finite"),
         ("overlap", {"input_scale": 10**400}, "input_scale must be finite"),
-        ("calibrate", {"estimator": "bogus"}, "estimator must be one of"),
+        ("sweep", {"estimator": "bogus"}, "estimator must be one of"),
         ("sweep", {"ffn": "bogus"}, "ffn must be one of"),
     ],
 )
@@ -219,13 +229,13 @@ def test_config_file_int_stands_for_float(tmp_path):
 @pytest.mark.parametrize("command", sorted(COMMAND_DEFAULTS))
 def test_every_option_is_an_echoed_config_key(command):
     dests = set(vars(build_parser().parse_args([command]))) - {"command", "config"}
-    assert dests == set(COMMON_DEFAULTS) | set(COMMAND_DEFAULTS[command])
+    assert dests == set(COMMAND_DEFAULTS[command])
 
 
 @pytest.mark.parametrize("command", sorted(COMMAND_DEFAULTS))
 def test_every_flag_parses_its_default_back(command):
     parser = build_parser()
-    for key, default in {**COMMON_DEFAULTS, **COMMAND_DEFAULTS[command]}.items():
+    for key, default in COMMAND_DEFAULTS[command].items():
         if type(default) is bool:
             args = [command, f"--no-{key}"]
             want = False
@@ -236,8 +246,34 @@ def test_every_flag_parses_its_default_back(command):
         assert got == want and type(got) is type(want), key
 
 
+@pytest.mark.parametrize("command", sorted(COMMAND_DEFAULTS))
+def test_each_command_reads_and_echoes_exactly_its_keys(tmp_path, monkeypatch, command):
+    """Over a default run, the keys read through ``RunConfig`` (as attributes
+    or ``values[key]``) and the keys every artifact echoes are the ones the
+    command declares, so no key is accepted that cannot change its result."""
+    read = set()
+
+    class Spy(dict):
+        def __getitem__(self, key):
+            read.add(key)
+            return super().__getitem__(key)
+
+    real = cli.resolve_config
+    spy = lambda args: RunConfig(args.command, Spy(real(args).values))
+    monkeypatch.setattr(cli, "resolve_config", spy)
+    out = tmp_path / "o"
+    assert _run([command, "--out", out]) == 0
+    declared = set(COMMAND_DEFAULTS[command])
+    assert read == declared
+    echoes = [load_report(p)["config"] for p in out.glob("*.json")]
+    for path in out.glob("*.csv"):
+        first = path.read_text().splitlines()[0]
+        echoes.append(json.loads(first.removeprefix("# config: ")))
+    assert echoes and all(set(echo) == declared for echo in echoes)
+
+
 def test_float_flag_takes_an_int():
-    scale = build_parser().parse_args(["bench", "--input-scale", "1"]).input_scale
+    scale = build_parser().parse_args(["calibrate", "--input-scale", "1"]).input_scale
     assert scale == 1.0 and type(scale) is float
 
 
@@ -277,7 +313,7 @@ def test_bench_time_option_is_gone(tmp_path, capsys):
     ],
 )
 def test_degenerate_sizes_fail_naming_the_parameter(tmp_path, capsys, args, name):
-    assert _run(args + ["--out", tmp_path / "o"] + FAST) == 1
+    assert _run(args + ["--out", tmp_path / "o"] + fast(args[0])) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"scap: error: {name} must") and err.count("\n") == 1
 
@@ -292,7 +328,7 @@ def test_degenerate_sizes_fail_naming_the_parameter(tmp_path, capsys, args, name
     ],
 )
 def test_empty_grid_fails_naming_the_key(tmp_path, capsys, command, flag, key):
-    assert _run([command, flag, ",", "--out", tmp_path / "o"] + FAST) == 1
+    assert _run([command, flag, ",", "--out", tmp_path / "o"] + fast(command)) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"scap: error: {key} must") and err.count("\n") == 1
     assert not (tmp_path / "o").exists()
@@ -312,7 +348,7 @@ def test_empty_grid_fails_naming_the_key(tmp_path, capsys, command, flag, key):
         (["bench", "--sparsity-grid", "0.5,1.5"], "sparsity_grid"),
         (["calibrate", "--calib-sequences", "0"], "calib_sequences"),
         (["sweep", "--sequence-len", "0"], "sequence_len"),
-        (["bench", "--input-scale", "nan"], "input_scale"),
+        (["ablate-mode", "--input-scale", "nan"], "input_scale"),
         (["roundtrip-check", "--ffn", "gelu", "--up-bias-offset", "inf"], "up_bias_offset"),
         (["calibrate", "--ffn", "gelu", "--up-bias-offset", "nan"], "up_bias_offset"),
         (["overlap", "--rho", "nan"], "rho"),
@@ -327,7 +363,7 @@ def test_bad_arguments_fail_before_calibrating(tmp_path, capsys, monkeypatch, ar
     calls = []
     monkeypatch.setattr(analysis, "calibrate", lambda *a, **k: calls.append(a))
     # the case's flags come after FAST's, so they win
-    assert _run(args[:1] + FAST + args[1:] + ["--out", tmp_path / "o"]) == 1
+    assert _run(args[:1] + fast(args[0]) + args[1:] + ["--out", tmp_path / "o"]) == 1
     assert calls == []
     err = capsys.readouterr().err
     assert err.startswith(f"scap: error: {name} must") and err.count("\n") == 1
@@ -358,7 +394,7 @@ def test_activations_and_a_sweep_run_without_scipy(tmp_path):
         "sys.exit(scap.cli.main(sys.argv[1:]))"
     )
     grid = ["--grid-up", "0.3", "--grid-down", "0.5"]
-    args = ["sweep", "--out", str(tmp_path / "o"), *FAST, *grid]
+    args = ["sweep", "--out", str(tmp_path / "o"), *fast("sweep"), *grid]
     subprocess.run([sys.executable, "-c", code, *args], check=True, timeout=120)
     assert (tmp_path / "o" / "sweep.json").is_file()
 
@@ -374,9 +410,8 @@ def test_missing_config_file_fails(tmp_path):
 
 
 def test_ablate_mode_requires_gelu(tmp_path):
-    assert (
-        _run(["ablate-mode", "--out", tmp_path / "o", "--ffn", "swiglu"] + FAST) == 1
-    )
+    args = ["ablate-mode", "--out", tmp_path / "o", "--ffn", "swiglu"] + fast("ablate-mode")
+    assert _run(args) == 1
 
 
 def test_ablate_mode_defaults_to_shifted_gelu_substrate():
@@ -392,7 +427,7 @@ def test_sweep_csv_has_pareto_column(tmp_path):
     out = tmp_path / "sweep"
     assert (
         _run(
-            ["sweep", "--out", out, "--grid-up", "0.3", "--grid-down", "0.5"] + FAST
+            ["sweep", "--out", out, "--grid-up", "0.3", "--grid-down", "0.5"] + fast("sweep")
         )
         == 0
     )
@@ -404,14 +439,14 @@ def test_sweep_csv_has_pareto_column(tmp_path):
 
 
 def test_non_integer_batch_sizes_rejected(tmp_path, capsys):
-    args = ["overlap", "--out", tmp_path / "o", "--batch-sizes", "1.7"] + FAST
+    args = ["overlap", "--out", tmp_path / "o", "--batch-sizes", "1.7"] + fast("overlap")
     assert _run(args) == 1
     assert "ints" in capsys.readouterr().err
 
 
 def test_bad_thread_count_fails_with_one_line(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("SCAP_THREADS", "0")
-    assert _run(["sweep", "--out", tmp_path / "o"] + FAST) == 1
+    assert _run(["sweep", "--out", tmp_path / "o"] + fast("sweep")) == 1
     err = capsys.readouterr().err
     assert err.startswith("scap: error: SCAP_THREADS") and err.count("\n") == 1
 
@@ -422,7 +457,7 @@ def test_every_command_rejects_a_bad_thread_count_before_running(
 ):
     monkeypatch.setenv("SCAP_THREADS", "abc")
     out = tmp_path / "o"
-    assert _run([command, "--out", out] + FAST) == 1
+    assert _run([command, "--out", out] + fast(command)) == 1
     err = capsys.readouterr().err
     assert err.startswith("scap: error: SCAP_THREADS") and err.count("\n") == 1
     assert not out.exists()  # rejected before the command writes anything
