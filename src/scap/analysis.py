@@ -231,16 +231,16 @@ def measure_sparsity(
     model: FfnStack, specs: dict[HookPoint, PruneSpec], eval_stream
 ) -> SparsityReport:
     """Run the pruned stack over a stream, tallying masks and op counts."""
-    return _evaluate(model, specs, _eval_batches(eval_stream))[0]
+    ((report, _),) = _evaluate(model, [specs], _eval_batches(eval_stream), error=False)
+    return report
 
 
 def reconstruction_error(
     model: FfnStack, specs: dict[HookPoint, PruneSpec], eval_stream
 ) -> float:
     """Relative L2 distance between pruned and dense stack outputs."""
-    batches = _eval_batches(eval_stream)  # a one-shot iterable feeds both passes
-    dense_outputs = [model.forward(batch) for batch in batches]
-    return _evaluate(model, specs, batches, dense_outputs)[1]
+    ((_, err),) = _evaluate(model, [specs], _eval_batches(eval_stream))
+    return err
 
 
 def _eval_batches(eval_stream) -> list:
@@ -251,57 +251,87 @@ def _eval_batches(eval_stream) -> list:
     return batches
 
 
-def _evaluate(model, specs, batches, dense_outputs=None):
-    """One pruned pass over the batches: the SparsityReport and the relative
-    L2 error against ``dense_outputs`` (0.0 when they are not given)."""
-    sparse = model.apply_prune_specs(specs)
+def _evaluate(model, spec_maps, batches, error=True) -> list[tuple[SparsityReport, float]]:
+    """One walk over the batches for every map of ``spec_maps``: each map's
+    SparsityReport and relative L2 error against the dense stack (0.0 when
+    ``error`` is false).
+
+    Per batch, the dense stack (when ``error`` is set) and then each map's
+    sparse view run their forwards on one dict of finished stages, so that a
+    stage whose specs, and those of every stage before it, two of them share
+    runs once; the dict dies with its batch. Each map's counts and error
+    sums are added in batch order, and ``sum(y_dense**2)`` once per batch, so
+    every sum has the bits of a walk over that map alone.
+    """
+    stacks = [model.apply_prune_specs(specs) for specs in spec_maps]
     hooks = model.hook_points()
-    pruned = dict.fromkeys(hooks, 0)
-    total = dict.fromkeys(hooks, 0)
-    macs = dense_macs = rows = 0
-    num = den = 0.0
-    for i, batch in enumerate(batches):
-        y_sparse, records = sparse.forward(batch)
+    tallies = [_Tally(hooks) for _ in stacks]
+    rows, den = 0, 0.0
+    for batch in batches:
+        stages = {}
+        y_dense = model.forward(batch, stages).astype(np.float64) if error else None
+        if error:
+            den += float(np.sum(y_dense**2))
         rows += batch.shape[0]
+        for sparse, tally in zip(stacks, tallies):
+            tally.add(*sparse.forward(batch, stages), y_dense)
+    return [
+        (tally.report(model, specs, rows), float(np.sqrt(tally.num / den)) if den else 0.0)
+        for specs, tally in zip(spec_maps, tallies)
+    ]
+
+
+class _Tally:
+    """One spec map's sums over an evaluation walk: pruned and seen elements
+    per hook, kept-channel and dense MACs, and the squared error."""
+
+    def __init__(self, hooks):
+        self.pruned = dict.fromkeys(hooks, 0)
+        self.total = dict.fromkeys(hooks, 0)
+        self.macs = self.dense_macs = 0
+        self.num = 0.0
+
+    def add(self, y_sparse, records, y_dense) -> None:
         for b, rec in enumerate(records):
             for site, run in rec.sites.items():
                 hook = HookPoint(b, site)
-                pruned[hook] += run.pruned
-                total[hook] += run.kept.size
-                macs += run.macs
-                dense_macs += run.dense_macs
-        if dense_outputs is not None:
-            y_dense = dense_outputs[i].astype(np.float64)
+                self.pruned[hook] += run.pruned
+                self.total[hook] += run.kept.size
+                self.macs += run.macs
+                self.dense_macs += run.dense_macs
+        if y_dense is not None:
             diff = y_sparse.astype(np.float64) - y_dense
-            num += float(np.sum(diff * diff))
-            den += float(np.sum(y_dense**2))
-    observations = {
-        h.label: HookObservation(
-            target_sparsity=specs[h].target_sparsity if h in specs else 0.0,
-            observed_sparsity=pruned[h] / total[h],
-            pruned=pruned[h],
-            total=total[h],
+            self.num += float(np.sum(diff * diff))
+
+    def report(self, model, specs, rows) -> SparsityReport:
+        pruned, total = self.pruned, self.total
+        observations = {
+            h.label: HookObservation(
+                target_sparsity=specs[h].target_sparsity if h in specs else 0.0,
+                observed_sparsity=pruned[h] / total[h],
+                pruned=pruned[h],
+                total=total[h],
+            )
+            for h in pruned
+        }
+        site_sparsity = {
+            site: sum(pruned[h] for h in pruned if h.site == site)
+            / sum(total[h] for h in total if h.site == site)
+            for site in SITES
+        }
+        glu = model.config.ffn == "swiglu"
+        ffn = (kernels.ffn_sparsity if glu else kernels.mlp_ffn_sparsity)(
+            site_sparsity[UP_GATE_INPUT], site_sparsity[DOWN_INPUT]
         )
-        for h in hooks
-    }
-    site_sparsity = {
-        site: sum(pruned[h] for h in hooks if h.site == site)
-        / sum(total[h] for h in hooks if h.site == site)
-        for site in SITES
-    }
-    glu = model.config.ffn == "swiglu"
-    ffn = (kernels.ffn_sparsity if glu else kernels.mlp_ffn_sparsity)(
-        site_sparsity[UP_GATE_INPUT], site_sparsity[DOWN_INPUT]
-    )
-    return SparsityReport(
-        hooks=observations,
-        site_sparsity=site_sparsity,
-        ffn_sparsity=ffn,
-        macs_ratio=macs / dense_macs,
-        macs=macs,
-        dense_macs=dense_macs,
-        sample_count=rows,
-    ), float(np.sqrt(num / den)) if den else 0.0
+        return SparsityReport(
+            hooks=observations,
+            site_sparsity=site_sparsity,
+            ffn_sparsity=ffn,
+            macs_ratio=self.macs / self.dense_macs,
+            macs=self.macs,
+            dense_macs=self.dense_macs,
+            sample_count=rows,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -426,14 +456,17 @@ def pareto_sweep(
     The sweep shares ``plan_specs``'s passes: one dense pass observes the
     Up/Gate site alone, plans the Up specs of every ``grid_up`` target and
     is dropped; then, for each Up target in grid order, a second pass
-    observes the Down site alone with that pruning applied, plans every
-    ``grid_down`` target from that one sample, and each of those grid points
-    measures sparsity and reconstruction error in one pruned pass over
-    shared held-out data. Everything runs on the calling thread, so only one
-    pass's statistics are alive at a time. The non-dominated subset under
-    (maximize ffn_sparsity, maximize quality) is reported. Targets outside
-    [0, 1], an unknown centering site and an empty evaluation stream raise
-    ValueError before anything is calibrated.
+    observes the Down site alone with that pruning applied and plans every
+    ``grid_down`` target from that one sample. Everything runs on the
+    calling thread, so only one pass's statistics are alive at a time, and
+    only the specs outlive them. Then one ``_evaluate`` walk over shared
+    held-out data measures every grid point's sparsity and reconstruction
+    error, running each stage the points share once per batch: block 0's
+    rmsnorm with the dense stack, and its Up/Gate site with the points of
+    the same Up target. The non-dominated subset under (maximize
+    ffn_sparsity, maximize quality) is reported. Targets outside [0, 1], an
+    unknown centering site and an empty evaluation stream raise ValueError
+    before anything is calibrated.
     """
     check_fractions("grid_up", grid_up)
     check_fractions("grid_down", grid_down)
@@ -442,14 +475,16 @@ def pareto_sweep(
     eval_batches = _eval_batches(eval_stream)
     calib_batches = list(calib_stream)
     up_plans = _plan_up(model, calib_batches, grid_up, capacity, seed, plan)
-    dense_outputs = [model.forward(b) for b in eval_batches]
-    entries = []
-    for su, up_specs in zip(grid_up, up_plans):
-        down_plans = _second_pass(model, calib_batches, up_specs, grid_down, capacity, seed, plan)
-        for sd, down_specs in zip(grid_down, down_plans):
-            specs = {**up_specs, **down_specs}
-            report, err = _evaluate(model, specs, eval_batches, dense_outputs)
-            entries.append(SweepEntry(su, sd, report, err, -err))
+    spec_maps = [
+        {**up_specs, **down_specs}
+        for up_specs in up_plans
+        for down_specs in _second_pass(
+            model, calib_batches, up_specs, grid_down, capacity, seed, plan
+        )
+    ]
+    results = _evaluate(model, spec_maps, eval_batches)
+    points = [(su, sd) for su in grid_up for sd in grid_down]
+    entries = [SweepEntry(*p, rep, err, -err) for p, (rep, err) in zip(points, results)]
     return SweepResult(entries=entries, pareto_indices=pareto_front(entries))
 
 
@@ -506,25 +541,26 @@ def mode_centering_ablation(
     ``make_specs`` plans that site with thresholds calibrated on |h - eta|
     and on |h| respectively, each read from one sorted sample; both variants
     report observed Down-input sparsity and output reconstruction error on
-    the same held-out stream. Targets outside [0, 1] and an empty evaluation
-    stream raise ValueError before anything is calibrated.
+    the same held-out stream, all in one ``_evaluate`` walk, which runs block
+    0's dense Up site once per batch for every variant and the dense stack.
+    Targets outside [0, 1] and an empty evaluation stream raise ValueError
+    before anything is calibrated.
     """
     check_fractions("sparsity_grid", sparsity_grid)
     eval_batches = _eval_batches(eval_stream)
     stats = calibrate(model, calib_stream, capacity=capacity, seed=seed, sites=(DOWN_INPUT,))
     eta = stats[DOWN_INPUT].estimate_mode(estimator)
-    dense_outputs = [model.forward(b) for b in eval_batches]
-    points = []
-    for s in sparsity_grid:
-        row = []
-        for center in ((DOWN_INPUT,), ()):
-            specs = make_specs(
-                model, stats, {DOWN_INPUT: s}, center_sites=center, estimator=estimator
-            )
-            report, err = _evaluate(model, specs, eval_batches, dense_outputs)
-            row += [report.site_sparsity[DOWN_INPUT], err]
-        s_with, e_with, s_without, e_without = row
-        points.append(AblationPoint(s, s_with, s_without, e_with, e_without))
+    spec_maps = [
+        make_specs(model, stats, {DOWN_INPUT: s}, center_sites=center, estimator=estimator)
+        for s in sparsity_grid
+        for center in ((DOWN_INPUT,), ())
+    ]
+    del stats  # only the specs outlive the pass
+    runs = _evaluate(model, spec_maps, eval_batches)
+    points = [
+        AblationPoint(s, with_.site_sparsity[DOWN_INPUT], without.site_sparsity[DOWN_INPUT], e, e0)
+        for s, (with_, e), (without, e0) in zip(sparsity_grid, runs[::2], runs[1::2])
+    ]
     return AblationResult(points=points, eta=eta, iso_error_gain=iso_error_gain(points))
 
 

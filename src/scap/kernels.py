@@ -1,28 +1,33 @@
 """Instrumented FFN execution with deterministic per-site op accounting.
 
-* ``swiglu_ffn`` / ``gelu_ffn``: the one execution path per FFN kind, every
-  block of a model stack included. Each site is dense or a ``SparseLinear``
-  from ``prune.compile_ffn``: SCAP prunes the input of each projection, with
-  one mask ``~(|x - eta| <= tau)`` shared by Up and Gate and an independent
-  mask on the Down input, the mode shift compensated through the fused bias.
+* ``swiglu_up_site`` / ``gelu_up_site`` and ``down_site``: the one
+  execution path per FFN kind, every block of a model stack included, as
+  its two site steps; ``swiglu_ffn`` / ``gelu_ffn`` run a block as both.
+  Each site is dense or a ``SparseLinear`` from ``prune.compile_ffn``: SCAP
+  prunes the input of each projection, with one mask ``~(|x - eta| <= tau)``
+  shared by Up and Gate and an independent mask on the Down input, the mode
+  shift compensated through the fused bias.
 * ``cats_swiglu``: gate path computed densely, one shared mask
   ``~(|v| < tau)`` restricting Up output columns and Down input rows. Both
   masks keep NaN, so it reaches the output as in the dense path.
 
 Sparse execution is one float64-accumulated ``tensor.matmul_rows`` product per
-projection over the union of weight rows that any batch row keeps, with pruned
-elements zeroed by ANDing their bits with the mask, which equals
-``np.where(kept, x, 0)`` bit for bit. When every row is in the union, the
-whole activation block goes to the product with ``rows=None`` and nothing is
-gathered. For one row (a decode token) that union is exactly the kept rows, so
+projection over the union of weight rows that any batch row keeps. One
+compiled float32 loop, ``prune_f32`` of ``activations.c``, shifts and
+compares each element, writes the float64 block with pruned elements zeroed
+by ANDing their bits with the mask, which equals ``np.where(kept, x, 0)`` bit
+for bit, and ORs each row's kept flags into the union. When every row is in
+the union, the whole float64 block goes to the product with ``rows=None`` and
+nothing is gathered. For one row (a decode token) that union is exactly the kept rows, so
 nothing needs zeroing, and the compiled row kernel reads only those rows of
 the weight. A batch runs the compiled batch kernel over the union, in which
 each row's output equals its one-row result bit for bit, or one BLAS GEMM when
-the union weight is below ``tensor.ROW_GEMM_MIN`` elements. Each FFN forward
-returns its output, its Down input and the block's one ``BlockRecord``: a
-``SiteRun`` per site of ``SITES``, counted where its projections run, holding
-the site's kept mask and the kept-channel and dense MACs of the projections
-that read it (dense: the site's input elements times their output widths).
+the union weight is below ``tensor.ROW_GEMM_MIN`` elements. Each site step
+returns its tensor and its ``SiteRun``, and a block's two form its one
+``BlockRecord``: a ``SiteRun`` per site of ``SITES``, counted where its
+projections run, holding the site's kept mask and the kept-channel and dense
+MACs of the projections that read it (dense: the site's input elements times
+their output widths).
 Every block count is a view of the two. Kept-channel MACs are at one row the
 multiply-accumulates the row kernel performs, at a batch fewer than the union
 product computes. They are an operation count, not a time. Wall-clock is
@@ -31,13 +36,15 @@ measured by the benchmark in ``perfbench/``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .tensor import FLOAT, ShapeError, gelu, matmul, matmul_rows, silu
+from .tensor import FLOAT, ShapeError, _kernel, gelu, matmul, matmul_rows, silu
+
+# the least magnitude that rounds to an infinite float32: FLT_MAX plus half an ulp
+_F32_OVERFLOW = 2.0**128 - 2.0**103
 
 UP_GATE_INPUT = "up_gate_input"
 DOWN_INPUT = "down_input"
@@ -122,24 +129,29 @@ def sparse_fc(
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Mode-shifted, input-pruned FC: the reusable sparse-by-input primitive.
 
-    Shifts ``x`` by finite ``eta`` and keeps elements whose magnitude is not
-    at most finite ``tau >= 0``, NaN included. One float64-accumulated
-    ``matmul_rows`` product multiplies them by the weight rows that any batch
-    row keeps (the row kernel for one row), then adds ``bias_fused``. A batch
-    zeroes its pruned elements of those rows with a bit mask; one row keeps
-    all of them and zeroes nothing. A union of every row is passed whole,
-    ``rows=None``. Returns (output, kept mask, kept-channel MACs).
+    Rounds ``tau >= 0`` and ``eta`` to float32 once, whatever their type
+    (each must stay finite there), shifts ``x``, read as float32, by ``eta``
+    and keeps elements whose magnitude is not at most ``tau``, NaN included;
+    one pass of ``prune_f32`` gives the shifted block in float64, the kept
+    mask and the union of kept columns. One float64-accumulated ``matmul_rows``
+    product multiplies the block by the weight rows that any batch row keeps
+    (the row kernel for one row), then adds ``bias_fused``. A batch has its
+    pruned elements zeroed; one row keeps all of them and zeroes nothing. A
+    union of every row is passed whole, ``rows=None``. Returns (output, kept
+    mask, kept-channel MACs).
     """
     _check_input(x, weight.shape[0])
-    check_threshold(tau, eta)
-    x_eta = x - FLOAT(eta)
-    kept = ~(np.abs(x_eta) <= tau)
-    rows = np.flatnonzero(kept.any(axis=0))
-    full = rows.size == weight.shape[0]
-    x_kept = x_eta if full else x_eta[:, rows]
-    if x.shape[0] > 1:  # one row keeps every element of its union
-        x_kept = _zero_pruned(x_kept, kept if full else kept[:, rows])
-    out = matmul_rows(x_kept.astype(np.float64), weight, None if full else rows)
+    tau32, eta32 = check_threshold(tau, eta)
+    x = np.ascontiguousarray(x, dtype=FLOAT)
+    n, d = x.shape
+    x64, kept, union = np.empty((n, d)), np.empty((n, d), bool), np.empty(d, bool)
+    _kernel("activations", "prune_f32")(
+        x.ctypes.data, n, d, tau32, eta32, n > 1, x64.ctypes.data, kept.ctypes.data,
+        union.ctypes.data,
+    )
+    rows = np.flatnonzero(union)
+    full = rows.size == d
+    out = matmul_rows(x64 if full else x64[:, rows], weight, None if full else rows)
     if bias_fused is not None:
         out += bias_fused
     return out.astype(FLOAT), kept, int(np.count_nonzero(kept)) * weight.shape[1]
@@ -155,13 +167,17 @@ def _zero_pruned(x: np.ndarray, kept: np.ndarray) -> np.ndarray:
     return mask.view(x.dtype)
 
 
-def check_threshold(tau: float, eta: float = 0.0) -> None:
-    """Reject a pruning threshold that is NaN, infinite or negative, or a
-    non-finite mode shift; NaN would otherwise prune every channel."""
-    if not (math.isfinite(tau) and tau >= 0):
-        raise ValueError(f"tau must be finite and >= 0, got {tau}")
-    if not math.isfinite(eta):
-        raise ValueError(f"eta must be finite, got {eta}")
+def check_threshold(tau: float, eta: float = 0.0) -> tuple[np.float32, np.float32]:
+    """``tau`` and ``eta`` rounded to float32, the precision every pruner
+    compares in. Reject a threshold that is NaN or negative, and a threshold
+    or mode shift that is not finite as a float32: NaN would prune every
+    channel, and a finite value past float32's range would become infinite."""
+    tau, eta = float(tau), float(eta)  # a float32 compares with the limit unrounded
+    if not 0 <= tau < _F32_OVERFLOW:  # false for NaN
+        raise ValueError(f"tau must be >= 0 and finite as a float32, got {tau}")
+    if not abs(eta) < _F32_OVERFLOW:
+        raise ValueError(f"eta must be finite as a float32, got {eta}")
+    return FLOAT(tau), FLOAT(eta)
 
 
 def cats_swiglu(
@@ -170,15 +186,15 @@ def cats_swiglu(
     """Post-silu pruning with one mask coupling Up columns and Down rows.
 
     The gate projection and silu run densely; hidden channels whose silu
-    output magnitude falls below ``tau_silu`` are dropped from both the Up
-    output and the Down input. The silu values of surviving channels are
-    reused, not recomputed.
+    output magnitude falls below ``tau_silu``, rounded to float32 whatever
+    its type, are dropped from both the Up output and the Down input. The
+    silu values of surviving channels are reused, not recomputed.
     """
     _check_input(x, w.d)
-    check_threshold(tau_silu)
+    tau32, _ = check_threshold(tau_silu)
     n, d, h = x.shape[0], w.d, w.h
     v = silu(matmul(x, w.w_gate))
-    kept = ~(np.abs(v) < tau_silu)
+    kept = ~(np.abs(v) < tau32)
     rows = np.flatnonzero(kept.any(axis=0))
     # the mask picks Up output columns and the matching Down input rows
     up = matmul_rows(x.astype(np.float64), np.take(w.w_up, rows, axis=1))
@@ -241,42 +257,58 @@ def _fc(x, layer, weight, bias=None):
     return y, np.ones(x.shape, dtype=bool), x.size * weight.shape[1]
 
 
-def swiglu_ffn(
-    x: np.ndarray, w: SwiGluWeights, up=None, down=None
-) -> tuple[np.ndarray, np.ndarray, BlockRecord]:
-    """The SwiGLU block (silu(x W_gate) * (x W_up)) W_down, dense or pruned:
-    (output, Down input, record).
+def swiglu_up_site(x: np.ndarray, w: SwiGluWeights, up=None) -> tuple[np.ndarray, SiteRun]:
+    """SwiGLU's Up/Gate site, silu(x W_gate) * (x W_up): (Down input, run).
 
     ``up`` is the (Up, Gate) pair of compiled ``SparseLinear`` layers, which
-    share one mask of ``x``; ``down`` is the compiled Down layer, which prunes
-    the gated intermediate. None for a layer or the pair runs it dense. See
-    ``prune.compile_ffn``.
+    share one mask of ``x``, or None to run both dense.
     """
     up_layer, gate_layer = up or (None, None)
     u, kept_x, macs_up = _fc(x, up_layer, w.w_up)
     # shared mask: gate prunes the same x with the same spec, only the weight differs
     gate, _, macs_gate = _fc(x, gate_layer, w.w_gate)
-    z = silu(gate) * u
-    y, kept_z, macs_down = _fc(z, down, w.w_down)
-    up_run = SiteRun(kept_x, macs_up + macs_gate, x.size * 2 * w.h)
-    return y, z, BlockRecord(up_run, SiteRun(kept_z, macs_down, z.size * w.d))
+    return silu(gate) * u, SiteRun(kept_x, macs_up + macs_gate, x.size * 2 * w.h)
+
+
+def gelu_up_site(x: np.ndarray, w: GeluMlpWeights, up=None) -> tuple[np.ndarray, SiteRun]:
+    """The GELU MLP's Up site, gelu(x W_up + b_up): (Down input, run). ``up``
+    is None (dense) or a compiled ``SparseLinear`` whose fused bias carries
+    ``b_up``."""
+    u, kept_x, macs = _fc(x, up, w.w_up, w.b_up)
+    return gelu(u), SiteRun(kept_x, macs, x.size * w.h)
+
+
+def down_site(z: np.ndarray, w, down=None) -> tuple[np.ndarray, SiteRun]:
+    """The Down site of either FFN, z W_down (+ b_down for the MLP): (output,
+    run). ``down`` is None (dense) or a compiled ``SparseLinear`` whose fused
+    bias carries any ``b_down``."""
+    bias = w.b_down if isinstance(w, GeluMlpWeights) else None
+    y, kept_z, macs = _fc(z, down, w.w_down, bias)
+    return y, SiteRun(kept_z, macs, z.size * w.d)
+
+
+def swiglu_ffn(
+    x: np.ndarray, w: SwiGluWeights, up=None, down=None
+) -> tuple[np.ndarray, np.ndarray, BlockRecord]:
+    """The SwiGLU block (silu(x W_gate) * (x W_up)) W_down, dense or pruned:
+    (output, Down input, record). ``up`` and ``down`` are the compiled sites
+    of ``swiglu_up_site`` and ``down_site``; see ``prune.compile_ffn``.
+    """
+    z, up_run = swiglu_up_site(x, w, up)
+    y, down_run = down_site(z, w, down)
+    return y, z, BlockRecord(up_run, down_run)
 
 
 def gelu_ffn(
     x: np.ndarray, w: GeluMlpWeights, up=None, down=None
 ) -> tuple[np.ndarray, np.ndarray, BlockRecord]:
     """The GELU MLP block gelu(x W_up + b_up) W_down + b_down, dense or
-    pruned: (output, Down input, record).
-
-    ``up`` and ``down`` are None (dense) or compiled ``SparseLinear`` layers
-    whose fused biases carry ``b_up`` and ``b_down``.
+    pruned: (output, Down input, record). ``up`` and ``down`` are the
+    compiled sites of ``gelu_up_site`` and ``down_site``.
     """
-    u, kept_x, macs_up = _fc(x, up, w.w_up, w.b_up)
-    hidden = gelu(u)
-    y, kept_h, macs_down = _fc(hidden, down, w.w_down, w.b_down)
-    return y, hidden, BlockRecord(
-        SiteRun(kept_x, macs_up, x.size * w.h), SiteRun(kept_h, macs_down, hidden.size * w.d)
-    )
+    hidden, up_run = gelu_up_site(x, w, up)
+    y, down_run = down_site(hidden, w, down)
+    return y, hidden, BlockRecord(up_run, down_run)
 
 
 def ffn_sparsity(s_x: float, s_gated: float) -> float:

@@ -9,14 +9,17 @@ sites per block expose the activations that pruning targets:
 * ``down_input``: the tensor entering the Down projection (the gated
   intermediate for SwiGLU, the GELU output for the MLP).
 
-Every block runs through the one FFN path of its kind, ``kernels.swiglu_ffn``
-or ``kernels.gelu_ffn``, which returns the block's output, its Down input and
-its one ``BlockRecord`` (declared in ``kernels`` with the site names, and
-re-exported here). ``apply_prune_specs`` compiles each spec once into the
-``SparseLinear`` layer of its site, fusing any mode-shift compensation into
-that layer's bias, and returns a sparse view whose forwards reuse those
-layers; hook points without a spec keep the exact dense code path, bit for
-bit. A stack is checked against its config when it is built.
+Every block runs the two site steps of its kind in ``kernels``, the Up/Gate
+site then ``down_site``, each returning its tensor and its ``SiteRun``; the
+block's two runs form its one ``BlockRecord`` (declared in ``kernels`` with
+the site names, and re-exported here). A forward can share a dict of
+finished stages with other forwards of the same batch, so that stages that
+run the same specs on the same input run once (see ``_run_stack``).
+``apply_prune_specs`` compiles each spec once into the ``SparseLinear``
+layer of its site, fusing any mode-shift compensation into that layer's
+bias, and returns a sparse view whose forwards reuse those layers; hook
+points without a spec keep the exact dense code path, bit for bit. A stack
+is checked against its config when it is built.
 """
 
 from __future__ import annotations
@@ -108,8 +111,9 @@ class FfnStack:
             for site in SITES
         ]
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        y, _, _ = _run_stack(self, x, None, ())
+    def forward(self, x: np.ndarray, stages: dict | None = None) -> np.ndarray:
+        """The dense output; ``stages`` as for ``SparseStack.forward``."""
+        y, _, _ = _run_stack(self, x, stages=stages)
         return y
 
     def forward_with_hooks(
@@ -117,17 +121,18 @@ class FfnStack:
     ) -> tuple[np.ndarray, dict[HookPoint, np.ndarray]]:
         hooks = list(hooks)
         _validate_hooks(self, hooks)
-        y, captured, _ = _run_stack(self, x, None, hooks)
+        y, captured, _ = _run_stack(self, x, capture_hooks=hooks)
         return y, captured
 
     def apply_prune_specs(self, specs: Mapping[HookPoint, PruneSpec]) -> "SparseStack":
         """Compile each spec once into the ``SparseLinear`` layer of its site."""
         _validate_hooks(self, specs.keys())
-        sites = [
-            compile_ffn(w, *(specs.get(HookPoint(b, site)) for site in SITES))
-            for b, w in enumerate(self.blocks)
+        block_specs = [
+            tuple(specs.get(HookPoint(b, site)) for site in SITES)
+            for b in range(self.config.n_blocks)
         ]
-        return SparseStack(self, sites)
+        sites = [compile_ffn(w, *s) for w, s in zip(self.blocks, block_specs)]
+        return SparseStack(self, sites, block_specs)
 
     def to_tensors(self) -> tuple[dict[str, np.ndarray], dict]:
         tensors = {}
@@ -159,12 +164,19 @@ class FfnStack:
 class SparseStack:
     """Sparse view of an FfnStack: specified hook points prune, others stay dense."""
 
-    def __init__(self, base: FfnStack, sites: list):
+    def __init__(self, base: FfnStack, sites: list, specs: list):
         self.base = base
         self.sites = sites  # per block: compiled (Up/Gate, Down) sites, None = dense
+        self.specs = specs  # per block: the (Up/Gate, Down) PruneSpecs, None = dense
 
-    def forward(self, x: np.ndarray) -> tuple[np.ndarray, list[BlockRecord]]:
-        y, _, records = _run_stack(self.base, x, self.sites, ())
+    def forward(
+        self, x: np.ndarray, stages: dict | None = None
+    ) -> tuple[np.ndarray, list[BlockRecord]]:
+        """The output and each block's record. ``stages`` holds the finished
+        stages of earlier forwards of this same ``x``, of this stack or of
+        any view of its base, the dense one included: a stage found there is
+        reused, and one computed here is added. See ``_run_stack``."""
+        y, _, records = _run_stack(self.base, x, self.sites, self.specs, stages=stages)
         return y, records
 
     def forward_with_hooks(
@@ -173,7 +185,7 @@ class SparseStack:
         """Capture the (pre-prune) tensors flowing into hook points."""
         hooks = list(hooks)
         _validate_hooks(self.base, hooks)
-        y, captured, _ = _run_stack(self.base, x, self.sites, hooks)
+        y, captured, _ = _run_stack(self.base, x, self.sites, self.specs, hooks)
         return y, captured
 
 
@@ -250,28 +262,59 @@ def _validate_hooks(model: FfnStack, hooks) -> None:
             raise ValueError(f"invalid hook point: {hook!r}")
 
 
-def _run_stack(model, x, sites, capture_hooks):
+def _run_stack(model, x, sites=None, specs=None, capture_hooks=(), stages=None):
     """One forward through all blocks: a copy of the tensor at each of
     ``capture_hooks``, and one ``BlockRecord`` per block.
 
-    ``sites`` holds each block's compiled (Up/Gate, Down) sites, or is None
-    for the dense stack.
+    ``sites`` holds each block's compiled (Up/Gate, Down) sites and
+    ``specs`` their PruneSpecs, or both are None for the dense stack. Each
+    block runs three stages: rmsnorm, the Up/Gate site (its products and
+    activation) and the Down site (its product and the residual add). A
+    stage is keyed by the specs of every stage up to and including it, None
+    for a dense one, so two views of one stack give a key the same result
+    bit for bit. ``stages``, when given, maps the keys of stages already run
+    on this ``x`` to their results; each stage found there is reused and
+    each one run is added.
     """
     if x.ndim != 2 or x.shape[1] != model.config.d_model:
         raise ShapeError(
             f"input shape {x.shape} incompatible with d_model={model.config.d_model}"
         )
-    ffn = kernels.swiglu_ffn if model.config.ffn == "swiglu" else kernels.gelu_ffn
+    up_site = kernels.swiglu_up_site if model.config.ffn == "swiglu" else kernels.gelu_up_site
     captured = {}
     records = []
-    cur = x
+    cur, key = x, ()
     for b, weights in enumerate(model.blocks):
-        h_in = _rmsnorm(cur, model.gains[b]) if model.gains is not None else cur
-        y, down_in, record = ffn(h_in, weights, *(sites[b] if sites else (None, None)))
+        up, down = sites[b] if sites else (None, None)
+        up_spec, down_spec = specs[b] if specs else (None, None)
+        key += (None,)
+        h_in = cur if model.gains is None else _stage(stages, key, _rmsnorm, cur, model.gains[b])
+        key += (up_spec,)
+        down_in, up_run = _stage(stages, key, up_site, h_in, weights, up)
+        key += (down_spec,)
+        cur, down_run = _stage(
+            stages, key, _down_stage, model.config.residual, cur, down_in, weights, down
+        )
         for site, tensor in zip(SITES, (h_in, down_in)):
             hook = HookPoint(b, site)
             if hook in capture_hooks:
                 captured[hook] = tensor.copy()
-        records.append(record)
-        cur = (cur + y).astype(FLOAT) if model.config.residual else y
+        records.append(BlockRecord(up_run, down_run))
     return cur, captured, records
+
+
+def _stage(stages, key, run, *args):
+    """``run(*args)``, computed once per key of ``stages`` when it is given;
+    a forward without one holds no stage past its use."""
+    if stages is None:
+        return run(*args)
+    if key not in stages:
+        stages[key] = run(*args)
+    return stages[key]
+
+
+def _down_stage(residual, x, z, weights, down):
+    """The Down site on ``z`` and the residual add of the block input ``x``:
+    (block output, run)."""
+    y, run = kernels.down_site(z, weights, down)
+    return ((x + y).astype(FLOAT) if residual else y), run

@@ -6,8 +6,8 @@ A ``SparseLinear`` freezes a weight matrix together with a scalar mode shift
 eta whose compensating term ``eta * column_sums(W)`` is fused into the bias
 offline, so inference adds only a broadcast subtraction before the usual
 masked GEMM. ``compile_ffn`` turns one FFN block's specs into the
-``SparseLinear`` sites whose fields ``kernels.swiglu_ffn`` and
-``kernels.gelu_ffn`` pass to ``kernels.sparse_fc``, one call per projection.
+``SparseLinear`` sites whose fields the site steps of ``kernels`` pass to
+``kernels.sparse_fc``, one call per projection.
 """
 
 from __future__ import annotations

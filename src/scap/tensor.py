@@ -12,7 +12,8 @@ thread. A batch over a smaller weight runs one BLAS GEMM. In float32,
 ``activations.c`` computes ``silu`` as ``x * (1 / (1 + expf(-x)))``, in a
 vectorised loop that writes out glibc's ``expf`` algorithm bit for bit, and
 ``gelu`` as ``(0.5 * x) * (1 + erf(x / sqrt2))``. The same source holds the
-reservoir draw of ``calib.LayerStats``. Every operation is pure.
+pruner of ``kernels.sparse_fc`` and the reservoir draw of
+``calib.LayerStats``, so it is built with one ``cc``. Every operation is pure.
 """
 
 from __future__ import annotations
@@ -37,13 +38,15 @@ CAST_BLOCK_BYTES = 1 << 20
 # rounding. Without -march=native row_gemm took 96 against 40 ms at
 # 4096x11008, batch 32, and 15 against 8 ms at batch 2 (2 vCPUs).
 CC = ("cc", "-O3", "-march=native", "-ffp-contract=off", "-fPIC", "-shared")
-# each source's functions and argument types; arrays pass as bare addresses
+# each source's functions and argument types; arrays pass as bare addresses.
+# One source holds every loop a sweep runs, so a sweep builds with one cc.
 _P, _N = ctypes.c_void_p, ctypes.c_int64
 _KERNELS = {
     "rowgemv": {"row_gemv": (_P, _P, _P, *[_N] * 4, _P), "row_gemm": (_P, _P, _P, *[_N] * 5, _P)},
     "activations": {
         "silu_f32": (_P, _N, _P),
         "gelu_f32": (_P, _N, _P),
+        "prune_f32": (_P, _N, _N, ctypes.c_float, ctypes.c_float, _N, _P, _P, _P),
         "reservoir_draw": (_P, *[_N] * 3, *[_P] * 4),
     },
 }

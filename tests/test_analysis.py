@@ -539,7 +539,8 @@ def test_sweep_results_independent_of_thread_cap(monkeypatch):
 
 
 def test_sweep_runs_on_the_calling_thread(monkeypatch):
-    # every pass and grid point runs on the caller's thread, whatever the cap
+    # every pass and the one walk over all points run on the caller's thread,
+    # whatever the cap
     monkeypatch.setenv("SCAP_THREADS", "4")
     threads = []
     for name in ("calibrate", "_evaluate"):
@@ -549,7 +550,7 @@ def test_sweep_runs_on_the_calling_thread(monkeypatch):
     model = _swiglu_model(seed=14, blocks=1)
     stream = synthetic_stream(16, 2, 32, seed=1)
     pareto_sweep(model, stream, stream, [0.3, 0.6], [0.4, 0.7], capacity=1 << 12)
-    assert len(threads) == 1 + 2 + 4  # the dense pass, 2 Down passes, 4 points
+    assert len(threads) == 1 + 2 + 1  # the dense pass, 2 Down passes, one walk
     assert set(threads) == {threading.get_ident()}
 
 

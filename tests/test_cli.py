@@ -7,12 +7,11 @@ import sys
 import numpy as np
 import pytest
 
-from scap import analysis, cli, kernels, tensor
+from scap import analysis, kernels
 from scap.cli import (
     COMMAND_DEFAULTS,
     COMMANDS,
     CliError,
-    RunConfig,
     build_parser,
     main,
     resolve_config,
@@ -247,24 +246,15 @@ def test_every_flag_parses_its_default_back(command):
 
 
 @pytest.mark.parametrize("command", sorted(COMMAND_DEFAULTS))
-def test_each_command_reads_and_echoes_exactly_its_keys(tmp_path, monkeypatch, command):
-    """Over a default run, the keys read through ``RunConfig`` (as attributes
-    or ``values[key]``) and the keys every artifact echoes are the ones the
-    command declares, so no key is accepted that cannot change its result."""
-    read = set()
-
-    class Spy(dict):
-        def __getitem__(self, key):
-            read.add(key)
-            return super().__getitem__(key)
-
-    real = cli.resolve_config
-    spy = lambda args: RunConfig(args.command, Spy(real(args).values))
-    monkeypatch.setattr(cli, "resolve_config", spy)
-    out = tmp_path / "o"
-    assert _run([command, "--out", out]) == 0
+def test_each_command_reads_and_echoes_exactly_its_keys(default_run, command):
+    """Over a default run (``tests/conftest.py``), the keys read through
+    ``RunConfig`` (as attributes or ``values[key]``) and the keys every
+    artifact echoes are the ones the command declares, so no key is
+    accepted that cannot change its result."""
+    run = default_run(command)
+    out = run.out
     declared = set(COMMAND_DEFAULTS[command])
-    assert read == declared
+    assert run.reads == declared
     echoes = [load_report(p)["config"] for p in out.glob("*.json")]
     for path in out.glob("*.csv"):
         first = path.read_text().splitlines()[0]
@@ -369,20 +359,43 @@ def test_bad_arguments_fail_before_calibrating(tmp_path, capsys, monkeypatch, ar
     assert err.startswith(f"scap: error: {name} must") and err.count("\n") == 1
 
 
-def test_default_sweep_never_runs_the_row_kernels(tmp_path, monkeypatch):
+def test_default_sweep_never_runs_the_row_kernels(default_run):
     """Every product of a default sweep is a batch over a weight below
     ``tensor.ROW_GEMM_MIN``, where one BLAS GEMM is faster than the row
-    kernels. Its compiled loops (silu and the reservoir draw) share one
-    source, so a fresh process runs ``cc`` once."""
-    shapes, compiles = [], []
-    real, run = tensor._row_product, tensor.subprocess.run
-    monkeypatch.setattr(tensor, "_row_product", lambda *a: shapes.append(a[0].shape) or real(*a))
-    monkeypatch.setattr(tensor, "_libs", {})  # as in a fresh process
-    spy = lambda cmd, **kw: compiles.append(cmd[0]) or run(cmd, **kw)
-    monkeypatch.setattr(tensor.subprocess, "run", spy)
-    assert _run(["sweep", "--out", tmp_path / "o"]) == 0
-    assert shapes == []
-    assert compiles == ["cc"]
+    kernels. Its compiled loops (the pruner, silu and the reservoir draw)
+    share one source, so a fresh process runs ``cc`` once."""
+    run = default_run("sweep")
+    assert run.row_shapes == []
+    assert run.compiles == ["cc"]
+
+
+def test_default_sweep_runs_each_shared_stage_once(default_run):
+    """The grid's one evaluation walk runs block 0's rmsnorm once per batch
+    for all nine points and the dense stack, and block 0's Up/Gate site once
+    per Up target; each point still runs its own ``SparseStack.forward``.
+    Each of 64 eval batches: 42 ``sparse_fc`` calls (3 Up targets x 2, 9
+    Downs, 9 x 3 in block 1), 14 silu and 11 rmsnorm; the four calibration
+    passes add 768, 512 and 512."""
+    assert default_run("sweep").calls == {
+        "kernels.sparse_fc": 3456,
+        "tensor.silu": 1408,
+        "model._rmsnorm": 1216,
+        "kernels.matmul": 1152,
+        "SparseStack.forward": 576,
+    }
+
+
+def test_default_ablation_runs_each_shared_stage_once(default_run):
+    """All 16 Down-pruned variants share block 0's dense Up site with the
+    dense stack (no rmsnorm on this substrate): each of 64 eval batches runs
+    18 GELUs and 20 dense products, where a walk per variant would run 34
+    and 36; the calibration pass adds 128 and 256."""
+    assert default_run("ablate-mode").calls == {
+        "kernels.sparse_fc": 2048,
+        "tensor.gelu": 1280,
+        "kernels.matmul": 1536,
+        "SparseStack.forward": 1024,
+    }
 
 
 def test_activations_and_a_sweep_run_without_scipy(tmp_path):

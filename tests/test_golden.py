@@ -63,16 +63,23 @@ def row_products(monkeypatch):
 
 def _digests(argv):
     assert main([*argv, "--out", OUT]) == 0
-    written = sorted(p for p in Path(OUT).iterdir() if p.is_file())
+    return _hashes(Path(OUT))
+
+
+def _hashes(out: Path) -> dict[str, str]:
+    written = sorted(p for p in out.iterdir() if p.is_file())
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in written}
 
 
 @pytest.mark.parametrize("command", sorted(GOLDEN))
-def test_default_artifact_digests(tmp_path, monkeypatch, row_products, command):
-    monkeypatch.chdir(tmp_path)
-    assert _digests([command]) == GOLDEN[command]
+def test_default_artifact_digests(default_run, command):
+    """Each command's one default run (``tests/conftest.py``), written with
+    ``--out out`` as ``OUT`` is."""
+    run = default_run(command)
+    assert run.out.name == OUT
+    assert _hashes(run.out) == GOLDEN[command]
     if command in NO_ROW_KERNELS:
-        assert row_products == []
+        assert run.row_shapes == []
 
 
 # Small dims and streams with a capacity below each site's stream, so both

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from scap import kernels
-from scap.kernels import sparse_fc
+from scap.kernels import SwiGluWeights, cats_swiglu, sparse_fc
 from scap.prune import PruneSpec
-from scap.tensor import ROW_GEMM_MIN, matmul_rows
+from scap.tensor import ROW_GEMM_MIN, matmul, matmul_rows, silu
 
 F32 = np.float32
 EPS32 = float(np.finfo(F32).eps)
@@ -209,34 +209,180 @@ def test_special_values_match_the_where_oracle_bit_for_bit(n, full, tau, eta, bi
 @pytest.mark.parametrize("n", [1, 3, 256])
 def test_full_union_runs_ungathered_and_one_row_unzeroed(monkeypatch, n, full):
     """A full union reaches ``matmul_rows`` as ``rows=None``, a partial one
-    as its index array, with the oracle's bits either way; one row, whose
-    union is its kept set, runs no zeroing step."""
-    seen, zeroed = [], []
-    real_zero = kernels._zero_pruned
+    as its index array, with the oracle's bits either way. A batch's block is
+    zeroed exactly at its pruned elements; one row, whose union is its kept
+    set, hands over its kept values."""
+    seen = []
 
     def product(x64, w, rows=None):
-        seen.append(rows)
+        seen.append((x64.copy(), rows))
         return matmul_rows(x64, w, rows)
 
     monkeypatch.setattr(kernels, "matmul_rows", product)
-    monkeypatch.setattr(
-        kernels, "_zero_pruned", lambda x, kept: zeroed.append(x.shape) or real_zero(x, kept)
-    )
     x, w, tau, eta, b = _special_case(n, full, 0.5, 0.25, True)
     out, _, _ = sparse_fc(x, w, tau, eta, b)
-    (rows,) = seen
+    ((x64, rows),) = seen
+    kept = _kept(x, tau, eta)
+    union = np.flatnonzero(kept.any(axis=0))
     if full:
         assert rows is None
     else:
-        union = _kept(x, tau, eta).any(axis=0)
-        np.testing.assert_array_equal(rows, np.flatnonzero(union))
-    assert len(zeroed) == (n > 1)
+        np.testing.assert_array_equal(rows, union)
+    shifted = (x - F32(eta))[:, union].astype(np.float64)
+    want = np.where(kept[:, union], shifted, 0.0)
+    assert np.array_equal(x64.view(np.uint64), want.view(np.uint64))
+    if n == 1:
+        assert np.array_equal(x64.view(np.uint64), shifted.view(np.uint64))
     assert _same_bits(out, sparse_fc_where(x, w, tau, eta, b))
+
+
+def sparse_fc_numpy(x, weight, tau, eta=0.0, bias_fused=None):
+    """Oracle: the pruner as numpy operations, tau and eta rounded to
+    float32: the shifted elements of the union columns, a batch's pruned
+    ones zeroed by ``_zero_pruned``, cast to float64 for one ``matmul_rows``
+    product. Returns (output, kept, MACs, the float64 block, its rows)."""
+    x_eta = x - F32(eta)
+    kept = ~(np.abs(x_eta) <= F32(tau))
+    rows = np.flatnonzero(kept.any(axis=0))
+    full = rows.size == weight.shape[0]
+    x_kept = x_eta if full else x_eta[:, rows]
+    if x.shape[0] > 1:
+        x_kept = kernels._zero_pruned(x_kept, kept if full else kept[:, rows])
+    x64, rows = x_kept.astype(np.float64), None if full else rows
+    out = matmul_rows(x64, weight, rows)
+    if bias_fused is not None:
+        out += bias_fused
+    return out.astype(F32), kept, int(kept.sum()) * weight.shape[1], x64, rows
+
+
+def _edge_case(n, full, tau, eta, d=40, oc=5, seed=0):
+    """An (n, d) batch whose shifted elements sit at float32(tau) and one
+    ulp either side, both signs, after ``SPECIALS`` shifted by eta and the
+    smallest normal; the rest are random. The last column is pruned in every
+    row unless ``full``."""
+    rng = np.random.default_rng(seed)
+    tau32, eta32 = F32(tau), F32(eta)
+    near = [np.nextafter(tau32, F32(0)), tau32, np.nextafter(tau32, F32(np.inf))]
+    edge = [_shifted_to(s * v, eta32) for v in near for s in (1, -1)]
+    special = [*(SPECIALS + eta32), *edge, F32(np.finfo(F32).tiny)]
+    x = rng.standard_normal((n, d)).astype(F32) + eta32
+    for i, v in enumerate(special):
+        x[(7 * i) % n, i] = v
+    # some element lands on float32(tau) exactly, others one ulp either side
+    assert {np.any(np.abs(x - eta32) == v) for v in near} == {True}
+    if full:
+        x[-1, ~(np.abs(x - eta32) > tau32).any(axis=0)] = eta32 + 2 * tau32 + 1
+    else:
+        x[:, -1] = eta32
+    w = rng.standard_normal((d, oc)).astype(F32)
+    return x, w, rng.standard_normal(oc)
+
+
+def _shifted_to(v, eta32):
+    """A float32 x near ``v + eta32`` with ``x - eta32 == v`` where one exists."""
+    x = F32(v + eta32)
+    for _ in range(4):
+        if x - eta32 == v:
+            break
+        x = np.nextafter(x, F32(np.inf) if x - eta32 < v else F32(-np.inf))
+    return x
+
+
+@_INF_PRODUCTS
+@pytest.mark.parametrize("contiguous", [True, False])
+@pytest.mark.parametrize("eta", [0.0, 0.25, -0.7])
+@pytest.mark.parametrize("full", [True, False])
+@pytest.mark.parametrize("n", [1, 3, 256])
+def test_compiled_prune_equals_the_numpy_oracle_bit_for_bit(monkeypatch, n, full, eta, contiguous):
+    """``prune_f32`` against the numpy pruner it replaced: output, kept
+    mask, MACs and the float64 block handed to ``matmul_rows``, bit for bit,
+    around a tau that float32 does not hold exactly."""
+    tau = 0.3
+    assert float(F32(tau)) != tau
+    x, w, b = _edge_case(n, full, tau, eta)
+    if not contiguous:  # every other column of a wider batch
+        wide = np.zeros((n, 2 * x.shape[1]), F32)
+        wide[:, ::2] = x
+        x = wide[:, ::2]
+        assert not x.flags.c_contiguous
+    seen = []
+
+    def product(x64, w, rows=None):
+        seen.append((x64.copy(), rows))
+        return matmul_rows(x64, w, rows)
+
+    monkeypatch.setattr(kernels, "matmul_rows", product)
+    out, kept, macs = sparse_fc(x, w, tau, eta, b)
+    monkeypatch.undo()
+    want, want_kept, want_macs, want_x64, want_rows = sparse_fc_numpy(x, w, tau, eta, b)
+    assert _same_bits(out, want)
+    np.testing.assert_array_equal(kept, want_kept)
+    assert macs == want_macs
+    ((x64, rows),) = seen
+    assert (rows is None) == (want_rows is None) and np.array_equal(rows, want_rows)
+    assert x64.shape == want_x64.shape
+    assert np.array_equal(x64.view(np.uint64), want_x64.view(np.uint64))
+    assert kept.any(axis=0).all() == full
+
+
+def test_threshold_precision_does_not_depend_on_its_type():
+    """tau and eta round to float32 once, whatever their type: a float64
+    tau just above the midpoint of 0.5f and the next float rounds up to that
+    float, which then prunes both of its signs, as a Python float does."""
+    b = np.nextafter(F32(0.5), F32(1))
+    tau = (0.5 + float(b)) / 2 + 1e-12
+    assert F32(tau) == b and np.float64(tau) < b
+    x = np.array([[b, -b, 0.5, 1.0], [0.25, 1.0, -b, 2.0]], F32)
+    w = np.eye(4, dtype=F32)
+    for t in (tau, np.float64(tau), np.float32(tau)):
+        for e in (0.0, np.float64(0.0)):
+            _, kept, _ = sparse_fc(x, w, t, e)
+            assert kept.tolist() == [[False, False, False, True], [False, True, False, True]]
+            _, kept, _ = sparse_fc(x[:1], w, t, e)
+            assert kept.tolist() == [[False, False, False, True]]
+
+
+def test_cats_threshold_rounds_to_float32_whatever_its_type():
+    """A float64 tau a quarter ulp above one silu magnitude rounds down to
+    it, so that channel is kept, by a float64 tau as by a Python float."""
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((4, 6)).astype(F32)
+    w = SwiGluWeights(*(rng.standard_normal(s).astype(F32) for s in ((6, 9), (6, 9), (9, 6))))
+    v = np.abs(silu(matmul(x, w.w_gate)))
+    mag = v[0, 0]
+    tau = float(mag) + (float(np.nextafter(mag, F32(1))) - float(mag)) / 4
+    assert F32(tau) == mag and np.float64(tau) > mag
+    runs = [cats_swiglu(t, x, w) for t in (tau, np.float64(tau), F32(tau))]
+    kept = int(np.count_nonzero(~(v < mag)))
+    assert {run[1].elements_pruned for run in runs} == {v.size - kept}
+    assert all(_same_bits(y, runs[0][0]) for y, _ in runs)
+
+
+@pytest.mark.parametrize(
+    "tau,eta",
+    [(1e39, 0.0), (2.0**128 - 2.0**103, 0.0), (0.5, 1e39), (0.5, -1e39), (np.float64(1e39), 0.0)],
+    ids=["tau", "tau-rounding-up", "eta", "negative-eta", "float64-tau"],
+)
+def test_thresholds_past_float32_range_rejected(tau, eta):
+    """A finite tau or eta that rounds to an infinite float32 raises, where
+    it would prune every element or make every output infinite."""
+    x, w, _, _, _ = _case(2, 4, 3, 0.0, 0.0)
+    with pytest.raises(ValueError, match="finite as a float32"):
+        sparse_fc(x, w, tau, eta)
+    with pytest.raises(ValueError, match="finite as a float32"):
+        PruneSpec(tau=tau, eta=eta)
+    if eta == 0.0:
+        with pytest.raises(ValueError, match="finite as a float32"):
+            cats_swiglu(tau, x, SwiGluWeights(w, w, w.T.copy()))
+    largest = float(np.finfo(F32).max)
+    assert not sparse_fc(x, w, largest, 0.0)[1].any()
+    PruneSpec(tau=largest, eta=-largest)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_zero_pruned_equals_where_bit_for_bit(dtype):
-    """The bit-mask zeroing of ``sparse_fc`` (f32) and ``cats_swiglu`` (f64)."""
+    """The bit-mask zeroing of ``cats_swiglu`` (f64) and of the prune oracle
+    ``sparse_fc_numpy`` (f32)."""
     rng = np.random.default_rng(0)
     tiny = np.finfo(dtype).smallest_subnormal
     x = np.concatenate([SPECIALS.astype(dtype), [tiny, -tiny], rng.standard_normal(54)])
