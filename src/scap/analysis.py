@@ -258,8 +258,8 @@ def _evaluate(model, spec_maps, batches, error=True) -> list[tuple[SparsityRepor
 
     Per batch, the dense stack (when ``error`` is set) and then each map's
     sparse view run their forwards on one dict of finished stages, so that a
-    stage whose specs, and those of every stage before it, two of them share
-    runs once; the dict dies with its batch. Each map's counts and error
+    stage runs once for all the forwards that share its specs and those of
+    every stage before it; the dict dies with its batch. Each map's counts and error
     sums are added in batch order, and ``sum(y_dense**2)`` once per batch, so
     every sum has the bits of a walk over that map alone.
     """
