@@ -1,4 +1,4 @@
-/* Elementwise loops over n contiguous float32 values, y may not alias x:
+/* Loops over contiguous arrays, the outputs aliasing no input:
  *
  *   silu_f32: y[i] = x[i] * (1 / (1 + expf(-x[i])))           all in float
  *   gelu_f32: y[i] = (0.5 * x[i]) * (1 + (float)erf(x[i] / s)) in float, the
@@ -6,7 +6,10 @@
  *             float, 0x3FB504F3
  *   prune_f32: v = x[i] - eta and kept = !(|v| <= tau) in float, v widened
  *             to double and zeroed where pruned, with each column's union
- *             of kept flags: the pruner of kernels.sparse_fc
+ *             of kept flags and the counts of both: the pruner of
+ *             kernels.sparse_fc
+ *   rmsnorm_f32: each row of doubles over its root mean square, times a
+ *             gain, rounded to float, in numpy's order of operations
  *   reservoir_draw: Algorithm R for values that arrive past a full
  *             reservoir's capacity, drawn as numpy's Generator.integers does
  *
@@ -86,17 +89,103 @@ void gelu_f32(const float *x, int64_t n, float *restrict y)
         y[i] = (0.5f * x[i]) * (1.0f + (float)erf((double)(x[i] / s)));
 }
 
+/* The loops from here to the pop build at O2, vectorised by hand with
+ * GCC's vector types or not at all: with the O3 vectoriser the union and
+ * the norm compiled about as slowly as the rest of this source together. */
+#pragma GCC push_options
+#pragma GCC optimize("O2")
+
+typedef double f64x8 __attribute__((vector_size(64)));
+typedef float f32x8 __attribute__((vector_size(32)));
+
+static inline f64x8 load8(const double *x)
+{
+    f64x8 v;
+    memcpy(&v, x, sizeof v);
+    return v;
+}
+
+/* any[j] = whether some of n rows of d flags (0 or 1) keeps column j, the
+ * flags ORed 8 columns to a word; returns the number of such columns */
+static int64_t column_union(const uint8_t *kept, int64_t n, int64_t d, uint8_t *any)
+{
+    int64_t n_any = 0, j = 0;
+    for (; j + 8 <= d; j += 8) {
+        uint64_t w = 0, k;
+        for (int64_t i = 0; i < n; i++) {
+            memcpy(&k, kept + i * d + j, sizeof k);
+            w |= k;
+        }
+        memcpy(any + j, &w, sizeof w);
+        n_any += __builtin_popcountll(w);
+    }
+    for (; j < d; j++) {
+        uint8_t w = 0;
+        for (int64_t i = 0; i < n; i++)
+            w |= kept[i * d + j];
+        any[j] = w;
+        n_any += w;
+    }
+    return n_any;
+}
+
+/* The squares of x[0..n) summed as numpy's pairwise_sum adds a contiguous
+ * float64 row in np.add.reduce: below 8 values one by one from 0; up to 128
+ * in 8 accumulators, one per lane, combined as a tree, then the rest one by
+ * one; above that the two halves, split at a multiple of 8. */
+static double sum_squares(const double *x, int64_t n)
+{
+    if (n > 128) {
+        int64_t half = n / 2 - n / 2 % 8;
+        return sum_squares(x, half) + sum_squares(x + half, n - half);
+    }
+    double s = 0.0;
+    int64_t i = 0;
+    if (n >= 8) {
+        f64x8 r = load8(x) * load8(x);
+        for (i = 8; i < n - n % 8; i += 8)
+            r += load8(x + i) * load8(x + i);
+        s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+    }
+    for (; i < n; i++)
+        s += x[i] * x[i];
+    return s;
+}
+
+/* For n rows of d doubles: y = (x / rms) * gain rounded to float, where
+ * rms = sqrt(sum(x * x) / d + eps), each operation in double, 8 lanes at a
+ * time, and the sum in numpy's order; so the bits of
+ * ((x / sqrt(mean(x * x, axis=1) + eps)) * gain).astype(float32). */
+void rmsnorm_f32(const double *x, int64_t n, int64_t d, const double *gain, double eps,
+                 float *restrict y)
+{
+    for (int64_t i = 0; i < n; i++, x += d, y += d) {
+        double rms = sqrt(sum_squares(x, d) / (double)d + eps);
+        int64_t j = 0;
+        for (; j + 8 <= d; j += 8) {
+            f32x8 q = __builtin_convertvector((load8(x + j) / rms) * load8(gain + j), f32x8);
+            memcpy(y + j, &q, sizeof q);
+        }
+        for (; j < d; j++)
+            y[j] = (float)((x[j] / rms) * gain[j]);
+    }
+}
+
+#pragma GCC pop_options
+
 /* For n rows of d values: v = x - eta and kept = !(|v| <= tau), so NaN is
  * kept; out holds (double)v, or +0.0 where pruned when zero is set, and
- * any[j] whether some row keeps column j. The zeroing ANDs v's bits with a
- * mask of the kept flag, as a ternary would keep the loop from vectorising;
- * so do pointers that may alias. One flat loop, then the union, vectorise
- * and compile faster than a loop per row: 11 against 17 us at 256x96. */
+ * any[j] whether some row keeps column j; counts gets the kept elements and
+ * the columns any row keeps. The zeroing ANDs v's bits with a mask of the
+ * kept flag, as a ternary would keep the loop from vectorising; so do
+ * pointers that may alias. One flat loop vectorises and compiles faster than
+ * a loop per row: 11 against 17 us at 256x96. */
 void prune_f32(const float *restrict x, int64_t n, int64_t d, float tau, float eta,
                int64_t zero, double *restrict out, uint8_t *restrict kept,
-               uint8_t *restrict any)
+               uint8_t *restrict any, int64_t *restrict counts)
 {
     const uint64_t keep_all = zero ? 0 : ~(uint64_t)0;
+    int64_t n_kept = 0;
     for (int64_t i = 0; i < n * d; i++) {
         float v = x[i] - eta;
         uint8_t k = !(fabsf(v) <= tau);
@@ -107,11 +196,10 @@ void prune_f32(const float *restrict x, int64_t n, int64_t d, float tau, float e
         memcpy(&w, &bits, sizeof w);
         out[i] = w;
         kept[i] = k;
+        n_kept += k;
     }
-    memset(any, 0, (size_t)d);
-    for (int64_t i = 0; i < n; i++)
-        for (int64_t j = 0; j < d; j++)
-            any[j] |= kept[i * d + j];
+    counts[0] = n_kept;
+    counts[1] = column_union(kept, n, d, any);
 }
 
 typedef uint64_t (*next64_fn)(void *);

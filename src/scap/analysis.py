@@ -87,7 +87,9 @@ def calibrate(
     specs: dict[HookPoint, PruneSpec] | None = None,
     sites: tuple[str, ...] = SITES,
 ) -> dict[str, LayerStats]:
-    """Stream calibration batches through the model, hooks observing.
+    """Observe calibration batches on the model's stage walk: each observed
+    hook's tensor goes, uncopied, to its site's statistics as soon as its
+    stage finishes, and each batch stops after the last observed stage.
 
     Returns one ``LayerStats`` per name in ``sites``, and observes only
     those sites' hooks; a name not in ``SITES`` raises ValueError before
@@ -96,21 +98,26 @@ def calibrate(
     one threshold serves a uniform target per site. Each site's sampling
     seed comes from its index in ``sorted(SITES)``, so a site's statistics
     do not depend on which other sites are observed. Passing ``specs``
-    routes the capture through the pruned view, so statistics reflect the
-    distributions a deployed model sees.
+    walks the pruned view, so statistics reflect the distributions a
+    deployed model sees.
     """
     _check_sites(sites, "calibration")
     hooks = [h for h in model.hook_points() if h.site in sites]
-    runner = model if not specs else model.apply_prune_specs(specs)
+    last = hooks[-1] if hooks else None
+    runner = model.apply_prune_specs(specs or {})
     stats = {}
     for i, site in enumerate(sorted(SITES)):
         if site in sites:
             site_seed = int(np.random.SeedSequence([seed, i]).generate_state(1)[0])
             stats[site] = LayerStats(site, capacity=capacity, seed=site_seed)
+
+    def observe(hook, tensor):
+        if hook.site in stats:
+            stats[hook.site].observe(tensor)
+        return hook == last
+
     for batch in calib_stream:
-        _, captured = runner.forward_with_hooks(batch, hooks)
-        for h in hooks:
-            stats[h.site].observe(captured[h])
+        runner.walk(batch, observe)
     return stats
 
 
@@ -586,35 +593,18 @@ def iso_error_gain(points: list[AblationPoint]) -> float:
 
 def sweep_rows(result: SweepResult) -> tuple[list[str], list[list]]:
     header = [
-        "target_up_gate",
-        "target_down",
-        "obs_up",
-        "obs_gate",
-        "obs_down",
-        "ffn_sparsity",
-        "macs_ratio",
-        "error",
-        "quality",
-        "pareto",
+        "target_up_gate", "target_down", "obs_up", "obs_gate", "obs_down",
+        "ffn_sparsity", "macs_ratio", "error", "quality", "pareto",
     ]
     pareto = set(result.pareto_indices)
     rows = []
     for i, e in enumerate(result.entries):
-        s_up = e.report.site_sparsity[UP_GATE_INPUT]
-        rows.append(
-            [
-                e.target_up_gate,
-                e.target_down,
-                s_up,
-                s_up,
-                e.report.site_sparsity[DOWN_INPUT],
-                e.report.ffn_sparsity,
-                e.report.macs_ratio,
-                e.error,
-                e.quality,
-                int(i in pareto),
-            ]
-        )
+        sites = e.report.site_sparsity
+        rows.append([
+            e.target_up_gate, e.target_down, sites[UP_GATE_INPUT], sites[UP_GATE_INPUT],
+            sites[DOWN_INPUT], e.report.ffn_sparsity, e.report.macs_ratio, e.error, e.quality,
+            int(i in pareto),
+        ])
     return header, rows
 
 

@@ -16,19 +16,20 @@ projection over the union of weight rows that any batch row keeps. One
 compiled float32 loop, ``prune_f32`` of ``activations.c``, shifts and
 compares each element, writes the float64 block with pruned elements zeroed
 by ANDing their bits with the mask, which equals ``np.where(kept, x, 0)`` bit
-for bit, and ORs each row's kept flags into the union. When every row is in
-the union, the whole float64 block goes to the product with ``rows=None`` and
-nothing is gathered. For one row (a decode token) that union is exactly the kept rows, so
+for bit, ORs each row's kept flags into the union, and counts the kept
+elements and the union's rows. When every row is in the union, the whole
+float64 block goes to the product with ``rows=None`` and nothing is gathered
+or searched. For one row (a decode token) that union is exactly the kept rows, so
 nothing needs zeroing, and the compiled row kernel reads only those rows of
 the weight. A batch runs the compiled batch kernel over the union, in which
 each row's output equals its one-row result bit for bit, or one BLAS GEMM when
 the union weight is below ``tensor.ROW_GEMM_MIN`` elements. Each site step
 returns its tensor and its ``SiteRun``, and a block's two form its one
 ``BlockRecord``: a ``SiteRun`` per site of ``SITES``, counted where its
-projections run, holding the site's kept mask and the kept-channel and dense
-MACs of the projections that read it (dense: the site's input elements times
-their output widths).
-Every block count is a view of the two. Kept-channel MACs are at one row the
+projections run, holding the site's kept mask, its kept count and the summed
+output widths of the projections that read it; its kept-channel MACs are the
+kept count times those widths, and its dense MACs the input elements times
+them. Every block count is a view of the two. Kept-channel MACs are at one row the
 multiply-accumulates the row kernel performs, at a batch fewer than the union
 product computes. They are an operation count, not a time. Wall-clock is
 measured by the benchmark in ``perfbench/``.
@@ -36,6 +37,7 @@ measured by the benchmark in ``perfbench/``.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -45,6 +47,7 @@ from .tensor import FLOAT, ShapeError, _kernel, gelu, matmul, matmul_rows, silu
 
 # the least magnitude that rounds to an infinite float32: FLT_MAX plus half an ulp
 _F32_OVERFLOW = 2.0**128 - 2.0**103
+_COUNTS = ctypes.c_int64 * 2  # what prune_f32 counts
 
 UP_GATE_INPUT = "up_gate_input"
 DOWN_INPUT = "down_input"
@@ -133,7 +136,8 @@ def sparse_fc(
     (each must stay finite there), shifts ``x``, read as float32, by ``eta``
     and keeps elements whose magnitude is not at most ``tau``, NaN included;
     one pass of ``prune_f32`` gives the shifted block in float64, the kept
-    mask and the union of kept columns. One float64-accumulated ``matmul_rows``
+    mask, the union of kept columns and the counts of both, so a full union
+    is never searched. One float64-accumulated ``matmul_rows``
     product multiplies the block by the weight rows that any batch row keeps
     (the row kernel for one row), then adds ``bias_fused``. A batch has its
     pruned elements zeroed; one row keeps all of them and zeroes nothing. A
@@ -145,16 +149,16 @@ def sparse_fc(
     x = np.ascontiguousarray(x, dtype=FLOAT)
     n, d = x.shape
     x64, kept, union = np.empty((n, d)), np.empty((n, d), bool), np.empty(d, bool)
+    counts = _COUNTS()  # kept elements, union rows
     _kernel("activations", "prune_f32")(
         x.ctypes.data, n, d, tau32, eta32, n > 1, x64.ctypes.data, kept.ctypes.data,
-        union.ctypes.data,
+        union.ctypes.data, counts,
     )
-    rows = np.flatnonzero(union)
-    full = rows.size == d
-    out = matmul_rows(x64 if full else x64[:, rows], weight, None if full else rows)
+    rows = None if counts[1] == d else np.flatnonzero(union)
+    out = matmul_rows(x64 if rows is None else x64[:, rows], weight, rows)
     if bias_fused is not None:
         out += bias_fused
-    return out.astype(FLOAT), kept, int(np.count_nonzero(kept)) * weight.shape[1]
+    return out.astype(FLOAT), kept, counts[0] * weight.shape[1]
 
 
 def _zero_pruned(x: np.ndarray, kept: np.ndarray) -> np.ndarray:
@@ -204,16 +208,16 @@ def cats_swiglu(
 
 
 class SiteRun(NamedTuple):
-    """One pruning site of one FFN forward: the kept mask of its input, and
-    the kept-channel and dense MACs of the projections that read it."""
+    """One pruning site of one FFN forward: the kept mask of its input, its
+    kept elements, and the summed output widths of the projections that read
+    it, of which its kept-channel and dense MACs are views."""
 
     kept: np.ndarray  # all True when the site runs dense
-    macs: int
-    dense_macs: int  # input elements x the output widths of its projections
-
-    @property
-    def pruned(self) -> int:
-        return self.kept.size - int(np.count_nonzero(self.kept))
+    n_kept: int
+    widths: int
+    macs = property(lambda self: self.n_kept * self.widths)
+    dense_macs = property(lambda self: self.kept.size * self.widths)
+    pruned = property(lambda self: self.kept.size - self.n_kept)
 
 
 class BlockRecord(NamedTuple):
@@ -248,13 +252,15 @@ class BlockRecord(NamedTuple):
 
 
 def _fc(x, layer, weight, bias=None):
-    """One FC: the compiled ``SparseLinear`` layer, or dense when it is None."""
+    """One FC, the compiled ``SparseLinear`` layer or dense when it is None:
+    (output, kept mask, kept elements)."""
     if layer is not None:
-        return sparse_fc(x, layer.weight, layer.tau, layer.eta, layer.bias_fused)
+        y, kept, macs = sparse_fc(x, layer.weight, layer.tau, layer.eta, layer.bias_fused)
+        return y, kept, macs // weight.shape[1]
     y = matmul(x, weight)
     if bias is not None:
         y = y + bias
-    return y, np.ones(x.shape, dtype=bool), x.size * weight.shape[1]
+    return y, np.ones(x.shape, dtype=bool), x.size
 
 
 def swiglu_up_site(x: np.ndarray, w: SwiGluWeights, up=None) -> tuple[np.ndarray, SiteRun]:
@@ -264,18 +270,18 @@ def swiglu_up_site(x: np.ndarray, w: SwiGluWeights, up=None) -> tuple[np.ndarray
     share one mask of ``x``, or None to run both dense.
     """
     up_layer, gate_layer = up or (None, None)
-    u, kept_x, macs_up = _fc(x, up_layer, w.w_up)
+    u, kept_x, n_kept = _fc(x, up_layer, w.w_up)
     # shared mask: gate prunes the same x with the same spec, only the weight differs
-    gate, _, macs_gate = _fc(x, gate_layer, w.w_gate)
-    return silu(gate) * u, SiteRun(kept_x, macs_up + macs_gate, x.size * 2 * w.h)
+    gate, _, _ = _fc(x, gate_layer, w.w_gate)
+    return silu(gate) * u, SiteRun(kept_x, n_kept, 2 * w.h)
 
 
 def gelu_up_site(x: np.ndarray, w: GeluMlpWeights, up=None) -> tuple[np.ndarray, SiteRun]:
     """The GELU MLP's Up site, gelu(x W_up + b_up): (Down input, run). ``up``
     is None (dense) or a compiled ``SparseLinear`` whose fused bias carries
     ``b_up``."""
-    u, kept_x, macs = _fc(x, up, w.w_up, w.b_up)
-    return gelu(u), SiteRun(kept_x, macs, x.size * w.h)
+    u, kept_x, n_kept = _fc(x, up, w.w_up, w.b_up)
+    return gelu(u), SiteRun(kept_x, n_kept, w.h)
 
 
 def down_site(z: np.ndarray, w, down=None) -> tuple[np.ndarray, SiteRun]:
@@ -283,8 +289,8 @@ def down_site(z: np.ndarray, w, down=None) -> tuple[np.ndarray, SiteRun]:
     run). ``down`` is None (dense) or a compiled ``SparseLinear`` whose fused
     bias carries any ``b_down``."""
     bias = w.b_down if isinstance(w, GeluMlpWeights) else None
-    y, kept_z, macs = _fc(z, down, w.w_down, bias)
-    return y, SiteRun(kept_z, macs, z.size * w.d)
+    y, kept_z, n_kept = _fc(z, down, w.w_down, bias)
+    return y, SiteRun(kept_z, n_kept, w.d)
 
 
 def swiglu_ffn(

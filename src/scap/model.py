@@ -14,7 +14,11 @@ site then ``down_site``, each returning its tensor and its ``SiteRun``; the
 block's two runs form its one ``BlockRecord`` (declared in ``kernels`` with
 the site names, and re-exported here). A forward can share a dict of
 finished stages with other forwards of the same batch, so that stages that
-run the same specs on the same input run once (see ``_run_stack``).
+run the same specs on the same input run once (see ``_run_stack``). The same
+walk hands each hook point's tensor to an observer as soon as its stage
+finishes: calibration (``SparseStack.walk``) reads it uncopied and ends the
+batch after its last observed stage, and ``forward_with_hooks`` copies it.
+Rmsnorm is one compiled loop with the bits of the numpy formula.
 ``apply_prune_specs`` compiles each spec once into the ``SparseLinear``
 layer of its site, fusing any mode-shift compensation into that layer's
 bias, and returns a sparse view whose forwards reuse those layers; hook
@@ -35,7 +39,7 @@ from . import kernels
 from .kernels import DOWN_INPUT, SITES, UP_GATE_INPUT  # noqa: F401 (re-exported)
 from .kernels import BlockRecord, GeluMlpWeights, SwiGluWeights
 from .prune import PruneSpec, compile_ffn
-from .tensor import CAST_BLOCK_BYTES, FLOAT, ShapeError
+from .tensor import CAST_BLOCK_BYTES, FLOAT, ShapeError, _kernel
 
 FFN_KINDS = {"swiglu": SwiGluWeights, "gelu": GeluMlpWeights}  # kind -> its weights
 
@@ -95,34 +99,22 @@ class FfnStack:
         self.config = config
         self.blocks = blocks
         self.gains = gains
-        for arr in self._all_arrays():
+        for arr in [a for w in blocks for a in vars(w).values()] + (gains or []):
             arr.setflags(write=False)
 
-    def _all_arrays(self):
-        for w in self.blocks:
-            yield from vars(w).values()
-        if self.gains is not None:
-            yield from self.gains
-
     def hook_points(self) -> list[HookPoint]:
-        return [
-            HookPoint(b, site)
-            for b in range(self.config.n_blocks)
-            for site in SITES
-        ]
+        return [HookPoint(b, site) for b in range(self.config.n_blocks) for site in SITES]
 
     def forward(self, x: np.ndarray, stages: dict | None = None) -> np.ndarray:
         """The dense output; ``stages`` as for ``SparseStack.forward``."""
-        y, _, _ = _run_stack(self, x, stages=stages)
+        y, _ = _run_stack(self, x, stages=stages)
         return y
 
     def forward_with_hooks(
         self, x: np.ndarray, hooks: Iterable[HookPoint]
     ) -> tuple[np.ndarray, dict[HookPoint, np.ndarray]]:
-        hooks = list(hooks)
-        _validate_hooks(self, hooks)
-        y, captured, _ = _run_stack(self, x, capture_hooks=hooks)
-        return y, captured
+        """The output and a copy of the tensor at each of ``hooks``."""
+        return self.apply_prune_specs({}).forward_with_hooks(x, hooks)
 
     def apply_prune_specs(self, specs: Mapping[HookPoint, PruneSpec]) -> "SparseStack":
         """Compile each spec once into the ``SparseLinear`` layer of its site."""
@@ -176,17 +168,27 @@ class SparseStack:
         stages of earlier forwards of this same ``x``, of this stack or of
         any view of its base, the dense one included: a stage found there is
         reused, and one computed here is added. See ``_run_stack``."""
-        y, _, records = _run_stack(self.base, x, self.sites, self.specs, stages=stages)
-        return y, records
+        return _run_stack(self.base, x, self.sites, self.specs, stages=stages)
+
+    def walk(self, x: np.ndarray, observe) -> tuple:
+        """``forward`` sharing no stages, handing ``observe(hook, tensor)``
+        each hook point's tensor, uncopied, as soon as its stage finishes; it
+        stops after the first call that returns true (see ``_run_stack``)."""
+        return _run_stack(self.base, x, self.sites, self.specs, observe=observe)
 
     def forward_with_hooks(
         self, x: np.ndarray, hooks: Iterable[HookPoint]
     ) -> tuple[np.ndarray, dict[HookPoint, np.ndarray]]:
-        """Capture the (pre-prune) tensors flowing into hook points."""
-        hooks = list(hooks)
+        """The output of a whole walk and a copy of the (pre-prune) tensor
+        flowing into each of ``hooks``."""
+        hooks, captured = set(hooks), {}
         _validate_hooks(self.base, hooks)
-        y, captured, _ = _run_stack(self.base, x, self.sites, self.specs, hooks)
-        return y, captured
+
+        def copy(hook, tensor):
+            if hook in hooks:
+                captured[hook] = tensor.copy()
+
+        return self.walk(x, copy)[0], captured
 
 
 def init_weights(config: BlockConfig, seed: int) -> FfnStack:
@@ -202,29 +204,15 @@ def init_weights(config: BlockConfig, seed: int) -> FfnStack:
     gains = [] if config.rmsnorm else None
     for _ in range(config.n_blocks):
         if config.ffn == "swiglu":
-            blocks.append(
-                SwiGluWeights(
-                    _scaled(rng, d, h),
-                    _scaled(rng, d, h),
-                    _scaled(rng, h, d),
-                )
-            )
+            blocks.append(SwiGluWeights(_scaled(rng, d, h), _scaled(rng, d, h), _scaled(rng, h, d)))
         else:
-            b_up = (
-                config.up_bias_offset + 0.05 * rng.standard_normal(h)
-            ).astype(FLOAT)
+            b_up = (config.up_bias_offset + 0.05 * rng.standard_normal(h)).astype(FLOAT)
             # sub-unit up gain keeps hidden pre-activation spread below the
             # bias offset; otherwise the saturated-tail density spike at the
             # activation floor outweighs the shifted lobe and the offset
             # cannot move the output mode
-            blocks.append(
-                GeluMlpWeights(
-                    _scaled(rng, d, h, gain=0.75),
-                    b_up,
-                    _scaled(rng, h, d),
-                    np.zeros(d, dtype=FLOAT),
-                )
-            )
+            w_up, w_down = _scaled(rng, d, h, gain=0.75), _scaled(rng, h, d)
+            blocks.append(GeluMlpWeights(w_up, b_up, w_down, np.zeros(d, dtype=FLOAT)))
         if config.rmsnorm:
             gains.append(np.ones(d, dtype=FLOAT))
     return FfnStack(config, blocks, gains)
@@ -250,9 +238,13 @@ def _scaled(rng, fan_in: int, fan_out: int, gain: float = 1.0) -> np.ndarray:
 
 
 def _rmsnorm(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
-    x64 = x.astype(np.float64)
-    rms = np.sqrt(np.mean(x64 * x64, axis=1, keepdims=True) + _NORM_EPS)
-    return ((x64 / rms) * gain).astype(FLOAT)
+    """Each row over its root mean square, times ``gain``, as float32: one
+    compiled loop with the bits of the float64 numpy formula."""
+    x, gain = (np.ascontiguousarray(a, dtype=np.float64) for a in (x, gain))
+    y = np.empty(x.shape, FLOAT)
+    args = (x.ctypes.data, *x.shape, gain.ctypes.data, _NORM_EPS, y.ctypes.data)
+    _kernel("activations", "rmsnorm_f32")(*args)
+    return y
 
 
 def _validate_hooks(model: FfnStack, hooks) -> None:
@@ -262,9 +254,9 @@ def _validate_hooks(model: FfnStack, hooks) -> None:
             raise ValueError(f"invalid hook point: {hook!r}")
 
 
-def _run_stack(model, x, sites=None, specs=None, capture_hooks=(), stages=None):
-    """One forward through all blocks: a copy of the tensor at each of
-    ``capture_hooks``, and one ``BlockRecord`` per block.
+def _run_stack(model, x, sites=None, specs=None, stages=None, observe=None):
+    """One forward through all blocks: the output and one ``BlockRecord``
+    per block.
 
     ``sites`` holds each block's compiled (Up/Gate, Down) sites and
     ``specs`` their PruneSpecs, or both are None for the dense stack. Each
@@ -274,14 +266,16 @@ def _run_stack(model, x, sites=None, specs=None, capture_hooks=(), stages=None):
     for a dense one, so two views of one stack give a key the same result
     bit for bit. ``stages``, when given, maps the keys of stages already run
     on this ``x`` to their results; each stage found there is reused and
-    each one run is added.
+    each one run is added. ``observe``, when given, is called as
+    ``observe(hook, tensor)`` with each hook point's tensor as soon as its
+    stage finishes; the walk ends after the first call that returns true,
+    with no output and the records of the blocks it finished.
     """
     if x.ndim != 2 or x.shape[1] != model.config.d_model:
         raise ShapeError(
             f"input shape {x.shape} incompatible with d_model={model.config.d_model}"
         )
     up_site = kernels.swiglu_up_site if model.config.ffn == "swiglu" else kernels.gelu_up_site
-    captured = {}
     records = []
     cur, key = x, ()
     for b, weights in enumerate(model.blocks):
@@ -289,18 +283,18 @@ def _run_stack(model, x, sites=None, specs=None, capture_hooks=(), stages=None):
         up_spec, down_spec = specs[b] if specs else (None, None)
         key += (None,)
         h_in = cur if model.gains is None else _stage(stages, key, _rmsnorm, cur, model.gains[b])
+        if observe and observe(HookPoint(b, UP_GATE_INPUT), h_in):
+            return None, records
         key += (up_spec,)
         down_in, up_run = _stage(stages, key, up_site, h_in, weights, up)
+        if observe and observe(HookPoint(b, DOWN_INPUT), down_in):
+            return None, records
         key += (down_spec,)
         cur, down_run = _stage(
             stages, key, _down_stage, model.config.residual, cur, down_in, weights, down
         )
-        for site, tensor in zip(SITES, (h_in, down_in)):
-            hook = HookPoint(b, site)
-            if hook in capture_hooks:
-                captured[hook] = tensor.copy()
         records.append(BlockRecord(up_run, down_run))
-    return cur, captured, records
+    return cur, records
 
 
 def _stage(stages, key, run, *args):
@@ -308,13 +302,14 @@ def _stage(stages, key, run, *args):
     a forward without one holds no stage past its use."""
     if stages is None:
         return run(*args)
-    if key not in stages:
-        stages[key] = run(*args)
-    return stages[key]
+    done = stages.get(key)
+    if done is None:
+        done = stages[key] = run(*args)
+    return done
 
 
 def _down_stage(residual, x, z, weights, down):
-    """The Down site on ``z`` and the residual add of the block input ``x``:
-    (block output, run)."""
+    """The Down site on ``z`` and the residual add of the block input ``x``,
+    rounded to float32 unless it is already: (block output, run)."""
     y, run = kernels.down_site(z, weights, down)
-    return ((x + y).astype(FLOAT) if residual else y), run
+    return (np.asarray(x + y, FLOAT) if residual else y), run

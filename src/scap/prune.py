@@ -23,7 +23,7 @@ from .tensor import FLOAT, ShapeError
 
 @dataclass(frozen=True)
 class PruneSpec:
-    """Calibrated pruning parameters for one layer input."""
+    """Calibrated pruning parameters for one layer input, hashed once."""
 
     tau: float
     eta: float = 0.0
@@ -32,6 +32,10 @@ class PruneSpec:
     def __post_init__(self):
         check_threshold(self.tau, self.eta)
         check_fractions("target_sparsity", [self.target_sparsity])
+        object.__setattr__(self, "_hash", hash((self.tau, self.eta, self.target_sparsity)))
+
+    def __hash__(self):
+        return self._hash
 
 
 class SparseLinear:

@@ -8,12 +8,13 @@ weight rows it is given; a batch over at least ``ROW_GEMM_MIN`` weight
 elements runs ``row_gemm``, which adds each output's rows in the same order,
 so every batch row equals its one-row result bit for bit. A large product
 splits its output columns across the usable cores and keeps the bits of one
-thread. A batch over a smaller weight runs one BLAS GEMM. In float32,
-``activations.c`` computes ``silu`` as ``x * (1 / (1 + expf(-x)))``, in a
-vectorised loop that writes out glibc's ``expf`` algorithm bit for bit, and
-``gelu`` as ``(0.5 * x) * (1 + erf(x / sqrt2))``. The same source holds the
-pruner of ``kernels.sparse_fc`` and the reservoir draw of
-``calib.LayerStats``, so it is built with one ``cc``. Every operation is pure.
+thread, on a pool that the first row product makes. A batch over a smaller
+weight runs one BLAS GEMM. In float32, ``activations.c`` computes ``silu``
+as ``x * (1 / (1 + expf(-x)))``, in a vectorised loop that writes out
+glibc's ``expf`` algorithm bit for bit, and ``gelu`` as ``(0.5 * x) * (1 +
+erf(x / sqrt2))``. The same source holds the pruner of ``kernels.sparse_fc``,
+the rmsnorm of ``model`` and the reservoir draw of ``calib.LayerStats``, so
+it is built with one ``cc``. Every operation is pure.
 """
 
 from __future__ import annotations
@@ -46,7 +47,8 @@ _KERNELS = {
     "activations": {
         "silu_f32": (_P, _N, _P),
         "gelu_f32": (_P, _N, _P),
-        "prune_f32": (_P, _N, _N, ctypes.c_float, ctypes.c_float, _N, _P, _P, _P),
+        "prune_f32": (_P, _N, _N, ctypes.c_float, ctypes.c_float, _N, *[_P] * 4),
+        "rmsnorm_f32": (_P, _N, _N, _P, ctypes.c_double, _P),
         "reservoir_draw": (_P, *[_N] * 3, *[_P] * 4),
     },
 }
@@ -143,7 +145,12 @@ def _row_product(x64: np.ndarray, w: np.ndarray, rows) -> np.ndarray:
 
     The kernels take bare addresses, so each array is made C-contiguous with
     the kernel's dtype here and stays referenced until every slice is done.
+    The first row product makes the row pool, of one thread per CPU but one;
+    its threads never submit to it, so no caller can deadlock.
     """
+    global _row_pool
+    with _lock:
+        _row_pool = _row_pool or ThreadPoolExecutor(max(1, _cpus() - 1), "scap-row")
     rows = np.arange(w.shape[0]) if rows is None else rows
     rows = np.ascontiguousarray(rows, dtype=np.int64)
     x = np.ascontiguousarray(x64, dtype=np.float64)
@@ -168,11 +175,8 @@ def _row_product(x64: np.ndarray, w: np.ndarray, rows) -> np.ndarray:
 def _kernel(source: str, name: str):
     """Function ``name`` of ``<source>.c`` (see ``_KERNELS``), built once per
     process under one lock into a private temporary directory and loaded from
-    there. The first use of any kernel makes the row pool of one thread per
-    CPU but one; its threads never submit to it, so no caller can deadlock."""
-    global _row_pool
+    there."""
     with _lock:
-        _row_pool = _row_pool or ThreadPoolExecutor(max(1, _cpus() - 1), "scap-row")
         if source not in _libs:
             with tempfile.TemporaryDirectory(prefix="scap-") as tmp:
                 lib = str(Path(tmp) / f"{source}.so")

@@ -284,6 +284,50 @@ def test_calibrate_chosen_sites_equal_an_all_site_run(sites):
             assert (a.seen_count, a.seed) == (b.seen_count, b.seed)
 
 
+@pytest.mark.parametrize("sites", [(UP_GATE_INPUT,), (DOWN_INPUT,), SITES])
+@pytest.mark.parametrize("residual", [True, False])
+@pytest.mark.parametrize("rmsnorm", [True, False])
+@pytest.mark.parametrize("ffn", ["swiglu", "gelu"])
+def test_calibrate_walk_equals_observing_whole_forward_captures(ffn, rmsnorm, residual, sites):
+    """``calibrate`` observes each site's tensor on the stage walk and stops
+    each batch after its last observed stage. The route it replaced captured
+    the hooks with ``forward_with_hooks`` and then observed them per batch,
+    block by block, Up/Gate before Down. Both give the same reservoir bytes,
+    seen counts and generator states, dense and with specs applied; the
+    capacity is below each site's stream, so both draw past it."""
+    cfg = BlockConfig(
+        ffn=ffn, d_model=12, d_hidden=36, n_blocks=3, rmsnorm=rmsnorm, residual=residual
+    )
+    model = init_weights(cfg, seed=3)
+    stream = synthetic_stream(12, 4, 16, seed=4)
+    capacity, seed = 500, 5
+    mixed = {  # block 0 prunes both sites, block 1 only Up/Gate, block 2 only Down
+        HookPoint(0, UP_GATE_INPUT): PruneSpec(0.3),
+        HookPoint(0, DOWN_INPUT): PruneSpec(0.05, eta=0.01),
+        HookPoint(1, UP_GATE_INPUT): PruneSpec(0.4, eta=-0.1),
+        HookPoint(2, DOWN_INPUT): PruneSpec(0.1),
+    }
+    hooks = [h for h in model.hook_points() if h.site in sites]
+    for specs in (None, mixed):
+        got = calibrate(model, stream, capacity=capacity, seed=seed, specs=specs, sites=sites)
+        want = {
+            site: LayerStats(site, capacity, int(np.random.SeedSequence([seed, i]).generate_state(1)[0]))
+            for i, site in enumerate(sorted(SITES))
+            if site in sites
+        }
+        runner = model if specs is None else model.apply_prune_specs(specs)
+        for batch in stream:
+            _, captured = runner.forward_with_hooks(batch, hooks)
+            for h in hooks:
+                want[h.site].observe(captured[h])
+        assert set(got) == set(want)
+        for site, st in want.items():
+            assert st.seen_count > capacity
+            assert got[site].raw_reservoir.tobytes() == st.raw_reservoir.tobytes()
+            assert got[site].seen_count == st.seen_count
+            assert got[site]._rng.bit_generator.state == st._rng.bit_generator.state
+
+
 def test_calibrate_rejects_an_unknown_site_before_observing(monkeypatch):
     model = _swiglu_model(blocks=1)
     calls = _spy_observe(monkeypatch)

@@ -374,13 +374,18 @@ def test_default_sweep_runs_each_shared_stage_once(default_run):
     for all nine points and the dense stack, and block 0's Up/Gate site once
     per Up target; each point still runs its own ``SparseStack.forward``.
     Each of 64 eval batches: 42 ``sparse_fc`` calls (3 Up targets x 2, 9
-    Downs, 9 x 3 in block 1), 14 silu and 11 rmsnorm; the four calibration
-    passes add 768, 512 and 512."""
+    Downs, 9 x 3 in block 1), 14 silu, 11 rmsnorm and the dense stack's 6
+    products. Each calibration pass ends its batch after the last stage it
+    observes. Per batch, the dense pass, which observes the Up/Gate site,
+    stops after block 1's rmsnorm: 3 products, 1 silu and 2 rmsnorm. Each
+    of the three second passes observes the Down site and stops before
+    block 1's Down: 4 ``sparse_fc`` calls, 1 product, 2 silu and 2
+    rmsnorm."""
     assert default_run("sweep").calls == {
         "kernels.sparse_fc": 3456,
-        "tensor.silu": 1408,
+        "tensor.silu": 1344,
         "model._rmsnorm": 1216,
-        "kernels.matmul": 1152,
+        "kernels.matmul": 768,
         "SparseStack.forward": 576,
     }
 
@@ -389,11 +394,12 @@ def test_default_ablation_runs_each_shared_stage_once(default_run):
     """All 16 Down-pruned variants share block 0's dense Up site with the
     dense stack (no rmsnorm on this substrate): each of 64 eval batches runs
     18 GELUs and 20 dense products, where a walk per variant would run 34
-    and 36; the calibration pass adds 128 and 256."""
+    and 36. The calibration pass observes the Down site and stops each batch
+    before block 1's Down: 2 GELUs and 3 products per batch."""
     assert default_run("ablate-mode").calls == {
         "kernels.sparse_fc": 2048,
         "tensor.gelu": 1280,
-        "kernels.matmul": 1536,
+        "kernels.matmul": 1472,
         "SparseStack.forward": 1024,
     }
 

@@ -124,8 +124,11 @@ GOLDEN_SMALL = {
 }
 # (calls, batch rows of each) to ``tensor._row_product``: a one-row batch
 # runs ``row_gemv``, and a batch over a 512x512 weight (``ROW_GEMM_MIN``
-# elements and more) runs ``row_gemm``; every other small config runs none
-ROW_KERNEL_CALLS = {"bench-row-gemv": (43, 1), "bench-row-gemm": (13, 4)}
+# elements and more) runs ``row_gemm``; every other small config runs none.
+# Each bench runs the dense block's 3 products, 1 Gate product for the CATS
+# taus, 3 per CATS and 3 per SCAP grid point (6 points at batch 1, 1 at
+# batch 4), and 2 in its calibration, which stops before the Down product
+ROW_KERNEL_CALLS = {"bench-row-gemv": (42, 1), "bench-row-gemm": (12, 4)}
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_SMALL))

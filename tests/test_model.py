@@ -5,6 +5,7 @@ import pytest
 
 from scap.analysis import calibrate, make_specs, measure_sparsity, synthetic_stream
 from scap.calib import LayerStats, ModeEstimator
+from scap import model as model_module
 from scap.model import (
     DOWN_INPUT,
     SITES,
@@ -287,3 +288,66 @@ def test_config_rejects_a_field_of_the_wrong_type(field, value):
     with pytest.raises(ValueError, match=field):
         BlockConfig(**{field: value})
     BlockConfig(d_model=np.int64(8), up_bias_offset=1)  # numpy ints and int offsets pass
+
+
+def _rmsnorm_numpy(x, gain):
+    """The numpy formula the compiled rmsnorm replaced, kept as its oracle."""
+    x64 = x.astype(np.float64)
+    rms = np.sqrt(np.mean(x64 * x64, axis=1, keepdims=True) + 1e-6)
+    return ((x64 / rms) * gain).astype(np.float32)
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype == np.float32 and np.array_equal(a.view(np.uint32), b.view(np.uint32))
+
+
+@pytest.mark.parametrize("n", [1, 256])
+@pytest.mark.parametrize("d", [*range(1, 10), 31, 32, 33, 96, 127, 128, 129, 200, 256, 1000, 4096])
+def test_compiled_rmsnorm_equals_the_numpy_formula_bit_for_bit(d, n):
+    """numpy sums each row pairwise: one by one below 8 values, in 8
+    accumulators up to 128, in halves above; the compiled loop must keep
+    that order at every length around those cuts."""
+    rng = np.random.default_rng(1000 * n + d)
+    gain = rng.standard_normal(d).astype(np.float32)
+    for scale in (1e-20, 1e-3, 1.0, 1e3, 1e20):
+        x = (scale * rng.standard_normal((n, d))).astype(np.float32)
+        x[n // 2 :: 7] = 0.0  # all-zero rows
+        wide = np.zeros((n, 2 * d), np.float32)
+        wide[:, ::2] = x
+        inputs = (x, wide[:, ::2], np.asfortranarray(x), x.astype(np.float64) * (1 + 2.0**-40))
+        if n > 1 and d > 1:
+            assert not any(xi.flags.c_contiguous for xi in inputs[1:3])
+        for xi in inputs:
+            assert _same_bits(model_module._rmsnorm(xi, gain), _rmsnorm_numpy(xi, gain))
+
+
+@pytest.mark.parametrize("d", [5, 100, 1000])
+def test_compiled_rmsnorm_sums_in_numpy_order(d):
+    """A float64 gain puts each output of the numpy formula on a float32
+    rounding midpoint, so that a norm one double ulp off, as a sum in any
+    other order gives for some rows, changes the output's bits."""
+    rng = np.random.default_rng(d)
+    mid = 1 + 2.0**-24  # halfway between 1 and the next float32
+    for _ in range(32):
+        x = rng.standard_normal((1, d)).astype(np.float32)
+        x64 = x.astype(np.float64)
+        gain = mid * np.sqrt(np.mean(x64 * x64) + 1e-6) / x64[0]
+        assert _same_bits(model_module._rmsnorm(x, gain), _rmsnorm_numpy(x, gain))
+
+
+def test_compiled_rmsnorm_gives_nan_where_the_numpy_formula_does():
+    d = 40
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((5, d)).astype(np.float32)
+    x[0, 3] = np.nan
+    x[1, 5] = np.inf
+    x[2, 7], x[2, 8] = -np.inf, np.inf
+    x[3, :] = np.nan
+    gain = rng.standard_normal(d).astype(np.float32)
+    with np.errstate(invalid="ignore"):
+        want = _rmsnorm_numpy(x, gain)
+    got = model_module._rmsnorm(x, gain)
+    nan = np.isnan(want)
+    assert nan[0].all() and nan[1, 5] and not nan[4].any()
+    np.testing.assert_array_equal(np.isnan(got), nan)
+    assert _same_bits(np.where(nan, 0, got), np.where(nan, 0, want))

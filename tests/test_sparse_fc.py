@@ -296,10 +296,17 @@ def _shifted_to(v, eta32):
 def test_compiled_prune_equals_the_numpy_oracle_bit_for_bit(monkeypatch, n, full, eta, contiguous):
     """``prune_f32`` against the numpy pruner it replaced: output, kept
     mask, MACs and the float64 block handed to ``matmul_rows``, bit for bit,
-    around a tau that float32 does not hold exactly."""
+    around a tau that float32 does not hold exactly. The union ORs 8 columns
+    to a word, and the columns past the last whole word one by one."""
     tau = 0.3
     assert float(F32(tau)) != tau
-    x, w, b = _edge_case(n, full, tau, eta)
+    for d in (40, 43):
+        _check_compiled_prune(monkeypatch, *_edge_case(n, full, tau, eta, d=d), tau, eta,
+                              contiguous, full)
+
+
+def _check_compiled_prune(monkeypatch, x, w, b, tau, eta, contiguous, full):
+    n = x.shape[0]
     if not contiguous:  # every other column of a wider batch
         wide = np.zeros((n, 2 * x.shape[1]), F32)
         wide[:, ::2] = x

@@ -378,7 +378,7 @@ def _check_concurrent_callers(monkeypatch, cases):
 
 def test_small_one_row_products_stay_on_the_caller(monkeypatch):
     monkeypatch.setenv("SCAP_THREADS", "2")
-    tensor._kernel("rowgemv", "row_gemv")  # makes the pool
+    matmul_rows(*_row_case(40, 96, 32, seed=3))  # a row product makes the pool
     submitted = []
     submit = tensor._row_pool.submit
     monkeypatch.setattr(
