@@ -1,6 +1,9 @@
 /* Loops over contiguous arrays, the outputs aliasing no input:
  *
- *   silu_f32: y[i] = x[i] * (1 / (1 + expf(-x[i])))           all in float
+ *   swiglu_f64: z[i] = silu(x) * (float)u[i] with x = (float)g[i] and
+ *             silu(x) = x * (1 / (1 + expf(-x))), all in float: SwiGLU's
+ *             epilogue on its two float64 products, and silu itself with
+ *             u all ones
  *   gelu_f32: y[i] = (0.5 * x[i]) * (1 + (float)erf(x[i] / s)) in float, the
  *             quotient widened to double for erf; s is sqrt(2) rounded to
  *             float, 0x3FB504F3
@@ -15,8 +18,9 @@
  *
  * expf is glibc 2.36's algorithm (from ARM optimized-routines), written out
  * below with the multiply-adds of its FMA build as explicit fma() calls, so
- * that its bits are the C library's and the compiler can vectorise silu; erf
- * is the C library's. Build with -ffp-contract=off, so that no other
+ * that its bits are the C library's and the compiler can vectorise the one
+ * loop that inlines it (a second such loop about doubles the build time);
+ * erf is the C library's. Build with -ffp-contract=off, so that no other
  * multiply-add is fused and each operation rounds as written, and without
  * -ffast-math, so that the compiler keeps the scalar erf.
  */
@@ -76,10 +80,12 @@ static inline float exp_f32(float x)
 /* one 16-lane pass per 16 values where the host has it; same bits */
 __attribute__((target("prefer-vector-width=512")))
 #endif
-void silu_f32(const float *x, int64_t n, float *restrict y)
+void swiglu_f64(const double *g, const double *u, int64_t n, float *restrict z)
 {
-    for (int64_t i = 0; i < n; i++)
-        y[i] = x[i] * (1.0f / (1.0f + exp_f32(-x[i])));
+    for (int64_t i = 0; i < n; i++) {
+        float x = (float)g[i];
+        z[i] = (x * (1.0f / (1.0f + exp_f32(-x)))) * (float)u[i];
+    }
 }
 
 void gelu_f32(const float *x, int64_t n, float *restrict y)

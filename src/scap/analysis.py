@@ -12,8 +12,9 @@ pruned stack against its dense twin on held-out data; higher is better.
 
 from __future__ import annotations
 
-# unused here, but perfbench/spans.py patches analysis.ThreadPoolExecutor by name
-from concurrent.futures import ThreadPoolExecutor  # noqa: F401
+# looked up by name, so that perfbench/spans.py can patch it
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 from dataclasses import astuple, dataclass, fields
 
 import numpy as np
@@ -31,6 +32,7 @@ from .prune import PruneSpec
 
 CALIB_SEQUENCES = 64
 CALIB_SEQUENCE_LEN = 256
+DRAW_THREAD = "scap-draw"  # the name prefix of calibrate's draw thread
 
 
 # ---------------------------------------------------------------------------
@@ -100,6 +102,12 @@ def calibrate(
     do not depend on which other sites are observed. Passing ``specs``
     walks the pruned view, so statistics reflect the distributions a
     deployed model sees.
+
+    The statistics' reservoir draws (``LayerStats.drawing_on``) run on one
+    worker thread while the walk goes on, in stream order, so the sample
+    bytes equal a synchronous fold's. The thread lives for this call, which
+    returns or raises only after every draw is done and the thread has
+    ended; a draw that fails raises its error here.
     """
     _check_sites(sites, "calibration")
     hooks = [h for h in model.hook_points() if h.site in sites]
@@ -116,8 +124,11 @@ def calibrate(
             stats[hook.site].observe(tensor)
         return hook == last
 
-    for batch in calib_stream:
-        runner.walk(batch, observe)
+    with ThreadPoolExecutor(1, DRAW_THREAD) as pool, ExitStack() as drawing:
+        for st in stats.values():
+            drawing.enter_context(st.drawing_on(pool))
+        for batch in calib_stream:
+            runner.walk(batch, observe)
     return stats
 
 

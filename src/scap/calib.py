@@ -16,6 +16,9 @@ from __future__ import annotations
 
 import ctypes
 import math
+from collections import deque
+from concurrent import futures
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +28,9 @@ from .tensor import DataError, _kernel
 DEFAULT_RESERVOIR_CAPACITY = 1 << 20
 KDE_GRID_POINTS = 2048
 DEFAULT_SEED = 2025
+# deferred draws one LayerStats keeps in flight, each holding a copy of one
+# observed tensor's values past capacity: two batches of a two-block stack
+DRAWS_IN_FLIGHT = 4
 ESTIMATOR_KINDS = {  # kind -> eta of a raw float32 sample
     "mean": lambda vals: float(np.mean(vals, dtype=np.float64)),
     "median": lambda vals: float(np.quantile(vals, 0.5)),
@@ -66,7 +72,9 @@ class LayerStats:
     magnitudes are a uniform sample of |X| for threshold quantiles. Sampling
     is driven by a generator spawned deterministically from ``seed``, whose
     draws are numpy's ``Generator.integers`` algorithm run in a compiled
-    loop (``reservoir_draw`` of ``activations.c``).
+    loop (``reservoir_draw`` of ``activations.c``). Inside ``drawing_on``
+    that loop runs on an executor's thread while the caller goes on; every
+    read of the sample waits for it first.
     """
 
     def __init__(
@@ -87,11 +95,15 @@ class LayerStats:
         self.seen_count = 0
         self._modes = {}  # estimator kind -> eta of the current sample
         self._sorted = {}  # eta -> sorted |X - eta| of the current sample
+        self._pool = None  # the executor of deferred draws; None draws inline
+        self._pending = deque()  # futures of the deferred draws, oldest first
 
     @property
     def raw_reservoir(self) -> np.ndarray:
-        """The sample as a read-only view: ``observe`` alone writes it, and
-        clears the modes and sorted magnitudes cached from it."""
+        """The sample as a read-only view, once every deferred draw is done:
+        ``observe`` alone writes it, and clears the modes and sorted
+        magnitudes cached from it."""
+        self._settle()
         view = self._buf[: self.filled]
         view.setflags(write=False)
         return view
@@ -105,7 +117,10 @@ class LayerStats:
         ``Generator.integers(0, t)`` would (Lemire's bounded-integer method)
         from this generator's own bits, under its lock. So the sample and the
         generator state are those of numpy's vectorized formulation, bit for
-        bit. NaN or Inf raises ``DataError`` before anything is recorded; it
+        bit. Inside ``drawing_on`` that loop gets a copy of the values and
+        runs on the executor; past ``DRAWS_IN_FLIGHT`` pending draws,
+        ``observe`` then waits for the oldest and raises its error, if any.
+        NaN or Inf raises ``DataError`` before anything is recorded; it
         would otherwise make every threshold NaN.
         """
         flat = np.asarray(activations, dtype=np.float32).ravel()
@@ -119,17 +134,48 @@ class LayerStats:
         self.seen_count += take
         rest = flat[take:]
         if rest.size:
-            bitgen = self._rng.bit_generator
-            c = bitgen.ctypes  # the generator's state and functions as addresses
-            next64, next32 = (
-                ctypes.cast(f, ctypes.c_void_p).value for f in (c.next_uint64, c.next_uint32)
-            )
-            draw = _kernel("activations", "reservoir_draw")
-            with bitgen.lock:
-                draw(rest.ctypes.data, rest.size, self.seen_count, self.capacity,
-                     self._buf.ctypes.data, c.state_address, next64, next32)
+            if self._pool is None:
+                self._draw(rest, self.seen_count)
+            else:
+                # a copy: the caller may write to its tensor before the draw runs
+                self._pending.append(self._pool.submit(self._draw, rest.copy(), self.seen_count))
+                if len(self._pending) > DRAWS_IN_FLIGHT:
+                    self._pending.popleft().result()
             self.seen_count += rest.size
         return self
+
+    def _draw(self, values: np.ndarray, seen: int) -> None:
+        """The compiled draws of ``values``, arriving after ``seen`` values."""
+        bitgen = self._rng.bit_generator
+        c = bitgen.ctypes  # the generator's state and functions as addresses
+        next64, next32 = (
+            ctypes.cast(f, ctypes.c_void_p).value for f in (c.next_uint64, c.next_uint32)
+        )
+        draw = _kernel("activations", "reservoir_draw")
+        with bitgen.lock:
+            draw(values.ctypes.data, values.size, seen, self.capacity,
+                 self._buf.ctypes.data, c.state_address, next64, next32)
+
+    @contextmanager
+    def drawing_on(self, pool: futures.Executor):
+        """Within the block, ``observe`` defers its compiled draws to
+        ``pool``, which must run tasks one at a time in submission order (a
+        one-thread executor), so they keep stream order. On leaving, waits
+        for every draw and raises the first error of one, and later observes
+        draw inline again."""
+        self._pool = pool
+        try:
+            yield self
+        finally:
+            self._pool = None
+            self._settle()
+
+    def _settle(self) -> None:
+        """Wait for every deferred draw; then raise the first that failed."""
+        pending, self._pending = self._pending, deque()
+        futures.wait(pending)
+        for f in pending:
+            f.result()
 
     def quantile_threshold(self, target_sparsity: float) -> float:
         """tau = linear-interpolation quantile of the reservoir's magnitudes."""

@@ -43,7 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .tensor import FLOAT, ShapeError, _kernel, gelu, matmul, matmul_rows, silu
+from .tensor import FLOAT, ShapeError, _kernel, gelu, matmul, matmul_rows, silu, swiglu
 
 # the least magnitude that rounds to an infinite float32: FLT_MAX plus half an ulp
 _F32_OVERFLOW = 2.0**128 - 2.0**103
@@ -145,6 +145,14 @@ def sparse_fc(
     mask, kept-channel MACs).
     """
     _check_input(x, weight.shape[0])
+    x64, rows, kept, n_kept = _prune(x, tau, eta)
+    return _product(x64, weight, rows, bias_fused).astype(FLOAT), kept, n_kept * weight.shape[1]
+
+
+def _prune(x: np.ndarray, tau: float, eta: float):
+    """The pruner of ``sparse_fc``: (float64 block of the union's columns,
+    the union's rows or None when it holds every one, kept mask, kept
+    count)."""
     tau32, eta32 = check_threshold(tau, eta)
     x = np.ascontiguousarray(x, dtype=FLOAT)
     n, d = x.shape
@@ -154,11 +162,18 @@ def sparse_fc(
         x.ctypes.data, n, d, tau32, eta32, n > 1, x64.ctypes.data, kept.ctypes.data,
         union.ctypes.data, counts,
     )
-    rows = None if counts[1] == d else np.flatnonzero(union)
-    out = matmul_rows(x64 if rows is None else x64[:, rows], weight, rows)
+    if counts[1] == d:
+        return x64, None, kept, counts[0]
+    rows = np.flatnonzero(union)
+    return x64[:, rows], rows, kept, counts[0]
+
+
+def _product(x64: np.ndarray, weight: np.ndarray, rows, bias_fused) -> np.ndarray:
+    """``x64 @ weight[rows]`` in float64, plus ``bias_fused`` added in place."""
+    out = matmul_rows(x64, weight, rows)
     if bias_fused is not None:
         out += bias_fused
-    return out.astype(FLOAT), kept, counts[0] * weight.shape[1]
+    return out
 
 
 def _zero_pruned(x: np.ndarray, kept: np.ndarray) -> np.ndarray:
@@ -267,13 +282,25 @@ def swiglu_up_site(x: np.ndarray, w: SwiGluWeights, up=None) -> tuple[np.ndarray
     """SwiGLU's Up/Gate site, silu(x W_gate) * (x W_up): (Down input, run).
 
     ``up`` is the (Up, Gate) pair of compiled ``SparseLinear`` layers, which
-    share one mask of ``x``, or None to run both dense.
+    share one spec and so one mask of ``x``, or None to run both dense. The
+    input is pruned once (dense: widened to float64 once), both products run
+    on that one block, each with its fused bias, and ``tensor.swiglu`` rounds
+    them to float32 and writes the Down input in one loop: the bits of two
+    ``sparse_fc`` calls (dense: ``matmul``), ``silu`` and the multiply.
     """
+    _check_input(x, w.d)
     up_layer, gate_layer = up or (None, None)
-    u, kept_x, n_kept = _fc(x, up_layer, w.w_up)
-    # shared mask: gate prunes the same x with the same spec, only the weight differs
-    gate, _, _ = _fc(x, gate_layer, w.w_gate)
-    return silu(gate) * u, SiteRun(kept_x, n_kept, 2 * w.h)
+    if up_layer is None:
+        x64 = x.astype(np.float64)
+        g, u = matmul_rows(x64, w.w_gate), matmul_rows(x64, w.w_up)
+        kept, n_kept = np.ones(x.shape, dtype=bool), x.size
+    else:
+        if (up_layer.tau, up_layer.eta) != (gate_layer.tau, gate_layer.eta):
+            raise ValueError("the Up and Gate layers of one site must share tau and eta")
+        x64, rows, kept, n_kept = _prune(x, up_layer.tau, up_layer.eta)
+        g = _product(x64, gate_layer.weight, rows, gate_layer.bias_fused)
+        u = _product(x64, up_layer.weight, rows, up_layer.bias_fused)
+    return swiglu(g, u), SiteRun(kept, n_kept, 2 * w.h)
 
 
 def gelu_up_site(x: np.ndarray, w: GeluMlpWeights, up=None) -> tuple[np.ndarray, SiteRun]:

@@ -45,7 +45,7 @@ _P, _N = ctypes.c_void_p, ctypes.c_int64
 _KERNELS = {
     "rowgemv": {"row_gemv": (_P, _P, _P, *[_N] * 4, _P), "row_gemm": (_P, _P, _P, *[_N] * 5, _P)},
     "activations": {
-        "silu_f32": (_P, _N, _P),
+        "swiglu_f64": (_P, _P, _N, _P),
         "gelu_f32": (_P, _N, _P),
         "prune_f32": (_P, _N, _N, ctypes.c_float, ctypes.c_float, _N, *[_P] * 4),
         "rmsnorm_f32": (_P, _N, _N, _P, ctypes.c_double, _P),
@@ -208,26 +208,39 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_after_fork_in_child)
 
 
+def swiglu(g, u) -> np.ndarray:
+    """``silu(g) * u`` for two arrays of one shape, each element rounded to
+    float32 and every operation in float32, in one compiled loop over their
+    float64 values: SwiGLU's epilogue on its two products, as ``silu`` of
+    the float32 gate times the float32 up projection. A float32 array of
+    that shape comes out."""
+    g, u = (np.asarray(a, dtype=np.float64, order="C") for a in (g, u))
+    if g.shape != u.shape:
+        raise ShapeError(f"gate {g.shape} and up {u.shape} differ in shape")
+    z = np.empty(g.shape, FLOAT)
+    _kernel("activations", "swiglu_f64")(g.ctypes.data, u.ctypes.data, g.size, z.ctypes.data)
+    return z
+
+
 def silu(x) -> np.ndarray:
     """Elementwise x * sigmoid(x) as ``x * (1 / (1 + expf(-x)))``, each
-    operation rounded to float32. ``expf`` is glibc 2.36's algorithm written
-    out in ``activations.c`` so that the loop vectorises; it equals that
-    library's ``expf`` (its FMA build) on every float32 input, so silu keeps
-    the bits of a loop over it, a NaN's sign aside. Any array-like goes in;
-    a float32 array of its shape comes out."""
-    return _activation("silu_f32", x)
+    operation rounded to float32: ``swiglu`` of x with u all ones, which
+    keeps every bit. ``expf`` is glibc 2.36's algorithm written out in
+    ``activations.c`` so that the loop vectorises; it equals that library's
+    ``expf`` (its FMA build) on every float32 input, so silu keeps the bits
+    of a loop over it, a NaN's sign aside. Any array-like goes in; a float32
+    array of its shape comes out."""
+    x = np.asarray(x, dtype=FLOAT)
+    with np.errstate(invalid="ignore"):  # widening a signalling NaN flags it
+        x64 = x.astype(np.float64)
+    return swiglu(x64, np.ones(x.shape))
 
 
 def gelu(x) -> np.ndarray:
     """Exact-erf GELU as ``(0.5 * x) * (1 + erf(x / sqrt2))`` in float32 but
     ``erf``, the C library's float64 one; ``sqrt2`` is ``0x3FB504F3``. Any
     array-like goes in; a float32 array of its shape comes out."""
-    return _activation("gelu_f32", x)
-
-
-def _activation(name: str, x) -> np.ndarray:
-    """``name`` of ``activations.c`` over ``x`` as C-ordered float32."""
     x = np.asarray(x, dtype=FLOAT, order="C")
     y = np.empty_like(x)
-    _kernel("activations", name)(x.ctypes.data, x.size, y.ctypes.data)
+    _kernel("activations", "gelu_f32")(x.ctypes.data, x.size, y.ctypes.data)
     return y

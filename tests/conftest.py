@@ -1,19 +1,22 @@
 """One run of each CLI command at its defaults, shared by every test that
-checks such a run, with all their spies installed while it runs."""
+checks such a run, with all their spies installed while it runs; and a check,
+after every test, that no calibration draw thread is left running."""
 
+import threading
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
 
-from scap import cli, kernels, model, tensor
+from scap import analysis, cli, kernels, model, tensor
 
 # the calls a default run counts: name -> (owner, attribute)
 COUNTED = {
     "kernels.sparse_fc": (kernels, "sparse_fc"),
     "kernels.matmul": (kernels, "matmul"),
     "tensor.silu": (kernels, "silu"),
+    "tensor.swiglu": (kernels, "swiglu"),
     "tensor.gelu": (kernels, "gelu"),
     "model._rmsnorm": (model, "_rmsnorm"),
     "SparseStack.forward": (model.SparseStack, "forward"),
@@ -72,3 +75,12 @@ def default_run(tmp_path_factory):
         return runs[command]
 
     return get
+
+
+@pytest.fixture(autouse=True)
+def no_draw_thread_left():
+    """Fails a test that leaves a calibration draw thread alive: each lives
+    for one ``analysis.calibrate`` call."""
+    yield
+    left = [t.name for t in threading.enumerate() if t.name.startswith(analysis.DRAW_THREAD)]
+    assert not left, f"draw threads outlived their calibrate call: {left}"

@@ -32,6 +32,7 @@ from scap.calib import LayerStats, ModeEstimator
 from scap.cli import COMMAND_DEFAULTS
 from scap.model import DOWN_INPUT, SITES, UP_GATE_INPUT, BlockConfig, HookPoint, init_weights
 from scap.prune import PruneSpec
+from scap.tensor import DataError
 
 
 def _swiglu_model(seed=0, d=16, h=48, blocks=2):
@@ -326,6 +327,74 @@ def test_calibrate_walk_equals_observing_whole_forward_captures(ffn, rmsnorm, re
             assert got[site].raw_reservoir.tobytes() == st.raw_reservoir.tobytes()
             assert got[site].seen_count == st.seen_count
             assert got[site]._rng.bit_generator.state == st._rng.bit_generator.state
+
+
+def _draw_threads() -> list:
+    return [t for t in threading.enumerate() if t.name.startswith(scap.analysis.DRAW_THREAD)]
+
+
+@pytest.mark.parametrize("pruned", [False, True])
+@pytest.mark.parametrize("blocks", [1, 3])
+@pytest.mark.parametrize("ffn", ["swiglu", "gelu"])
+def test_calibrate_draw_worker_equals_a_synchronous_fold(monkeypatch, ffn, blocks, pruned):
+    """Each ``LayerStats`` of ``calibrate`` draws on the worker thread; the
+    same tensors observed inline by statistics built outside ``calibrate``
+    leave the same reservoir bytes, seen count and generator state. The
+    capacity is below each site's stream, so draws run."""
+    cfg = BlockConfig(ffn=ffn, d_model=8, d_hidden=24, n_blocks=blocks)
+    model = init_weights(cfg, seed=6)
+    stream = synthetic_stream(8, 6, 16, seed=7)
+    specs = {h: PruneSpec(0.3, eta=0.05) for h in model.hook_points()} if pruned else None
+    seen, draw_threads = {}, set()
+    observe, draw = LayerStats.observe, LayerStats._draw
+
+    def spy_observe(stats, x):
+        seen.setdefault(id(stats), (stats, []))[1].append(np.array(x))
+        return observe(stats, x)
+
+    def spy_draw(stats, values, n_seen):
+        draw_threads.add(threading.current_thread().name)
+        return draw(stats, values, n_seen)
+
+    monkeypatch.setattr(LayerStats, "observe", spy_observe)
+    monkeypatch.setattr(LayerStats, "_draw", spy_draw)
+    got = calibrate(model, stream, capacity=100, seed=8, specs=specs)
+    monkeypatch.undo()
+    assert not _draw_threads()
+    assert draw_threads and all(n.startswith(scap.analysis.DRAW_THREAD) for n in draw_threads)
+    assert sorted(id(st_) for st_ in got.values()) == sorted(seen)
+    for stats, tensors in seen.values():
+        want = LayerStats(stats.layer_id, stats.capacity, stats.seed)
+        for x in tensors:
+            want.observe(x)
+        assert want.seen_count > want.capacity
+        assert stats.raw_reservoir.tobytes() == want.raw_reservoir.tobytes()
+        assert stats.seen_count == want.seen_count
+        assert stats._rng.bit_generator.state == want._rng.bit_generator.state
+
+
+def test_calibrate_raises_data_error_and_ends_its_draw_thread():
+    model = _swiglu_model(blocks=1)
+    stream = synthetic_stream(16, 6, 32, seed=1)
+    stream[4] = stream[4].copy()
+    stream[4][3, 5] = np.nan
+    with pytest.raises(DataError):
+        calibrate(model, stream, capacity=64, seed=2)
+    assert not _draw_threads()
+
+
+def test_calibrate_propagates_a_failing_draw_and_ends_its_draw_thread(monkeypatch):
+    def kernel(source, name):
+        def fail(*args):
+            raise RuntimeError(f"{name} failed")
+
+        return fail if name == "reservoir_draw" else real(source, name)
+
+    real = scap.calib._kernel
+    monkeypatch.setattr(scap.calib, "_kernel", kernel)
+    with pytest.raises(RuntimeError, match="reservoir_draw failed"):
+        calibrate(_swiglu_model(blocks=2), synthetic_stream(16, 6, 32, seed=1), capacity=64)
+    assert not _draw_threads()
 
 
 def test_calibrate_rejects_an_unknown_site_before_observing(monkeypatch):

@@ -362,8 +362,8 @@ def test_bad_arguments_fail_before_calibrating(tmp_path, capsys, monkeypatch, ar
 def test_default_sweep_never_runs_the_row_kernels(default_run):
     """Every product of a default sweep is a batch over a weight below
     ``tensor.ROW_GEMM_MIN``, where one BLAS GEMM is faster than the row
-    kernels. Its compiled loops (the pruner, silu and the reservoir draw)
-    share one source, so a fresh process runs ``cc`` once."""
+    kernels. Its compiled loops (the pruner, the SwiGLU epilogue and the
+    reservoir draw) share one source, so a fresh process runs ``cc`` once."""
     run = default_run("sweep")
     assert run.row_shapes == []
     assert run.compiles == ["cc"]
@@ -373,19 +373,24 @@ def test_default_sweep_runs_each_shared_stage_once(default_run):
     """The grid's one evaluation walk runs block 0's rmsnorm once per batch
     for all nine points and the dense stack, and block 0's Up/Gate site once
     per Up target; each point still runs its own ``SparseStack.forward``.
-    Each of 64 eval batches: 42 ``sparse_fc`` calls (3 Up targets x 2, 9
-    Downs, 9 x 3 in block 1), 14 silu, 11 rmsnorm and the dense stack's 6
-    products. Each calibration pass ends its batch after the last stage it
-    observes. Per batch, the dense pass, which observes the Up/Gate site,
-    stops after block 1's rmsnorm: 3 products, 1 silu and 2 rmsnorm. Each
-    of the three second passes observes the Down site and stops before
-    block 1's Down: 4 ``sparse_fc`` calls, 1 product, 2 silu and 2
-    rmsnorm."""
+    Each Up/Gate site ends in one ``tensor.swiglu`` loop over its own two
+    products, so only Down sites call ``sparse_fc`` and nothing calls
+    ``silu``. Each of 64 eval batches: 18 ``sparse_fc`` calls (9 Downs per
+    block), 14 Up/Gate sites (3 Up targets, 9 in block 1 and the dense
+    stack's 2), 11 rmsnorm and the dense stack's 2 Down products. Each
+    calibration pass ends its batch after the last stage it observes. Per
+    batch, the dense pass, which observes the Up/Gate site, stops after
+    block 1's rmsnorm: 1 Up/Gate site, 1 product and 2 rmsnorm. Each of the
+    three second passes observes the Down site and stops before block 1's
+    Down: 2 Up/Gate sites, 1 product (block 0's dense Down) and 2 rmsnorm.
+    So 64 x 18 = 1152 ``sparse_fc``, 64 x (14 + 1 + 3 x 2) = 1344 Up/Gate
+    sites, 64 x (11 + 2 + 3 x 2) = 1216 rmsnorm and 64 x (2 + 1 + 3) = 384
+    products."""
     assert default_run("sweep").calls == {
-        "kernels.sparse_fc": 3456,
-        "tensor.silu": 1344,
+        "kernels.sparse_fc": 1152,
+        "tensor.swiglu": 1344,
         "model._rmsnorm": 1216,
-        "kernels.matmul": 768,
+        "kernels.matmul": 384,
         "SparseStack.forward": 576,
     }
 

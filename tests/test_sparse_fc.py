@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from scap import kernels
-from scap.kernels import SwiGluWeights, cats_swiglu, sparse_fc
-from scap.prune import PruneSpec
+from scap.kernels import SwiGluWeights, cats_swiglu, sparse_fc, swiglu_up_site
+from scap.prune import PruneSpec, compile_ffn
 from scap.tensor import ROW_GEMM_MIN, matmul, matmul_rows, silu
 
 F32 = np.float32
@@ -418,3 +418,62 @@ def test_bad_thresholds_rejected(tau, eta):
         sparse_fc(x, w, tau, eta)
     with pytest.raises(ValueError):
         PruneSpec(tau=tau, eta=eta)
+
+
+# ---------------------------------------------------------------------------
+# the fused SwiGLU Up/Gate site
+
+
+def _composed_up_site(x, w, up):
+    """Oracle: the Up/Gate site as two ``sparse_fc`` calls (dense: two
+    ``matmul`` calls), ``silu`` of the gate and the multiply."""
+    up_layer, gate_layer = up or (None, None)
+    if up_layer is None:
+        return silu(matmul(x, w.w_gate)) * matmul(x, w.w_up), np.ones(x.shape, bool)
+    u, kept, _ = sparse_fc(x, up_layer.weight, up_layer.tau, up_layer.eta, up_layer.bias_fused)
+    g, _, _ = sparse_fc(x, gate_layer.weight, gate_layer.tau, gate_layer.eta, gate_layer.bias_fused)
+    return silu(g) * u, kept
+
+
+@pytest.mark.parametrize(
+    "n,d,h,spec,quiet",
+    [
+        (1, 24, 40, PruneSpec(0.5), False),  # one row: the row kernel
+        (1, 24, 40, PruneSpec(0.4, eta=-0.3), False),
+        (256, 24, 40, PruneSpec(0.3), False),  # every column in the union
+        (256, 24, 40, PruneSpec(0.5), True),  # a partial union
+        (256, 24, 40, PruneSpec(0.4, eta=0.2), True),  # fused biases
+        (256, 24, 40, None, False),  # the dense site
+        (8, 512, 256, PruneSpec(0.1, eta=0.05), False),  # row_gemm
+        (3, 24, 40, PruneSpec(0.2, eta=0.1), "specials"),
+    ],
+)
+def test_fused_up_site_equals_two_sparse_fc_silu_and_multiply(n, d, h, spec, quiet):
+    rng = np.random.default_rng(n + d)
+    w = SwiGluWeights(*(rng.standard_normal(s).astype(F32) for s in ((d, h), (d, h), (h, d))))
+    x = rng.standard_normal((n, d)).astype(F32)
+    if quiet is True:
+        x[:, ::5] *= F32(0.01)  # columns every row prunes
+    elif quiet == "specials":
+        tiny = np.finfo(F32).smallest_subnormal
+        x[:, :8] = [np.nan, np.inf, -np.inf, 0.0, -0.0, tiny, -tiny, 1e30]
+    up, _ = compile_ffn(w, spec, None)
+    got, run = swiglu_up_site(x, w, None if spec is None else up)
+    want, kept = _composed_up_site(x, w, up)
+    assert got.dtype == F32 and got.shape == want.shape
+    same = (got.view(np.uint32) == want.view(np.uint32)) | (np.isnan(got) & np.isnan(want))
+    assert same.all()
+    assert quiet == "specials" or not np.isnan(want).any()
+    assert np.array_equal(run.kept, kept) and run.n_kept == int(kept.sum())
+    assert run.widths == 2 * h
+    if quiet is True:
+        assert 0 < kept.any(axis=0).sum() < d
+
+
+def test_fused_up_site_rejects_up_and_gate_of_different_specs():
+    rng = np.random.default_rng(1)
+    w = SwiGluWeights(*(rng.standard_normal(s).astype(F32) for s in ((8, 12), (8, 12), (12, 8))))
+    (up, _), _ = compile_ffn(w, PruneSpec(0.3), None)
+    (_, gate), _ = compile_ffn(w, PruneSpec(0.3, eta=0.1), None)
+    with pytest.raises(ValueError):
+        swiglu_up_site(rng.standard_normal((2, 8)).astype(F32), w, (up, gate))

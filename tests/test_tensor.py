@@ -29,6 +29,7 @@ from scap.tensor import (
     matmul,
     matmul_rows,
     silu,
+    swiglu,
 )
 
 
@@ -563,6 +564,33 @@ def test_silu_equals_libm_expf_silu_at_special_values():
     ).astype(np.float32)
     assert _same_bits(silu(x), _libm_silu(x))
     assert np.isnan(silu(np.array([np.nan, -np.nan], dtype=np.float32))).all()
+
+
+def test_swiglu_equals_libm_silu_times_up_at_special_values():
+    """The one loop behind ``silu`` and SwiGLU's epilogue rounds float64 g
+    and u to float32 and computes ``silu(g) * u`` in float32: on zeros,
+    subnormals, infinities, NaN, expf's overflow and underflow edges and
+    their neighbours, and float64 values that round to a subnormal, to zero
+    or past float32's range, crossed with such u, against the C library's
+    expf."""
+    edges = np.array(
+        [float.fromhex(h) for h in ("0x1.62e42ep6", "0x1.9fe368p6", "0x1.9d1d9ep6")], np.float32
+    )
+    edges = np.concatenate([edges, -edges])
+    near = [np.nextafter(edges, np.float32(s * np.inf)) for s in (-1, 1)]
+    tiny = np.finfo(np.float32).smallest_subnormal
+    specials32 = [0.0, -0.0, np.inf, -np.inf, np.nan, tiny, -tiny, 1.0, -1.0, 88.0, -88.0]
+    g32 = np.concatenate([specials32, edges, *near]).astype(np.float32)
+    rounding = [3.5e38, -3.5e38, 1e-46, -1e-46, 1e-40, 0.1, 1 + 2.0**-30]
+    g = np.concatenate([g32.astype(np.float64), rounding])
+    u = np.array([1.0, -1.0, 0.0, -0.0, np.inf, np.nan, 1e-45, 3.4e38, 0.5, 3.5e38, 1e-46])
+    g, u = (a.ravel() for a in np.meshgrid(g, u))
+    with np.errstate(all="ignore"):
+        want = _libm_silu(g.astype(np.float32)) * u.astype(np.float32)
+    assert _same_bits(swiglu(g, u), want)
+    assert _same_bits(swiglu(g.reshape(-1, 11), u.reshape(-1, 11)), want.reshape(-1, 11))
+    with pytest.raises(ShapeError):
+        swiglu(g[:4], u[:5])
 
 
 @pytest.mark.parametrize("fn", [silu, gelu])
