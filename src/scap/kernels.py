@@ -23,7 +23,11 @@ or searched. For one row (a decode token) that union is exactly the kept rows, s
 nothing needs zeroing, and the compiled row kernel reads only those rows of
 the weight. A batch runs the compiled batch kernel over the union, in which
 each row's output equals its one-row result bit for bit, or one BLAS GEMM when
-the union weight is below ``tensor.ROW_GEMM_MIN`` elements. Each site step
+the union weight is below ``tensor.ROW_GEMM_MIN`` elements. ``sparse_fc`` is
+that prune composed with one product; the SwiGLU Up/Gate site prunes once
+for both of its projections, runs both products on the one float64 block and
+writes the Down input with ``tensor.swiglu``, one compiled loop for
+``silu(gate) * up`` in float32. Each site step
 returns its tensor and its ``SiteRun``, and a block's two form its one
 ``BlockRecord``: a ``SiteRun`` per site of ``SITES``, counted where its
 projections run, holding the site's kept mask, its kept count and the summed

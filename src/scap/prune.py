@@ -6,8 +6,9 @@ A ``SparseLinear`` freezes a weight matrix together with a scalar mode shift
 eta whose compensating term ``eta * column_sums(W)`` is fused into the bias
 offline, so inference adds only a broadcast subtraction before the usual
 masked GEMM. ``compile_ffn`` turns one FFN block's specs into the
-``SparseLinear`` sites whose fields the site steps of ``kernels`` pass to
-``kernels.sparse_fc``, one call per projection.
+``SparseLinear`` sites whose fields the site steps of ``kernels`` read:
+one ``kernels.sparse_fc`` call per projection, except the SwiGLU Up/Gate
+pair, which shares one prune of its input.
 """
 
 from __future__ import annotations
@@ -44,9 +45,10 @@ class SparseLinear:
     ``bias_fused = bias + eta * column_sums(weight)`` is computed at
     construction as a read-only float64 array (a missing bias counts as
     zero; with no bias and eta 0 it is None, nothing to add). The FFN
-    forwards run it as ``sparse_fc(x, weight, tau, eta, bias_fused)``, which
-    computes ``prune(x - eta, tau) @ W + bias_fused`` in one float64 GEMM over
-    the weight rows that any batch row keeps. A float32 weight is held by
+    forwards compute ``prune(x - eta, tau) @ W + bias_fused`` from it in one
+    float64 GEMM over the weight rows that any batch row keeps, through
+    ``sparse_fc(x, weight, tau, eta, bias_fused)`` or, for the SwiGLU
+    Up/Gate pair, its prune shared by both layers. A float32 weight is held by
     reference, as a read-only view, never copied.
     """
 

@@ -9,12 +9,14 @@ elements runs ``row_gemm``, which adds each output's rows in the same order,
 so every batch row equals its one-row result bit for bit. A large product
 splits its output columns across the usable cores and keeps the bits of one
 thread, on a pool that the first row product makes. A batch over a smaller
-weight runs one BLAS GEMM. In float32, ``activations.c`` computes ``silu``
-as ``x * (1 / (1 + expf(-x)))``, in a vectorised loop that writes out
-glibc's ``expf`` algorithm bit for bit, and ``gelu`` as ``(0.5 * x) * (1 +
-erf(x / sqrt2))``. The same source holds the pruner of ``kernels.sparse_fc``,
-the rmsnorm of ``model`` and the reservoir draw of ``calib.LayerStats``, so
-it is built with one ``cc``. Every operation is pure.
+weight runs one BLAS GEMM. In float32, ``activations.c`` computes SwiGLU's
+epilogue ``swiglu``, ``silu(g) * u`` with ``silu(x) = x * (1 / (1 +
+expf(-x)))``, from two float64 products in one vectorised loop that writes
+out glibc's ``expf`` algorithm bit for bit; ``silu`` is that loop with u all
+ones. It computes ``gelu`` as ``(0.5 * x) * (1 + erf(x / sqrt2))``. The same
+source holds the pruner of ``kernels.sparse_fc``, the rmsnorm of ``model``
+and the reservoir draw of ``calib.LayerStats``, so it is built with one
+``cc``. Every operation is pure.
 """
 
 from __future__ import annotations
