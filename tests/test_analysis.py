@@ -1,5 +1,6 @@
 """Analysis harnesses: overlap decay, sweeps, ablation, report consistency."""
 
+import sys
 import threading
 from collections import Counter
 from dataclasses import asdict
@@ -343,8 +344,24 @@ def test_calibrate_draw_worker_equals_a_synchronous_fold(monkeypatch, ffn, block
     capacity is below each site's stream, so draws run."""
     cfg = BlockConfig(ffn=ffn, d_model=8, d_hidden=24, n_blocks=blocks)
     model = init_weights(cfg, seed=6)
-    stream = synthetic_stream(8, 6, 16, seed=7)
     specs = {h: PruneSpec(0.3, eta=0.05) for h in model.hook_points()} if pruned else None
+    _check_against_an_inline_fold(monkeypatch, model, synthetic_stream(8, 6, 16, seed=7), specs)
+
+
+def test_calibrate_draw_worker_equals_a_synchronous_fold_under_fast_switching(monkeypatch):
+    """The same check over 40 batches into a 50-value reservoir, with the
+    interpreter switching threads every microsecond, so that the caller's
+    fills and reads interleave with the draws as often as they can."""
+    model = _swiglu_model(blocks=2, d=8, h=24)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _check_against_an_inline_fold(monkeypatch, model, synthetic_stream(8, 40, 8, seed=9))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _check_against_an_inline_fold(monkeypatch, model, stream, specs=None):
     seen, draw_threads = {}, set()
     observe, draw = LayerStats.observe, LayerStats._draw
 
@@ -356,10 +373,10 @@ def test_calibrate_draw_worker_equals_a_synchronous_fold(monkeypatch, ffn, block
         draw_threads.add(threading.current_thread().name)
         return draw(stats, values, n_seen)
 
-    monkeypatch.setattr(LayerStats, "observe", spy_observe)
-    monkeypatch.setattr(LayerStats, "_draw", spy_draw)
-    got = calibrate(model, stream, capacity=100, seed=8, specs=specs)
-    monkeypatch.undo()
+    with monkeypatch.context() as mp:
+        mp.setattr(LayerStats, "observe", spy_observe)
+        mp.setattr(LayerStats, "_draw", spy_draw)
+        got = calibrate(model, stream, capacity=50, seed=8, specs=specs)
     assert not _draw_threads()
     assert draw_threads and all(n.startswith(scap.analysis.DRAW_THREAD) for n in draw_threads)
     assert sorted(id(st_) for st_ in got.values()) == sorted(seen)
