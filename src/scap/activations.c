@@ -18,11 +18,11 @@
  *
  * expf is glibc 2.36's algorithm (from ARM optimized-routines), written out
  * below with the multiply-adds of its FMA build as explicit fma() calls, so
- * that its bits are the C library's and the compiler can vectorise the one
- * loop that inlines it (a second such loop about doubles the build time);
- * erf is the C library's. Build with -ffp-contract=off, so that no other
- * multiply-add is fused and each operation rounds as written, and without
- * -ffast-math, so that the compiler keeps the scalar erf.
+ * that its bits are the C library's and the compiler can vectorise the
+ * SwiGLU loop that inlines it; erf is the C library's. Build with
+ * -ffp-contract=off, so that no other multiply-add is fused and each
+ * operation rounds as written, and without -ffast-math, so that the
+ * compiler keeps the scalar erf.
  */
 #include <math.h>
 #include <stdint.h>
