@@ -12,7 +12,7 @@ pruned stack against its dense twin on held-out data; higher is better.
 
 from __future__ import annotations
 
-# looked up by name, so that perfbench/spans.py can patch it
+# calibrate's draw pool; looked up by name, so that perfbench/spans.py can patch it
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
 from dataclasses import astuple, dataclass, fields
@@ -46,12 +46,23 @@ def synthetic_stream(
     scale: float = 1.0,
     seed: int = DEFAULT_SEED,
 ) -> list[np.ndarray]:
-    """Deterministic list of (sequence_len x d_model) float32 batches."""
+    """Deterministic list of (sequence_len x d_model) float32 batches; a
+    ``scale`` that overflows float32 raises ValueError."""
     rng = np.random.default_rng(seed)
     return [
-        (scale * rng.standard_normal((sequence_len, d_model))).astype(np.float32)
+        _to_float32(scale * rng.standard_normal((sequence_len, d_model)), scale)
         for _ in range(n_sequences)
     ]
+
+
+def _to_float32(values: np.ndarray, scale: float) -> np.ndarray:
+    """``values`` cast to float32, each finite value keeping the cast's bits;
+    one that overflows raises ValueError naming ``scale``."""
+    try:
+        with np.errstate(over="raise"):
+            return values.astype(np.float32)
+    except FloatingPointError as exc:
+        raise ValueError(f"input scale {scale} overflows float32") from exc
 
 
 class CorrelatedBatches:
@@ -74,7 +85,7 @@ class CorrelatedBatches:
         base = self._rng.standard_normal(self.d_model)
         noise = self._rng.standard_normal((n_rows, self.d_model))
         rows = np.sqrt(self.rho) * base + np.sqrt(1.0 - self.rho) * noise
-        return (self.scale * rows).astype(np.float32)
+        return _to_float32(self.scale * rows, self.scale)
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +267,8 @@ def measure_sparsity(
 def reconstruction_error(
     model: FfnStack, specs: dict[HookPoint, PruneSpec], eval_stream
 ) -> float:
-    """Relative L2 distance between pruned and dense stack outputs."""
+    """Relative L2 distance between pruned and dense stack outputs; a dense
+    output that is zero throughout raises ValueError."""
     ((_, err),) = _evaluate(model, [specs], _eval_batches(eval_stream))
     return err
 
@@ -272,7 +284,8 @@ def _eval_batches(eval_stream) -> list:
 def _evaluate(model, spec_maps, batches, error=True) -> list[tuple[SparsityReport, float]]:
     """One walk over the batches for every map of ``spec_maps``: each map's
     SparsityReport and relative L2 error against the dense stack (0.0 when
-    ``error`` is false).
+    ``error`` is false). A dense output that is zero throughout has no
+    relative error, and raises ValueError.
 
     Per batch, the dense stack (when ``error`` is set) and then each map's
     sparse view run their forwards on one dict of finished stages, so that a
@@ -293,8 +306,10 @@ def _evaluate(model, spec_maps, batches, error=True) -> list[tuple[SparsityRepor
         rows += batch.shape[0]
         for sparse, tally in zip(stacks, tallies):
             tally.add(*sparse.forward(batch, stages), y_dense)
+    if error and not den:
+        raise ValueError("the dense output is zero throughout: no relative error exists")
     return [
-        (tally.report(model, specs, rows), float(np.sqrt(tally.num / den)) if den else 0.0)
+        (tally.report(model, specs, rows), float(np.sqrt(tally.num / den)) if error else 0.0)
         for specs, tally in zip(spec_maps, tallies)
     ]
 
@@ -484,7 +499,8 @@ def pareto_sweep(
     the same Up target. The non-dominated subset under (maximize
     ffn_sparsity, maximize quality) is reported. Targets outside [0, 1], an
     unknown centering site and an empty evaluation stream raise ValueError
-    before anything is calibrated.
+    before anything is calibrated; a dense output that is zero throughout
+    raises it from the walk.
     """
     check_fractions("grid_up", grid_up)
     check_fractions("grid_down", grid_down)

@@ -26,7 +26,7 @@ from .calib import ESTIMATOR_KINDS, ModeEstimator, check_fractions
 from .model import (
     DOWN_INPUT, FFN_KINDS, UP_GATE_INPUT, BlockConfig, FfnStack, HookPoint, init_weights
 )
-from .tensor import matmul, max_workers, silu
+from .tensor import matmul, silu
 
 # each command declares exactly the keys it reads, spread from these groups
 _RUN = {"seed": calib.DEFAULT_SEED, "out": "scap-out"}
@@ -284,7 +284,7 @@ def cmd_bench(cfg: RunConfig) -> list[Path]:
         "dense_macs",
         "macs_ratio",
     ]
-    _, _, dense = kernels.swiglu_ffn(x, w)
+    _, (dense,) = block.apply_prune_specs({}).forward(x)
     dense_macs = dense.dense_macs
 
     def row(scheme, target, observed, macs):
@@ -393,7 +393,6 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args)
-        max_workers(1)  # rejects a malformed SCAP_THREADS before any command runs
         written = COMMANDS[cfg.command](cfg)
         for path in written:
             if not Path(path).is_file() or Path(path).stat().st_size == 0:

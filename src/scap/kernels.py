@@ -2,7 +2,7 @@
 
 * ``swiglu_up_site`` / ``gelu_up_site`` and ``down_site``: the one
   execution path per FFN kind, every block of a model stack included, as
-  its two site steps; ``swiglu_ffn`` / ``gelu_ffn`` run a block as both.
+  its two site steps.
   Each site is dense or a ``SparseLinear`` from ``prune.compile_ffn``: SCAP
   prunes the input of each projection, with one mask ``~(|x - eta| <= tau)``
   shared by Up and Gate and an independent mask on the Down input, the mode
@@ -180,16 +180,6 @@ def _product(x64: np.ndarray, weight: np.ndarray, rows, bias_fused) -> np.ndarra
     return out
 
 
-def _zero_pruned(x: np.ndarray, kept: np.ndarray) -> np.ndarray:
-    """``np.where(kept, x, 0)`` for float ``x``, bit for bit, NaN, infinities,
-    -0.0 and subnormals included: the bits of ``x`` ANDed with ``-kept`` as
-    integers of the same width, which takes no branch per element."""
-    mask = kept.astype(f"i{x.itemsize}")
-    np.negative(mask, out=mask)
-    mask &= x.view(mask.dtype)
-    return mask.view(x.dtype)
-
-
 def check_threshold(tau: float, eta: float = 0.0) -> tuple[np.float32, np.float32]:
     """``tau`` and ``eta`` rounded to float32, the precision every pruner
     compares in. Reject a threshold that is NaN or negative, and a threshold
@@ -221,7 +211,7 @@ def cats_swiglu(
     rows = np.flatnonzero(kept.any(axis=0))
     # the mask picks Up output columns and the matching Down input rows
     up = matmul_rows(x.astype(np.float64), np.take(w.w_up, rows, axis=1))
-    y = matmul_rows(_zero_pruned(up * v[:, rows], kept[:, rows]), w.w_down, rows)
+    y = matmul_rows(np.where(kept[:, rows], up * v[:, rows], 0.0), w.w_down, rows)
     k = int(np.count_nonzero(kept))
     return y.astype(FLOAT), OpCount(macs=n * d * h + 2 * d * k, elements_pruned=n * h - k)
 
@@ -322,30 +312,6 @@ def down_site(z: np.ndarray, w, down=None) -> tuple[np.ndarray, SiteRun]:
     bias = w.b_down if isinstance(w, GeluMlpWeights) else None
     y, kept_z, n_kept = _fc(z, down, w.w_down, bias)
     return y, SiteRun(kept_z, n_kept, w.d)
-
-
-def swiglu_ffn(
-    x: np.ndarray, w: SwiGluWeights, up=None, down=None
-) -> tuple[np.ndarray, np.ndarray, BlockRecord]:
-    """The SwiGLU block (silu(x W_gate) * (x W_up)) W_down, dense or pruned:
-    (output, Down input, record). ``up`` and ``down`` are the compiled sites
-    of ``swiglu_up_site`` and ``down_site``; see ``prune.compile_ffn``.
-    """
-    z, up_run = swiglu_up_site(x, w, up)
-    y, down_run = down_site(z, w, down)
-    return y, z, BlockRecord(up_run, down_run)
-
-
-def gelu_ffn(
-    x: np.ndarray, w: GeluMlpWeights, up=None, down=None
-) -> tuple[np.ndarray, np.ndarray, BlockRecord]:
-    """The GELU MLP block gelu(x W_up + b_up) W_down + b_down, dense or
-    pruned: (output, Down input, record). ``up`` and ``down`` are the
-    compiled sites of ``gelu_up_site`` and ``down_site``.
-    """
-    hidden, up_run = gelu_up_site(x, w, up)
-    y, down_run = down_site(hidden, w, down)
-    return y, hidden, BlockRecord(up_run, down_run)
 
 
 def ffn_sparsity(s_x: float, s_gated: float) -> float:

@@ -121,16 +121,6 @@ def matmul_rows(x64: np.ndarray, w: np.ndarray, rows=None) -> np.ndarray:
     return x64 @ (w if rows is None else w[rows]).astype(np.float64)
 
 
-def max_workers(n_tasks: int) -> int:
-    """Threads for ``n_tasks`` independent tasks, at least 1 and at most
-    ``n_tasks``: the CPUs this process may run on, or ``SCAP_THREADS`` when
-    that environment variable is set. It must be an integer >= 1."""
-    cap = os.environ.get("SCAP_THREADS") or str(_cpus())
-    if not cap.strip().isdecimal() or int(cap) < 1:
-        raise ValueError(f"SCAP_THREADS must be an integer >= 1, got {cap!r}")
-    return min(max(1, n_tasks), int(cap))
-
-
 def _cpus() -> int:
     """The CPUs this process may run on."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -141,9 +131,10 @@ def _row_product(x64: np.ndarray, w: np.ndarray, rows) -> np.ndarray:
     for more.
 
     From ``SPLIT_MACS`` batch rows x kept rows x columns up, the columns are
-    cut at multiples of ``SLICE_COLS`` into one slice per worker; the caller
-    runs the first and the row pool the others. Each slice equals the
-    sequential loop bit for bit, so the cut never changes the result.
+    cut at multiples of ``SLICE_COLS`` into one slice per CPU this process
+    may run on (``taskset`` caps them), or fewer when the columns run out;
+    the caller runs the first and the row pool the others. Each slice equals
+    the sequential loop bit for bit, so the cut never changes the result.
 
     The kernels take bare addresses, so each array is made C-contiguous with
     the kernel's dtype here and stays referenced until every slice is done.
@@ -164,7 +155,7 @@ def _row_product(x64: np.ndarray, w: np.ndarray, rows) -> np.ndarray:
     args += () if batch == 1 else (batch,)  # row_gemm takes the batch size
     y = out.ctypes.data
     groups = -(-m // SLICE_COLS)
-    n = max_workers(groups) if batch * rows.size * m >= SPLIT_MACS else 1
+    n = min(max(1, groups), _cpus()) if batch * rows.size * m >= SPLIT_MACS else 1
     cuts = [min(m, SLICE_COLS * (i * groups // n)) for i in range(n + 1)]
     slices = zip(cuts[1:-1], cuts[2:])
     futures = [_row_pool.submit(kernel, *args, lo, hi, y) for lo, hi in slices]

@@ -28,13 +28,13 @@ from scap.kernels import (
     SwiGluWeights,
     cats_swiglu,
     ffn_sparsity,
-    swiglu_ffn,
 )
 from scap.model import DOWN_INPUT, UP_GATE_INPUT, BlockConfig, init_weights
 from scap.prune import PruneSpec, SparseLinear, compile_ffn
 from scap.tensor import matmul, silu
 
 from test_cli import fast
+from test_kernels import run_block
 
 
 def dense_macs_swiglu(batch, d, h):
@@ -44,19 +44,19 @@ def dense_macs_swiglu(batch, d, h):
 
 def _scap_masks(tau_x, tau_g, x, w):
     """OpCount and the (Up/Gate, Down) kept masks from the one SwiGLU path."""
-    _, _, rec = swiglu_ffn(x, w, *compile_ffn(w, PruneSpec(tau_x), PruneSpec(tau_g)))
+    _, _, rec = run_block(x, w, compile_ffn(w, PruneSpec(tau_x), PruneSpec(tau_g)))
     return rec.ops, rec.up.kept, rec.down.kept
 
 
 def dense_swiglu(x, w):
     """(output, OpCount) of the unpruned SwiGLU block."""
-    y, _, rec = swiglu_ffn(x, w)
+    y, _, rec = run_block(x, w)
     return y, rec.ops
 
 
 def scap_swiglu(tau_x, tau_gated, x, w):
     """(output, OpCount) of the SwiGLU block with both sites pruned."""
-    y, _, rec = swiglu_ffn(x, w, *compile_ffn(w, PruneSpec(tau_x), PruneSpec(tau_gated)))
+    y, _, rec = run_block(x, w, compile_ffn(w, PruneSpec(tau_x), PruneSpec(tau_gated)))
     return y, rec.ops
 
 

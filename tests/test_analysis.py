@@ -197,6 +197,14 @@ def test_correlated_batches_validation():
     assert gen.batch(4).shape == (4, 8)
 
 
+def test_a_scale_that_overflows_float32_raises_naming_it():
+    # 1e39 times any draw above 0.35 in magnitude passes float32's largest value
+    with pytest.raises(ValueError, match="input scale 1e\\+39 overflows float32"):
+        synthetic_stream(8, 2, 16, scale=1e39, seed=1)
+    with pytest.raises(ValueError, match="input scale 1e\\+39 overflows float32"):
+        CorrelatedBatches(8, scale=1e39, seed=1).batch(4)
+
+
 # ---------------------------------------------------------------------------
 # spec planning
 
@@ -550,6 +558,17 @@ def test_measure_sparsity_empty_stream():
         measure_sparsity(model, {}, [])
 
 
+def test_a_dense_output_of_zeros_has_no_relative_error():
+    # a zero input stays zero through rmsnorm, SwiGLU and the residual add
+    model = _swiglu_model(seed=7)
+    specs = _specs_at(model, 0.5)
+    zeros = [np.zeros((32, 16), np.float32)] * 2
+    with pytest.raises(ValueError, match="dense output is zero throughout"):
+        reconstruction_error(model, specs, zeros)
+    report = measure_sparsity(model, specs, zeros)  # computes no error
+    assert report.site_sparsity[UP_GATE_INPUT] == 1.0
+
+
 # ---------------------------------------------------------------------------
 # pareto sweep
 
@@ -637,7 +656,7 @@ def test_sweep_table_mirrors_published_grid_shape():
 
 def test_sweep_results_independent_of_thread_cap(monkeypatch):
     # 64-row batches over 128x1024 weights reach ROW_GEMM_MIN and SPLIT_MACS,
-    # so the cap changes how row_gemm's output columns are cut
+    # so the usable CPU count changes how row_gemm's output columns are cut
     model = _swiglu_model(seed=14, d=128, h=1024, blocks=1)
     calib = synthetic_stream(128, 2, 64, seed=27)
     hold = synthetic_stream(128, 2, 64, seed=28)
@@ -652,14 +671,14 @@ def test_sweep_results_independent_of_thread_cap(monkeypatch):
     monkeypatch.setattr(scap.tensor, "_kernel", kernel)
 
     def run(threads):
-        monkeypatch.setenv("SCAP_THREADS", threads)
+        monkeypatch.setattr(scap.tensor, "_cpus", lambda: threads)
         slices.clear()
         result = pareto_sweep(
             model, calib, hold, [0.3, 0.6], [0.4, 0.7], capacity=1 << 14, seed=29
         )
         return result, set(slices)
 
-    (serial, serial_cuts), (threaded, threaded_cuts) = run("1"), run("2")
+    (serial, serial_cuts), (threaded, threaded_cuts) = run(1), run(2)
     assert serial_cuts == {(0, 1024), (0, 128)}  # Up/Gate and Down, uncut
     assert threaded_cuts == {(0, 512), (512, 1024), (0, 64), (64, 128)}
     for a, b in zip(serial.entries, threaded.entries):
@@ -670,8 +689,8 @@ def test_sweep_results_independent_of_thread_cap(monkeypatch):
 
 def test_sweep_runs_on_the_calling_thread(monkeypatch):
     # every pass and the one walk over all points run on the caller's thread,
-    # whatever the cap
-    monkeypatch.setenv("SCAP_THREADS", "4")
+    # however many CPUs it may use
+    monkeypatch.setattr(scap.tensor, "_cpus", lambda: 4)
     threads = []
     for name in ("calibrate", "_evaluate"):
         fn = getattr(scap.analysis, name)

@@ -19,6 +19,8 @@ from scap.cli import (
 from scap.io import load_report
 from scap.prune import PruneSpec, compile_ffn
 
+from test_kernels import run_block
+
 FAST = {
     "d_model": 12,
     "d_hidden": 24,
@@ -110,8 +112,9 @@ def test_bench_csv_structure(tmp_path):
 
 def test_bench_scap_rows_equal_batch_quantile_oracle(tmp_path):
     # the oracle is bench's former SCAP path: exact batch quantiles of |x| and
-    # |gated| as taus, compiled by hand and run through swiglu_ffn; every bench
-    # value fits the reservoir, so planning through make_specs gives its bytes
+    # |gated| as taus, compiled by hand and run through the two site steps;
+    # every bench value fits the reservoir, so planning through make_specs
+    # gives its bytes
     d, h, batch, seed, grid = 12, 40, 6, 5, [0.1, 0.35, 0.5, 0.9]
     out = tmp_path / "bench"
     args = ["--d-model", d, "--d-hidden", h, "--batch", batch, "--seed", seed]
@@ -124,12 +127,12 @@ def test_bench_scap_rows_equal_batch_quantile_oracle(tmp_path):
         for m, n in ((d, h), (d, h), (h, d))
     ))
     x = rng.standard_normal((batch, d)).astype(np.float32)
-    _, gated, dense = kernels.swiglu_ffn(x, w)
+    _, gated, dense = run_block(x, w)
     expected = []
     for s in grid:
         tau_x = float(np.quantile(np.abs(x), s))
         tau_g = float(np.quantile(np.abs(gated), s))
-        _, _, rec = kernels.swiglu_ffn(x, w, *compile_ffn(w, PruneSpec(tau_x), PruneSpec(tau_g)))
+        _, _, rec = run_block(x, w, compile_ffn(w, PruneSpec(tau_x), PruneSpec(tau_g)))
         kept_x, kept_g = rec.up.kept, rec.down.kept
         obs = kernels.ffn_sparsity(
             1.0 - kept_x.sum() / kept_x.size, 1.0 - kept_g.sum() / kept_g.size
@@ -462,29 +465,29 @@ def test_sweep_csv_has_pareto_column(tmp_path):
     assert report["payload"]["pareto_indices"] == [0]
 
 
+@pytest.mark.parametrize("command", ["calibrate", "overlap"])
+def test_an_input_scale_that_overflows_float32_fails_with_one_line(tmp_path, capsys, command):
+    # at the default stream sizes the first batch has draws above 3.4 in
+    # magnitude, which 1e38 takes past float32's largest value
+    out = tmp_path / "o"
+    assert _run([command, "--out", out, "--input-scale", "1e38"]) == 1
+    err = capsys.readouterr().err
+    assert err == "scap: error: input scale 1e+38 overflows float32\n"
+    assert not out.exists()  # raised before anything is calibrated or written
+
+
+def test_a_sweep_of_a_zero_stream_fails_with_one_line(tmp_path, capsys):
+    assert _run(["sweep", "--out", tmp_path / "o", "--input-scale", "0"] + fast("sweep")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("scap: error: the dense output is zero throughout")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "o" / "sweep.json").exists()
+
+
 def test_non_integer_batch_sizes_rejected(tmp_path, capsys):
     args = ["overlap", "--out", tmp_path / "o", "--batch-sizes", "1.7"] + fast("overlap")
     assert _run(args) == 1
     assert "ints" in capsys.readouterr().err
-
-
-def test_bad_thread_count_fails_with_one_line(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("SCAP_THREADS", "0")
-    assert _run(["sweep", "--out", tmp_path / "o"] + fast("sweep")) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("scap: error: SCAP_THREADS") and err.count("\n") == 1
-
-
-@pytest.mark.parametrize("command", list(COMMANDS))
-def test_every_command_rejects_a_bad_thread_count_before_running(
-    tmp_path, monkeypatch, capsys, command
-):
-    monkeypatch.setenv("SCAP_THREADS", "abc")
-    out = tmp_path / "o"
-    assert _run([command, "--out", out] + fast(command)) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("scap: error: SCAP_THREADS") and err.count("\n") == 1
-    assert not out.exists()  # rejected before the command writes anything
 
 
 @pytest.mark.parametrize("debug", [None, "0", "1"])

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from scap.kernels import (
+    BlockRecord,
     GeluMlpWeights,
     SwiGluWeights,
     cats_swiglu,
+    down_site,
     ffn_sparsity,
-    gelu_ffn,
+    gelu_up_site,
     mlp_ffn_sparsity,
-    swiglu_ffn,
+    swiglu_up_site,
 )
 from scap.prune import PruneSpec, compile_ffn
 from scap.tensor import ShapeError, gelu, matmul, silu
@@ -29,36 +31,45 @@ def dense_macs_swiglu(batch, d, h):
     return batch * (2 * d * h + h * d)
 
 
+def run_block(x, w, sites=(None, None)):
+    """(output, Down input, record) of one FFN block run as the two site
+    steps of its kind; ``sites`` are the compiled (Up/Gate, Down) sites of
+    ``compile_ffn``, None for a dense one."""
+    up_site = swiglu_up_site if isinstance(w, SwiGluWeights) else gelu_up_site
+    z, up_run = up_site(x, w, sites[0])
+    y, down_run = down_site(z, w, sites[1])
+    return y, z, BlockRecord(up_run, down_run)
+
+
 def _scap_masks(tau_x, tau_z, x, w, eta_z=0.0):
     """OpCount and the (Up/Gate, Down) kept masks from the one FFN path."""
-    ffn = swiglu_ffn if isinstance(w, SwiGluWeights) else gelu_ffn
-    _, _, rec = ffn(x, w, *compile_ffn(w, PruneSpec(tau_x), PruneSpec(tau_z, eta_z)))
+    _, _, rec = run_block(x, w, compile_ffn(w, PruneSpec(tau_x), PruneSpec(tau_z, eta_z)))
     return rec.ops, rec.up.kept, rec.down.kept
 
 
 def dense_swiglu(x, w):
     """(output, OpCount) of the unpruned SwiGLU block."""
-    y, _, rec = swiglu_ffn(x, w)
+    y, _, rec = run_block(x, w)
     return y, rec.ops
 
 
 def dense_gelu_mlp(x, w):
     """(output, OpCount) of the unpruned GELU MLP block."""
-    y, _, rec = gelu_ffn(x, w)
+    y, _, rec = run_block(x, w)
     return y, rec.ops
 
 
 def scap_swiglu(tau_x, tau_gated, x, w, eta_x=0.0, eta_gated=0.0):
     """(output, OpCount) of the SwiGLU block with both sites pruned."""
     sites = compile_ffn(w, PruneSpec(tau_x, eta_x), PruneSpec(tau_gated, eta_gated))
-    y, _, rec = swiglu_ffn(x, w, *sites)
+    y, _, rec = run_block(x, w, sites)
     return y, rec.ops
 
 
 def scap_gelu_mlp(tau_x, tau_h, eta_h, x, w):
     """(output, OpCount) of the GELU MLP with both sites pruned, the hidden
     activation mode-shifted by ``eta_h``."""
-    y, _, rec = gelu_ffn(x, w, *compile_ffn(w, PruneSpec(tau_x), PruneSpec(tau_h, eta_h)))
+    y, _, rec = run_block(x, w, compile_ffn(w, PruneSpec(tau_x), PruneSpec(tau_h, eta_h)))
     return y, rec.ops
 
 

@@ -11,6 +11,7 @@ import numpy as np
 import numpy.random  # noqa: F401  (else its lazy import lands in the first traced call)
 import pytest
 
+from scap import tensor
 from scap.analysis import pareto_sweep, synthetic_stream
 from scap.calib import DEFAULT_RESERVOIR_CAPACITY
 from scap.io import load_model, save_model
@@ -86,7 +87,7 @@ def test_one_row_records_hold_their_masks_and_no_activation():
 def test_serial_sweep_holds_under_two_reservoirs_plus_its_streams(monkeypatch):
     # each pass's statistics die before the next pass starts; keeping them
     # would hold a reservoir per site per pass, 8 on this 3x3 grid
-    monkeypatch.setenv("SCAP_THREADS", "1")
+    monkeypatch.setattr(tensor, "_cpus", lambda: 1)
     model = init_weights(BlockConfig(d_model=16, d_hidden=48, n_blocks=2), seed=0)
     calib = synthetic_stream(16, 2, 32, seed=1)
     hold = synthetic_stream(16, 2, 32, seed=2)
@@ -99,9 +100,9 @@ def test_serial_sweep_holds_under_two_reservoirs_plus_its_streams(monkeypatch):
 
 
 def test_sweep_with_threads_holds_one_pass_of_statistics(monkeypatch):
-    # the sweep runs its passes one after another whatever SCAP_THREADS says;
-    # three concurrent Down passes on this grid would hold three reservoirs
-    monkeypatch.setenv("SCAP_THREADS", "4")
+    # the sweep runs its passes one after another however many CPUs it may
+    # use; three concurrent Down passes on this grid would hold three reservoirs
+    monkeypatch.setattr(tensor, "_cpus", lambda: 4)
     model = init_weights(BlockConfig(d_model=16, d_hidden=48, n_blocks=2), seed=0)
     calib = synthetic_stream(16, 8, 32, seed=1)
     hold = synthetic_stream(16, 2, 32, seed=2)

@@ -239,7 +239,7 @@ def test_full_union_runs_ungathered_and_one_row_unzeroed(monkeypatch, n, full):
 def sparse_fc_numpy(x, weight, tau, eta=0.0, bias_fused=None):
     """Oracle: the pruner as numpy operations, tau and eta rounded to
     float32: the shifted elements of the union columns, a batch's pruned
-    ones zeroed by ``_zero_pruned``, cast to float64 for one ``matmul_rows``
+    ones zeroed with ``np.where``, cast to float64 for one ``matmul_rows``
     product. Returns (output, kept, MACs, the float64 block, its rows)."""
     x_eta = x - F32(eta)
     kept = ~(np.abs(x_eta) <= F32(tau))
@@ -247,7 +247,7 @@ def sparse_fc_numpy(x, weight, tau, eta=0.0, bias_fused=None):
     full = rows.size == weight.shape[0]
     x_kept = x_eta if full else x_eta[:, rows]
     if x.shape[0] > 1:
-        x_kept = kernels._zero_pruned(x_kept, kept if full else kept[:, rows])
+        x_kept = np.where(kept if full else kept[:, rows], x_kept, F32(0))
     x64, rows = x_kept.astype(np.float64), None if full else rows
     out = matmul_rows(x64, weight, rows)
     if bias_fused is not None:
@@ -384,21 +384,6 @@ def test_thresholds_past_float32_range_rejected(tau, eta):
     largest = float(np.finfo(F32).max)
     assert not sparse_fc(x, w, largest, 0.0)[1].any()
     PruneSpec(tau=largest, eta=-largest)
-
-
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_zero_pruned_equals_where_bit_for_bit(dtype):
-    """The bit-mask zeroing of ``cats_swiglu`` (f64) and of the prune oracle
-    ``sparse_fc_numpy`` (f32)."""
-    rng = np.random.default_rng(0)
-    tiny = np.finfo(dtype).smallest_subnormal
-    x = np.concatenate([SPECIALS.astype(dtype), [tiny, -tiny], rng.standard_normal(54)])
-    x = x.astype(dtype).reshape(8, 8)
-    uint = np.uint32 if dtype is np.float32 else np.uint64
-    for kept in (rng.random(x.shape) < 0.5, np.ones(x.shape, bool), np.zeros(x.shape, bool)):
-        got = kernels._zero_pruned(x, kept)
-        assert got.dtype == dtype
-        assert np.array_equal(got.view(uint), np.where(kept, x, dtype(0)).view(uint))
 
 
 @pytest.mark.parametrize(

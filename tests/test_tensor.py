@@ -153,7 +153,7 @@ def test_row_gemm_equals_sequential_loop(case):
     x64, w, rows = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tensor, "ROW_GEMM_MIN", 0)
-        mp.setenv("SCAP_THREADS", "1")
+        mp.setattr(tensor, "_cpus", lambda: 1)
         slices = _recorded_slices(mp, "row_gemm")
         out = matmul_rows(x64, w, rows)
     assert slices == [(0, w.shape[1])]
@@ -305,7 +305,7 @@ def _check_split(x64, w, rows, threads, kernel):
     m = w.shape[1]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tensor, "SPLIT_MACS", 0)
-        mp.setenv("SCAP_THREADS", str(threads))
+        mp.setattr(tensor, "_cpus", lambda: threads)
         slices = _recorded_slices(mp, kernel)
         out = matmul_rows(x64, w, rows)
     groups = -(-m // tensor.SLICE_COLS)
@@ -334,11 +334,12 @@ def test_split_row_gemm_above_threshold_equals_one_thread(monkeypatch):
 
 
 def _check_split_equals_one_thread(monkeypatch, x64, w, rows):
-    monkeypatch.setenv("SCAP_THREADS", "1")
+    affinity = tensor._cpus
+    monkeypatch.setattr(tensor, "_cpus", lambda: 1)
     serial = matmul_rows(x64, w, rows)
-    monkeypatch.delenv("SCAP_THREADS")
+    monkeypatch.setattr(tensor, "_cpus", affinity)
     split = matmul_rows(x64, w, rows)
-    monkeypatch.setenv("SCAP_THREADS", "3")
+    monkeypatch.setattr(tensor, "_cpus", lambda: 3)
     three = matmul_rows(x64, w, rows)
     want = _sequential_loop(x64, w, rows)
     assert all(np.array_equal(out, want) for out in (serial, split, three))
@@ -357,9 +358,9 @@ def test_concurrent_batched_callers_get_the_serial_result(monkeypatch):
 
 
 def _check_concurrent_callers(monkeypatch, cases):
-    monkeypatch.setenv("SCAP_THREADS", "1")
+    monkeypatch.setattr(tensor, "_cpus", lambda: 1)
     serial = [matmul_rows(*case) for case in cases]
-    monkeypatch.setenv("SCAP_THREADS", "2")
+    monkeypatch.setattr(tensor, "_cpus", lambda: 2)
     start = threading.Barrier(len(cases))
 
     def call(case):
@@ -378,7 +379,7 @@ def _check_concurrent_callers(monkeypatch, cases):
 
 
 def test_small_one_row_products_stay_on_the_caller(monkeypatch):
-    monkeypatch.setenv("SCAP_THREADS", "2")
+    monkeypatch.setattr(tensor, "_cpus", lambda: 2)
     matmul_rows(*_row_case(40, 96, 32, seed=3))  # a row product makes the pool
     submitted = []
     submit = tensor._row_pool.submit
@@ -403,7 +404,7 @@ def test_small_one_row_products_stay_on_the_caller(monkeypatch):
 )
 def test_row_kernels_leave_no_cyclic_garbage(monkeypatch, make, kw):
     """Every product frees all it made by reference counting alone."""
-    monkeypatch.setenv("SCAP_THREADS", "2")
+    monkeypatch.setattr(tensor, "_cpus", lambda: 2)
     case = make(**kw)
     matmul_rows(*case)  # builds the kernels and the pool
     gc.collect()
@@ -417,7 +418,7 @@ def test_row_kernels_leave_no_cyclic_garbage(monkeypatch, make, kw):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
 def test_forked_child_splits_without_the_parents_pool(monkeypatch):
-    monkeypatch.setenv("SCAP_THREADS", "2")
+    monkeypatch.setattr(tensor, "_cpus", lambda: 2)
     case = _large_case()
     want = matmul_rows(*case)[0]  # the parent's pool now has a thread
     read, write = os.pipe()
@@ -437,24 +438,6 @@ def test_forked_child_splits_without_the_parents_pool(monkeypatch):
         time.sleep(0.01)
     assert os.read(read, 1) == b"1"
     os.close(read)
-
-
-@pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5", "2 threads"])
-def test_bad_thread_count_rejected(monkeypatch, value):
-    monkeypatch.setenv("SCAP_THREADS", value)
-    with pytest.raises(ValueError, match="SCAP_THREADS"):
-        tensor.max_workers(4)
-
-
-@pytest.mark.parametrize("value,want", [(None, None), ("1", 1), ("3", 3), ("64", 5)])
-def test_thread_count_comes_from_affinity_or_cap(monkeypatch, value, want):
-    if value is None:
-        monkeypatch.delenv("SCAP_THREADS", raising=False)
-        want = min(5, tensor._cpus())
-    else:
-        monkeypatch.setenv("SCAP_THREADS", value)
-    assert tensor.max_workers(5) == want
-    assert tensor.max_workers(0) == 1
 
 
 def test_importing_the_cli_compiles_nothing():
