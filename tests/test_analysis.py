@@ -205,6 +205,21 @@ def test_a_scale_that_overflows_float32_raises_naming_it():
         CorrelatedBatches(8, scale=1e39, seed=1).batch(4)
 
 
+@pytest.mark.parametrize("scale", [1e-44, 0.1, 1e37])
+def test_a_finite_scale_keeps_the_cast_bits(scale):
+    # 1e-44 flushes most draws to float32 subnormals or zero, which is no
+    # overflow; 1e37 keeps draws under 34 in magnitude inside float32's range
+    rng = np.random.default_rng(1)
+    want = [(scale * rng.standard_normal((16, 8))).astype(np.float32) for _ in range(2)]
+    got = synthetic_stream(8, 2, 16, scale=scale, seed=1)
+    assert [b.view(np.uint32).tolist() for b in got] == [b.view(np.uint32).tolist() for b in want]
+    rng = np.random.default_rng(1)
+    base, noise = rng.standard_normal(8), rng.standard_normal((4, 8))
+    rows = np.sqrt(0.5) * base + np.sqrt(0.5) * noise
+    got = CorrelatedBatches(8, rho=0.5, scale=scale, seed=1).batch(4)
+    assert np.array_equal(got.view(np.uint32), (scale * rows).astype(np.float32).view(np.uint32))
+
+
 # ---------------------------------------------------------------------------
 # spec planning
 

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from scap import analysis, kernels
+from scap import analysis, kernels, tensor
 from scap.cli import (
     COMMAND_DEFAULTS,
     COMMANDS,
@@ -20,6 +20,7 @@ from scap.io import load_report
 from scap.prune import PruneSpec, compile_ffn
 
 from test_kernels import run_block
+from test_tensor import _recorded_slices
 
 FAST = {
     "d_model": 12,
@@ -68,6 +69,23 @@ def test_subcommands_write_byte_identical_outputs(tmp_path, command, extra):
     assert first, "command wrote no files"
     assert _run(args) == 0
     assert _snapshot(out) == first
+
+
+@pytest.mark.parametrize("command", ["calibrate", "sweep", "bench", "overlap", "ablate-mode"])
+def test_every_command_writes_the_same_bytes_on_one_cpu_or_three(tmp_path, monkeypatch, command):
+    # forced onto row_gemm and split at every size, a product over the 24
+    # hidden columns cuts them into two slices on three CPUs and none on one
+    monkeypatch.setattr(tensor, "ROW_GEMM_MIN", 0)
+    monkeypatch.setattr(tensor, "SPLIT_MACS", 0)
+    slices = _recorded_slices(monkeypatch, "row_gemm")
+    out, outputs = tmp_path / command, []
+    for cpus in (1, 3):
+        monkeypatch.setattr(tensor, "_cpus", lambda: cpus)
+        slices.clear()
+        assert _run([command, "--out", out] + fast(command)) == 0
+        assert any(lo > 0 for lo, _ in slices) == (cpus == 3)
+        outputs.append(_snapshot(out))
+    assert outputs[0] == outputs[1]
 
 
 def test_calibration_report_contents(tmp_path):
@@ -465,7 +483,7 @@ def test_sweep_csv_has_pareto_column(tmp_path):
     assert report["payload"]["pareto_indices"] == [0]
 
 
-@pytest.mark.parametrize("command", ["calibrate", "overlap"])
+@pytest.mark.parametrize("command", ["calibrate", "sweep", "overlap", "ablate-mode"])
 def test_an_input_scale_that_overflows_float32_fails_with_one_line(tmp_path, capsys, command):
     # at the default stream sizes the first batch has draws above 3.4 in
     # magnitude, which 1e38 takes past float32's largest value

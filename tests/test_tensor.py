@@ -440,6 +440,26 @@ def test_forked_child_splits_without_the_parents_pool(monkeypatch):
     os.close(read)
 
 
+@pytest.mark.parametrize("cpus,want", [(None, None), (1, 1), (3, 3), (64, 5)])
+def test_thread_count_comes_from_affinity_or_cap(monkeypatch, cpus, want):
+    """From ``SPLIT_MACS`` up, a product cuts one slice per CPU the process
+    may run on, capped by its 5 groups of ``SLICE_COLS`` columns; one MAC
+    below it runs as one slice."""
+    if cpus is None:
+        want = min(5, tensor._cpus())
+    else:
+        monkeypatch.setattr(tensor, "_cpus", lambda: cpus)
+    x64, w, rows = _row_case(30, 5 * tensor.SLICE_COLS - 3, 20, zeros=4, batch=2)
+    macs = 2 * rows.size * w.shape[1]
+    monkeypatch.setattr(tensor, "ROW_GEMM_MIN", 0)
+    slices = _recorded_slices(monkeypatch, "row_gemm")
+    for split_macs, n in ((macs, want), (macs + 1, 1)):
+        monkeypatch.setattr(tensor, "SPLIT_MACS", split_macs)
+        slices.clear()
+        assert np.array_equal(matmul_rows(x64, w, rows), _sequential_loop(x64, w, rows))
+        assert len(slices) == n
+
+
 def test_importing_the_cli_compiles_nothing():
     code = (
         "import sys, scap.cli, scap.tensor as t; assert not t._libs; "
