@@ -8,9 +8,24 @@ so its ``PruneSpec``, serve that site's hook in every block.
 
 Quality throughout is the negated relative L2 reconstruction error of the
 pruned stack against its dense twin on held-out data; higher is better.
+
+A sweep's Down passes and the batches of every evaluation walk (the
+sweep's, the ablation's and the one-map walks of ``measure_sparsity`` and
+``reconstruction_error``) are independent work items. Above ``FORK_MACS``
+estimated multiply-adds, ``_fan_out`` runs them in one contiguous share per
+CPU this process may run on (``taskset`` caps them): the first here, each
+other one in a forked child, whose results come back pickled and are added
+in item order, so every artifact keeps the bytes of one process. On one CPU
+every item runs here, on the calling thread.
 """
 
 from __future__ import annotations
+
+import os
+import pickle
+import signal
+import threading
+import traceback
 
 # calibrate's draw pool; looked up by name, so that perfbench/spans.py can patch it
 from concurrent.futures import ThreadPoolExecutor
@@ -19,7 +34,7 @@ from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from . import kernels
+from . import kernels, tensor
 from .calib import (
     DEFAULT_RESERVOIR_CAPACITY,
     DEFAULT_SEED,
@@ -33,6 +48,12 @@ from .prune import PruneSpec
 CALIB_SEQUENCES = 64
 CALIB_SEQUENCE_LEN = 256
 DRAW_THREAD = "scap-draw"  # the name prefix of calibrate's draw thread
+# work of fewer estimated dense multiply-adds than this runs in this process.
+# At the default sweep's shapes on 2 vCPUs (two rounds), an evaluation walk of
+# 8 batches (3.8e8) took 32-45 ms in one process against 31-45 ms forked, and
+# one of 16 (7.5e8) 62-83 against 42-51 ms: a fork and join cost about 2-3 ms,
+# and each process's first batch after it about 4 ms more, in page faults.
+FORK_MACS = 1 << 29
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +253,106 @@ def _second_pass(model, batches, up_specs, down_targets, capacity, seed, plan) -
 
 
 # ---------------------------------------------------------------------------
+# forked shares
+
+
+def _dense_macs(model: FfnStack, rows: int) -> int:
+    """The multiply-adds of ``rows`` dense forward rows: the work measure
+    that ``FORK_MACS`` bounds."""
+    return rows * sum(a.size for w in model.blocks for a in vars(w).values() if a.ndim == 2)
+
+
+def _fan_out(work, items: list, macs: int) -> list:
+    """``[work(item) for item in items]``, in one contiguous share of
+    ``items`` per CPU this process may run on (``tensor._cpus``, which
+    ``taskset`` caps), or fewer when the items run out: this process runs
+    the first share, and a forked child each other one.
+
+    A child inherits everything ``work`` reads copy-on-write, sends its
+    share's results back pickled through a pipe and leaves with
+    ``os._exit``, running no exit handler and flushing none of its parent's
+    buffers. Every child is reaped before this returns or raises: a share
+    that raises makes every child still running be killed, and its
+    exception, its type kept, is raised here; a child's carries its
+    formatted traceback as a note. A child that ends without a result
+    raises ChildProcessError naming its exit status.
+
+    Work under ``FORK_MACS`` estimated multiply-adds, one CPU, or a live
+    calibration draw thread, whose locks a child would inherit in whatever
+    state they are in, runs every item here, in order. A child drops the
+    row pool it inherits (``tensor._after_fork_in_child``).
+    """
+    n = min(len(items), tensor._cpus())
+    drawing = any(t.name.startswith(DRAW_THREAD) for t in threading.enumerate())
+    if n < 2 or macs < FORK_MACS or drawing:
+        return [work(item) for item in items]
+    cuts = [i * len(items) // n for i in range(n + 1)]
+    shares = [items[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+    children = {}  # pid -> the read end of its pipe, until it is reaped
+    try:
+        for share in shares[1:]:
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                _run_child(work, share, write)
+            os.close(write)
+            children[pid] = read
+        results = [work(item) for item in shares[0]]
+        for pid in list(children):
+            with open(children[pid], "rb", closefd=False) as pipe:
+                data = pipe.read()
+            status = _reap(children, pid)
+            if not data:
+                code = os.waitstatus_to_exitcode(status)
+                raise ChildProcessError(f"forked share {pid} exited {code} without a result")
+            note, value = pickle.loads(data)
+            if note is not None:
+                value.add_note(note)
+                raise value
+            results += value
+        return results
+    except BaseException:
+        for pid in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid in list(children):
+            _reap(children, pid)
+
+
+def _reap(children: dict, pid: int) -> int:
+    """Close the pipe of child ``pid``, wait for it to end, and return its
+    wait status."""
+    os.close(children.pop(pid))
+    return os.waitpid(pid, 0)[1]
+
+
+def _run_child(work, share, fd) -> None:
+    """In a forked child: write ``(None, results)`` of ``work`` over
+    ``share``, or ``(traceback note, exception)`` if it raises, pickled to
+    ``fd``, and exit without returning."""
+    try:
+        try:
+            data = pickle.dumps((None, [work(item) for item in share]))
+        except BaseException as exc:
+            note = f"in forked share {os.getpid()}:\n{traceback.format_exc()}"
+            try:
+                data = pickle.dumps((note, exc))
+                pickle.loads(data)
+            except Exception:  # an exception that pickle cannot rebuild
+                data = pickle.dumps((note, RuntimeError(f"{type(exc).__name__}: {exc}")))
+        with open(fd, "wb") as pipe:
+            pipe.write(data)
+    finally:
+        os._exit(0)
+
+
+# ---------------------------------------------------------------------------
 # sparsity measurement
 
 
@@ -290,28 +411,51 @@ def _evaluate(model, spec_maps, batches, error=True) -> list[tuple[SparsityRepor
     Per batch, the dense stack (when ``error`` is set) and then each map's
     sparse view run their forwards on one dict of finished stages, so that a
     stage runs once for all the forwards that share its specs and those of
-    every stage before it; the dict dies with its batch. Each map's counts and error
-    sums are added in batch order, and ``sum(y_dense**2)`` once per batch, so
-    every sum has the bits of a walk over that map alone.
+    every stage before it; the dict dies with its batch. Above ``FORK_MACS``
+    the batches run in contiguous shares across the usable CPUs
+    (``_fan_out``), each batch giving its per-hook counts, MACs, each map's
+    squared-error term and ``sum(y_dense**2)``. Each sum adds those terms in
+    batch order, so it has the bits of a walk over that map alone in one
+    process.
     """
     stacks = [model.apply_prune_specs(specs) for specs in spec_maps]
-    hooks = model.hook_points()
-    tallies = [_Tally(hooks) for _ in stacks]
-    rows, den = 0, 0.0
-    for batch in batches:
+
+    def batch_terms(batch):
         stages = {}
         y_dense = model.forward(batch, stages).astype(np.float64) if error else None
-        if error:
-            den += float(np.sum(y_dense**2))
-        rows += batch.shape[0]
-        for sparse, tally in zip(stacks, tallies):
-            tally.add(*sparse.forward(batch, stages), y_dense)
+        den = float(np.sum(y_dense**2)) if error else 0.0
+        return den, [_terms(*sparse.forward(batch, stages), y_dense) for sparse in stacks]
+
+    rows = sum(batch.shape[0] for batch in batches)
+    work = _dense_macs(model, rows * (len(stacks) + error))
+    tallies = [_Tally(model.hook_points()) for _ in stacks]
+    den = 0.0
+    for batch_den, terms in _fan_out(batch_terms, batches, work):
+        den += batch_den
+        for tally, term in zip(tallies, terms):
+            tally.add(*term)
     if error and not den:
         raise ValueError("the dense output is zero throughout: no relative error exists")
     return [
         (tally.report(model, specs, rows), float(np.sqrt(tally.num / den)) if error else 0.0)
         for specs, tally in zip(spec_maps, tallies)
     ]
+
+
+def _terms(y_sparse, records, y_dense) -> tuple:
+    """One forward's terms of its map's sums: (pruned and seen elements per
+    hook, kept-channel MACs, dense MACs, squared error against ``y_dense``,
+    0.0 when that is None)."""
+    counts = {
+        HookPoint(b, site): (run.pruned, run.kept.size)
+        for b, rec in enumerate(records)
+        for site, run in rec.sites.items()
+    }
+    sq = 0.0
+    if y_dense is not None:
+        diff = y_sparse.astype(np.float64) - y_dense
+        sq = float(np.sum(diff * diff))
+    return counts, sum(r.ops.macs for r in records), sum(r.dense_macs for r in records), sq
 
 
 class _Tally:
@@ -324,17 +468,13 @@ class _Tally:
         self.macs = self.dense_macs = 0
         self.num = 0.0
 
-    def add(self, y_sparse, records, y_dense) -> None:
-        for b, rec in enumerate(records):
-            for site, run in rec.sites.items():
-                hook = HookPoint(b, site)
-                self.pruned[hook] += run.pruned
-                self.total[hook] += run.kept.size
-                self.macs += run.macs
-                self.dense_macs += run.dense_macs
-        if y_dense is not None:
-            diff = y_sparse.astype(np.float64) - y_dense
-            self.num += float(np.sum(diff * diff))
+    def add(self, counts, macs, dense_macs, sq) -> None:
+        for hook, (pruned, total) in counts.items():
+            self.pruned[hook] += pruned
+            self.total[hook] += total
+        self.macs += macs
+        self.dense_macs += dense_macs
+        self.num += sq
 
     def report(self, model, specs, rows) -> SparsityReport:
         pruned, total = self.pruned, self.total
@@ -488,16 +628,19 @@ def pareto_sweep(
 
     The sweep shares ``plan_specs``'s passes: one dense pass observes the
     Up/Gate site alone, plans the Up specs of every ``grid_up`` target and
-    is dropped; then, for each Up target in grid order, a second pass
-    observes the Down site alone with that pruning applied and plans every
-    ``grid_down`` target from that one sample. Everything runs on the
-    calling thread, so only one pass's statistics are alive at a time, and
-    only the specs outlive them. Then one ``_evaluate`` walk over shared
-    held-out data measures every grid point's sparsity and reconstruction
-    error, running each stage the points share once per batch: block 0's
-    rmsnorm with the dense stack, and its Up/Gate site with the points of
-    the same Up target. The non-dominated subset under (maximize
-    ffn_sparsity, maximize quality) is reported. Targets outside [0, 1], an
+    is dropped; then, for each Up target, a second pass observes the Down
+    site alone with that pruning applied and plans every ``grid_down``
+    target from that one sample. The second passes are independent, so
+    above ``FORK_MACS`` they run in contiguous shares of the Up targets
+    across the usable CPUs (``_fan_out``), each process one pass at a time:
+    min(CPUs, Up targets) passes' statistics are alive at once, one per
+    process, and only the specs outlive them. On one CPU every pass runs on
+    the calling thread. Then one ``_evaluate`` walk over shared held-out
+    data measures every grid point's sparsity and reconstruction error,
+    running each stage the points share once per batch: block 0's rmsnorm
+    with the dense stack, and its Up/Gate site with the points of the same
+    Up target. The non-dominated subset under (maximize ffn_sparsity,
+    maximize quality) is reported. Targets outside [0, 1], an
     unknown centering site and an empty evaluation stream raise ValueError
     before anything is calibrated; a dense output that is zero throughout
     raises it from the walk.
@@ -509,12 +652,17 @@ def pareto_sweep(
     eval_batches = _eval_batches(eval_stream)
     calib_batches = list(calib_stream)
     up_plans = _plan_up(model, calib_batches, grid_up, capacity, seed, plan)
+    down_plans = _fan_out(
+        lambda up_specs: _second_pass(
+            model, calib_batches, up_specs, grid_down, capacity, seed, plan
+        ),
+        up_plans,
+        _dense_macs(model, len(up_plans) * sum(batch.shape[0] for batch in calib_batches)),
+    )
     spec_maps = [
         {**up_specs, **down_specs}
-        for up_specs in up_plans
-        for down_specs in _second_pass(
-            model, calib_batches, up_specs, grid_down, capacity, seed, plan
-        )
+        for up_specs, downs in zip(up_plans, down_plans)
+        for down_specs in downs
     ]
     results = _evaluate(model, spec_maps, eval_batches)
     points = [(su, sd) for su in grid_up for sd in grid_down]
@@ -576,7 +724,8 @@ def mode_centering_ablation(
     and on |h| respectively, each read from one sorted sample; both variants
     report observed Down-input sparsity and output reconstruction error on
     the same held-out stream, all in one ``_evaluate`` walk, which runs block
-    0's dense Up site once per batch for every variant and the dense stack.
+    0's dense Up site once per batch for every variant and the dense stack,
+    and above ``FORK_MACS`` spreads its batches across the usable CPUs.
     Targets outside [0, 1] and an empty evaluation stream raise ValueError
     before anything is calibrated.
     """

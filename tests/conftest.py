@@ -1,7 +1,9 @@
-"""One run of each CLI command at its defaults, shared by every test that
-checks such a run, with all their spies installed while it runs; and a check,
-after every test, that no calibration draw thread is left running."""
+"""One run of each CLI command at its defaults, on one CPU, shared by every
+test that checks such a run, with all their spies installed while it runs;
+and a check, after every test, that no calibration draw thread and no child
+process is left running."""
 
+import os
 import threading
 from collections import Counter
 from dataclasses import dataclass
@@ -20,6 +22,7 @@ COUNTED = {
     "tensor.gelu": (kernels, "gelu"),
     "model._rmsnorm": (model, "_rmsnorm"),
     "SparseStack.forward": (model.SparseStack, "forward"),
+    "os.fork": (os, "fork"),
 }
 # commands run as in a fresh process, with no compiled source loaded, so
 # that their ``cc`` calls are seen; each build takes about 0.25 s
@@ -50,6 +53,9 @@ def _run(command: str, directory: Path) -> DefaultRun:
     subprocess_run = tensor.subprocess.run
     with pytest.MonkeyPatch.context() as mp:
         mp.chdir(directory)
+        # one CPU runs every walk in this process, where the spies see it;
+        # ``test_golden.py`` checks the bytes of forked runs
+        mp.setattr(tensor, "_cpus", lambda: 1)
         spy_config = lambda args: cli.RunConfig(args.command, Spy(resolve(args).values))
         mp.setattr(cli, "resolve_config", spy_config)
         spy_product = lambda *a: run.row_shapes.append(a[0].shape) or product(*a)
@@ -77,10 +83,22 @@ def default_run(tmp_path_factory):
     return get
 
 
+@pytest.fixture
+def forks(monkeypatch):
+    """The pid of each child ``os.fork`` makes during the test (a child
+    appends to its own copy)."""
+    pids, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: pids.append(pid := fork()) or pid)
+    return pids
+
+
 @pytest.fixture(autouse=True)
 def no_draw_thread_left():
-    """Fails a test that leaves a calibration draw thread alive: each lives
-    for one ``analysis.calibrate`` call."""
+    """Fails a test that leaves a calibration draw thread alive, each of
+    which lives for one ``analysis.calibrate`` call, or a child process
+    unreaped."""
     yield
     left = [t.name for t in threading.enumerate() if t.name.startswith(analysis.DRAW_THREAD)]
     assert not left, f"draw threads outlived their calibrate call: {left}"
+    with pytest.raises(ChildProcessError):  # every forked share is reaped
+        os.waitpid(-1, os.WNOHANG)

@@ -1,7 +1,10 @@
 """Analysis harnesses: overlap decay, sweeps, ablation, report consistency."""
 
+import os
+import signal
 import sys
 import threading
+import time
 from collections import Counter
 from dataclasses import asdict
 
@@ -448,6 +451,7 @@ def test_calibrate_rejects_an_unknown_site_before_observing(monkeypatch):
 
 
 def test_sweep_passes_observe_only_the_sites_they_plan(monkeypatch):
+    monkeypatch.setattr(scap.tensor, "_cpus", lambda: 1)  # every pass in this process
     model = _swiglu_model(blocks=2)
     stream = synthetic_stream(16, 3, 32, seed=1)
     passes, calibrate_ = [], scap.analysis.calibrate
@@ -475,6 +479,7 @@ def test_sweep_passes_observe_only_the_sites_they_plan(monkeypatch):
     ids=["swiglu", "gelu-centered"],
 )
 def test_default_grid_sweep_sorts_each_sample_once(monkeypatch, build, center_sites):
+    monkeypatch.setattr(scap.tensor, "_cpus", lambda: 1)  # every pass in this process
     sorts = _spy_sorts(monkeypatch)
     grid_up, grid_down = (
         [float(t) for t in COMMAND_DEFAULTS["sweep"][key].split(",")]
@@ -702,10 +707,12 @@ def test_sweep_results_independent_of_thread_cap(monkeypatch):
     assert serial.pareto_indices == threaded.pareto_indices
 
 
-def test_sweep_runs_on_the_calling_thread(monkeypatch):
-    # every pass and the one walk over all points run on the caller's thread,
-    # however many CPUs it may use
+def test_sweep_runs_on_the_calling_thread(monkeypatch, forks):
+    # this process runs the dense pass, the first share of the Down passes
+    # and of the walk's batches, and the walk's sums, all on the caller's
+    # thread; the other shares run in forked children, one per further CPU
     monkeypatch.setattr(scap.tensor, "_cpus", lambda: 4)
+    monkeypatch.setattr(scap.analysis, "FORK_MACS", 0)
     threads = []
     for name in ("calibrate", "_evaluate"):
         fn = getattr(scap.analysis, name)
@@ -714,8 +721,9 @@ def test_sweep_runs_on_the_calling_thread(monkeypatch):
     model = _swiglu_model(seed=14, blocks=1)
     stream = synthetic_stream(16, 2, 32, seed=1)
     pareto_sweep(model, stream, stream, [0.3, 0.6], [0.4, 0.7], capacity=1 << 12)
-    assert len(threads) == 1 + 2 + 1  # the dense pass, 2 Down passes, one walk
+    assert len(threads) == 1 + 1 + 1  # the dense pass, 1 of 2 Down passes, one walk
     assert set(threads) == {threading.get_ident()}
+    assert len(forks) == 1 + 1  # the other Down pass, the other of 2 batches
 
 
 @pytest.mark.parametrize(
@@ -762,6 +770,7 @@ def test_sweep_entries_equal_plan_specs(build, center_sites, estimator):
 
 
 def test_sweep_estimates_each_second_pass_mode_once(monkeypatch):
+    monkeypatch.setattr(scap.tensor, "_cpus", lambda: 1)  # every pass in this process
     calls = _spy_kde(monkeypatch)
     model = _gelu_substrate()
     stream = synthetic_stream(24, 2, 32, seed=41)
@@ -908,3 +917,117 @@ def test_reconstruction_error_accepts_one_shot_iterable():
     err = reconstruction_error(model, specs, stream)
     assert err > 0.0
     assert reconstruction_error(model, specs, (b for b in stream)) == err
+
+
+# ---------------------------------------------------------------------------
+# forked shares (``tests/conftest.py`` checks after every test that no child
+# is left unreaped)
+
+
+def _fork_always(monkeypatch, cpus=3):
+    monkeypatch.setattr(scap.tensor, "_cpus", lambda: cpus)
+    monkeypatch.setattr(scap.analysis, "FORK_MACS", 0)
+
+
+def test_fan_out_runs_contiguous_shares_in_item_order(monkeypatch, forks):
+    _fork_always(monkeypatch)
+    results = scap.analysis._fan_out(lambda i: (i, os.getpid()), list(range(7)), 0)
+    assert [i for i, _ in results] == list(range(7))
+    pids = [pid for _, pid in results]
+    # shares of 2, 2 and 3 items; this process runs the first
+    assert pids == [os.getpid()] * 2 + [forks[0]] * 2 + [forks[1]] * 3
+
+
+@pytest.mark.parametrize(
+    "cpus, macs, drawing", [(1, 0, False), (3, -1, False), (3, 0, True)],
+    ids=["one-cpu", "below-threshold", "draw-thread-alive"],
+)
+def test_fan_out_runs_every_item_here_when_it_cannot_gain(
+    monkeypatch, forks, cpus, macs, drawing
+):
+    _fork_always(monkeypatch, cpus)
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait, name=scap.analysis.DRAW_THREAD + "_0")
+    if drawing:
+        thread.start()
+    try:
+        results = scap.analysis._fan_out(lambda i: (i, os.getpid()), [0, 1, 2], macs)
+    finally:
+        done.set()
+        if drawing:
+            thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert results == [(i, os.getpid()) for i in range(3)]
+    assert forks == []
+
+
+class _Unpicklable(ValueError):
+    def __reduce__(self):
+        raise TypeError("not picklable")
+
+
+@pytest.mark.parametrize(
+    "error, expect",
+    [(DataError("bad item 2"), DataError), (_Unpicklable("bad item 2"), RuntimeError)],
+    ids=["picklable", "unpicklable"],
+)
+def test_fan_out_raises_a_child_failure_with_its_traceback(monkeypatch, error, expect):
+    # a failure keeps its type when pickle can rebuild it, and its text always
+    _fork_always(monkeypatch)
+    parent = os.getpid()
+
+    def work(i):
+        if i == 2 and os.getpid() != parent:
+            raise error
+        return i
+
+    with pytest.raises(expect, match="bad item 2") as exc:
+        scap.analysis._fan_out(work, [0, 1, 2], 0)
+    (note,) = exc.value.__notes__
+    assert note.startswith("in forked share ")
+    assert "Traceback" in note and "in work" in note and "bad item 2" in note
+
+
+def test_fan_out_kills_and_reaps_its_children_when_its_own_share_raises(monkeypatch):
+    _fork_always(monkeypatch)
+    parent = os.getpid()
+
+    def work(i):
+        if os.getpid() == parent:
+            raise DataError("own share failed")
+        time.sleep(60)
+
+    start = time.monotonic()
+    with pytest.raises(DataError, match="own share failed"):
+        scap.analysis._fan_out(work, [0, 1, 2], 0)
+    assert time.monotonic() - start < 30
+
+
+@pytest.mark.parametrize(
+    "die, status",
+    [(lambda: os._exit(3), "3"), (lambda: os.kill(os.getpid(), signal.SIGKILL), "-9")],
+    ids=["exit", "killed"],
+)
+def test_fan_out_names_the_status_of_a_child_that_ends_without_a_result(monkeypatch, die, status):
+    _fork_always(monkeypatch, cpus=2)
+    parent = os.getpid()
+    work = lambda i: die() if os.getpid() != parent else i
+    with pytest.raises(ChildProcessError, match=f"exited {status} without a result"):
+        scap.analysis._fan_out(work, [0, 1], 0)
+
+
+def test_forked_walks_count_only_the_parents_share_here(monkeypatch):
+    # 2 maps over 5 batches at 2 CPUs: this process walks the first 2 batches
+    _fork_always(monkeypatch, cpus=2)
+    forwards = []
+    forward = scap.model.SparseStack.forward
+    monkeypatch.setattr(
+        scap.model.SparseStack, "forward", lambda *a, **k: forwards.append(1) or forward(*a, **k)
+    )
+    model = _swiglu_model(seed=14, blocks=2)
+    hold = synthetic_stream(16, 5, 32, seed=2)
+    maps = [{h: PruneSpec(0.3 + 0.2 * k) for h in model.hook_points()} for k in range(2)]
+    measured = scap.analysis._evaluate(model, maps, hold)
+    assert len(forwards) == 2 * 2
+    monkeypatch.setattr(scap.tensor, "_cpus", lambda: 1)
+    assert scap.analysis._evaluate(model, maps, hold) == measured

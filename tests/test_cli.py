@@ -1,6 +1,7 @@
 """CLI behaviour: determinism, config precedence, failure modes."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -442,6 +443,51 @@ def test_activations_and_a_sweep_run_without_scipy(tmp_path):
     args = ["sweep", "--out", str(tmp_path / "o"), *fast("sweep"), *grid]
     subprocess.run([sys.executable, "-c", code, *args], check=True, timeout=120)
     assert (tmp_path / "o" / "sweep.json").is_file()
+
+
+def test_a_forked_sweep_prints_its_output_line_once(tmp_path):
+    # a child leaves with os._exit, flushing none of its parent's buffers;
+    # and forking imports no multiprocessing
+    code = (
+        "import os, sys, scap.analysis as a, scap.cli, scap.tensor as t\n"
+        "a.FORK_MACS, t._cpus, fork, forks = 0, lambda: 3, os.fork, []\n"
+        "os.fork = lambda: forks.append(1) or fork()\n"
+        "rc = scap.cli.main(sys.argv[1:])\n"
+        "assert len(forks) == 2 + 2  # for the Down passes and the walk\n"
+        "assert 'multiprocessing' not in sys.modules\n"
+        "sys.exit(rc)"
+    )
+    out = tmp_path / "o"
+    args = ["sweep", "--out", str(out), *fast("sweep")]
+    done = subprocess.run(
+        [sys.executable, "-c", code, *args], check=True, timeout=120, capture_output=True, text=True
+    )
+    assert done.stdout == f"{out / 'sweep.csv'} {out / 'sweep.json'}\n"
+    assert done.stderr == ""
+
+
+@pytest.mark.parametrize("debug", ["0", "1"])
+def test_a_forked_share_that_fails_keeps_its_cause(tmp_path, monkeypatch, capsys, debug):
+    monkeypatch.setenv("SCAP_DEBUG", debug)
+    monkeypatch.setattr(analysis, "FORK_MACS", 0)
+    monkeypatch.setattr(tensor, "_cpus", lambda: 2)
+    parent, second_pass = os.getpid(), analysis._second_pass
+
+    def failing(*args):
+        if os.getpid() != parent:
+            raise tensor.DataError("injected in a child")
+        return second_pass(*args)
+
+    monkeypatch.setattr(analysis, "_second_pass", failing)
+    args = ["sweep", "--out", tmp_path / "o"] + fast("sweep")
+    if debug == "1":
+        with pytest.raises(tensor.DataError, match="injected in a child") as err:
+            _run(args)
+        (note,) = err.value.__notes__
+        assert "in failing" in note and "injected in a child" in note
+    else:
+        assert _run(args) == 1
+        assert capsys.readouterr().err == "scap: error: injected in a child\n"
 
 
 def test_unknown_config_key_rejected(tmp_path):

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from scap import tensor
+from scap import analysis, model, tensor
 from scap.cli import main
 
 OUT = "out"
@@ -84,8 +84,8 @@ def test_default_artifact_digests(default_run, command):
 
 # Small dims and streams with a capacity below each site's stream, so both
 # reservoirs draw past capacity (at defaults the Up/Gate one fills exactly),
-# plus a centered GELU sweep on the KDE estimator and a three-block stack
-# without residuals. Three bench runs: one whose 16-row batch gives both SCAP
+# plus a centered GELU sweep on the KDE estimator, a three-block stack
+# without residuals and an ablation. Three bench runs: one whose 16-row batch gives both SCAP
 # sites more values (512 and 1,536) than its capacity of 500, so their taus
 # come from a sampled reservoir, and two that run the row kernels end to end
 # (``ROW_KERNEL_CALLS``). The table runs in well under 2 s.
@@ -106,6 +106,10 @@ GOLDEN_SMALL = {
     "sweep-3-blocks-no-residual": (["sweep", *SMALL, "--blocks", "3", "--no-residual"], {
         "sweep.csv": "cbec65f10272415655a52419bb463c1064792a4667e65833df2b49f9f00c002e",
         "sweep.json": "0641aa2d3911637e2511457ed8ad30dec706e7fdde64fa746164ee63621fbbd0",
+    }),
+    "ablate-mode": (["ablate-mode", *SMALL], {
+        "ablation.csv": "bd2427a0dd3173c742d7182149e47bcbb5950966dbc6239191777aab67920725",
+        "ablation.json": "581515f3fdf7766ebde4afe9f8beb4f81a066bad6f42b8eac338372ef519ab4b",
     }),
     "bench-sampled": (["bench", "--batch", "16", "--capacity", "500"], {
         "bench.csv": "2eaa69fef0e64c8bf347ae0244e33d974488d4a30a936744bb99a5742150cfb7",
@@ -138,3 +142,38 @@ def test_small_config_artifact_digests(tmp_path, monkeypatch, row_products, name
     assert _digests(argv) == want
     calls, batch = ROW_KERNEL_CALLS.get(name, (0, 1))
     assert [shape[0] for shape in row_products] == [batch] * calls
+
+
+# the ``GOLDEN_SMALL`` runs whose walks fork when ``analysis.FORK_MACS`` is 0
+# -> (spec maps, eval batches)
+FORKED = {
+    "sweep": (9, 4),
+    "sweep-gelu-kde": (9, 4),
+    "sweep-3-blocks-no-residual": (9, 4),
+    "ablate-mode": (16, 4),
+}
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+@pytest.mark.parametrize("name", sorted(FORKED))
+def test_forked_walks_write_the_golden_bytes(tmp_path, monkeypatch, forks, name, cpus):
+    """With ``FORK_MACS`` forced to 0, a sweep forks ``cpus - 1`` children
+    for its Down passes and as many for its walk, and the ablation as many
+    for its walk, and each writes the bytes of its one-CPU digests. This
+    process forwards each map over its own share of the batches only."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(analysis, "FORK_MACS", 0)
+    monkeypatch.setattr(tensor, "_cpus", lambda: cpus)
+    forwards, forward = [], model.SparseStack.forward
+    count = lambda *a, **k: forwards.append(1) or forward(*a, **k)
+    monkeypatch.setattr(model.SparseStack, "forward", count)
+    argv, want = GOLDEN_SMALL[name]
+    assert _digests(argv) == want
+    maps, batches = FORKED[name]
+    assert len(forks) == (cpus - 1) * (1 if name == "ablate-mode" else 2)
+    assert len(forwards) == maps * (batches // cpus)
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN))
+def test_default_runs_on_one_cpu_fork_nothing(default_run, command):
+    assert "os.fork" not in default_run(command).calls

@@ -1,8 +1,11 @@
 """Memory contract: building, saving and loading a stack hold one copy of its
 weights plus a scratch of about ``CAST_BLOCK_BYTES``, a sparse forward's
 records hold only their kept masks, and a sweep holds under two reservoirs at
-once serially and under one and a half with threads allowed, measured with
-tracemalloc (numpy reports its data buffers to it)."""
+once serially and under one and a half on one CPU, measured with tracemalloc
+(numpy reports its data buffers to it). On more CPUs a sweep runs its Down
+passes in forked children, min(CPUs, Up targets) passes at once, and every
+process, this one included, holds one pass's statistics at a time; the
+children's memory is not traced here."""
 
 import gc
 import tracemalloc
@@ -11,7 +14,7 @@ import numpy as np
 import numpy.random  # noqa: F401  (else its lazy import lands in the first traced call)
 import pytest
 
-from scap import tensor
+from scap import analysis, tensor
 from scap.analysis import pareto_sweep, synthetic_stream
 from scap.calib import DEFAULT_RESERVOIR_CAPACITY
 from scap.io import load_model, save_model
@@ -100,9 +103,27 @@ def test_serial_sweep_holds_under_two_reservoirs_plus_its_streams(monkeypatch):
 
 
 def test_sweep_with_threads_holds_one_pass_of_statistics(monkeypatch):
-    # the sweep runs its passes one after another however many CPUs it may
-    # use; three concurrent Down passes on this grid would hold three reservoirs
+    # on one CPU the sweep runs its passes one after another, in this process;
+    # three concurrent Down passes on this grid would hold three reservoirs
+    monkeypatch.setattr(tensor, "_cpus", lambda: 1)
+    peak, bound = _sweep_peak_and_bound()
+    assert peak < bound
+
+
+def test_forked_sweep_holds_one_pass_of_statistics_per_process(monkeypatch, forks):
+    # at 4 CPUs the 3 Down passes run at once, one per process (this one and
+    # 2 forked children), and this process still holds one pass at a time
     monkeypatch.setattr(tensor, "_cpus", lambda: 4)
+    monkeypatch.setattr(analysis, "FORK_MACS", 0)
+    peak, bound = _sweep_peak_and_bound()
+    assert peak < bound
+    # per sweep: min(CPUs, Up targets) processes, then min(CPUs, batches)
+    assert len(forks) == 2 * ((3 - 1) + (2 - 1))
+
+
+def _sweep_peak_and_bound() -> tuple[int, float]:
+    """The traced peak of a 3x3-grid sweep run after a warm-up sweep, and its
+    bound: one and a half reservoirs plus its streams."""
     model = init_weights(BlockConfig(d_model=16, d_hidden=48, n_blocks=2), seed=0)
     calib = synthetic_stream(16, 8, 32, seed=1)
     hold = synthetic_stream(16, 2, 32, seed=2)
@@ -110,5 +131,4 @@ def test_sweep_with_threads_holds_one_pass_of_statistics(monkeypatch):
     pareto_sweep(model, calib, hold, *grids, capacity=64)  # warm up outside the trace
     _, peak = _traced_peak(lambda: pareto_sweep(model, calib, hold, *grids))
     reservoir = DEFAULT_RESERVOIR_CAPACITY * np.dtype(np.float32).itemsize
-    streams = sum(b.nbytes for b in calib + hold)
-    assert peak < 1.5 * reservoir + streams
+    return peak, 1.5 * reservoir + sum(b.nbytes for b in calib + hold)
