@@ -24,12 +24,10 @@ from __future__ import annotations
 import os
 import pickle
 import signal
-import threading
 import traceback
 
-# calibrate's draw pool; looked up by name, so that perfbench/spans.py can patch it
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import ExitStack
+# unused here: perfbench/spans.py's tracer patches this name, and fails without it
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import astuple, dataclass, fields
 
 import numpy as np
@@ -47,7 +45,6 @@ from .prune import PruneSpec
 
 CALIB_SEQUENCES = 64
 CALIB_SEQUENCE_LEN = 256
-DRAW_THREAD = "scap-draw"  # the name prefix of calibrate's draw thread
 # work of fewer estimated dense multiply-adds than this runs in this process.
 # At the default sweep's shapes on 2 vCPUs (two rounds), an evaluation walk of
 # 8 batches (3.8e8) took 32-45 ms in one process against 31-45 ms forked, and
@@ -133,13 +130,9 @@ def calibrate(
     seed comes from its index in ``sorted(SITES)``, so a site's statistics
     do not depend on which other sites are observed. Passing ``specs``
     walks the pruned view, so statistics reflect the distributions a
-    deployed model sees.
-
-    The statistics' reservoir draws (``LayerStats.drawing_on``) run on one
-    worker thread while the walk goes on, in stream order, so the sample
-    bytes equal a synchronous fold's. The thread lives for this call, which
-    returns or raises only after every draw is done and the thread has
-    ended; a draw that fails raises its error here.
+    deployed model sees. Each observe draws its reservoir slots on the
+    calling thread before the walk goes on, and a draw that fails raises
+    its error here.
     """
     _check_sites(sites, "calibration")
     hooks = [h for h in model.hook_points() if h.site in sites]
@@ -156,11 +149,8 @@ def calibrate(
             stats[hook.site].observe(tensor)
         return hook == last
 
-    with ThreadPoolExecutor(1, DRAW_THREAD) as pool, ExitStack() as drawing:
-        for st in stats.values():
-            drawing.enter_context(st.drawing_on(pool))
-        for batch in calib_stream:
-            runner.walk(batch, observe)
+    for batch in calib_stream:
+        runner.walk(batch, observe)
     return stats
 
 
@@ -277,14 +267,12 @@ def _fan_out(work, items: list, macs: int) -> list:
     formatted traceback as a note. A child that ends without a result
     raises ChildProcessError naming its exit status.
 
-    Work under ``FORK_MACS`` estimated multiply-adds, one CPU, or a live
-    calibration draw thread, whose locks a child would inherit in whatever
-    state they are in, runs every item here, in order. A child drops the
-    row pool it inherits (``tensor._after_fork_in_child``).
+    Work under ``FORK_MACS`` estimated multiply-adds, or on one CPU, runs
+    every item here, in order. A child drops the row pool it inherits
+    (``tensor._after_fork_in_child``).
     """
     n = min(len(items), tensor._cpus())
-    drawing = any(t.name.startswith(DRAW_THREAD) for t in threading.enumerate())
-    if n < 2 or macs < FORK_MACS or drawing:
+    if n < 2 or macs < FORK_MACS:
         return [work(item) for item in items]
     cuts = [i * len(items) // n for i in range(n + 1)]
     shares = [items[lo:hi] for lo, hi in zip(cuts, cuts[1:])]

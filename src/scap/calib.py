@@ -16,9 +16,6 @@ from __future__ import annotations
 
 import ctypes
 import math
-from collections import deque
-from concurrent import futures
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,9 +25,6 @@ from .tensor import DataError, _kernel
 DEFAULT_RESERVOIR_CAPACITY = 1 << 20
 KDE_GRID_POINTS = 2048
 DEFAULT_SEED = 2025
-# deferred draws one LayerStats keeps in flight, each holding a copy of one
-# observed tensor's values past capacity: two batches of a two-block stack
-DRAWS_IN_FLIGHT = 4
 ESTIMATOR_KINDS = {  # kind -> eta of a raw float32 sample
     "mean": lambda vals: float(np.mean(vals, dtype=np.float64)),
     "median": lambda vals: float(np.quantile(vals, 0.5)),
@@ -72,9 +66,8 @@ class LayerStats:
     magnitudes are a uniform sample of |X| for threshold quantiles. Sampling
     is driven by a generator spawned deterministically from ``seed``, whose
     draws are numpy's ``Generator.integers`` algorithm run in a compiled
-    loop (``reservoir_draw`` of ``activations.c``). Inside ``drawing_on``
-    that loop runs on an executor's thread while the caller goes on; every
-    read of the sample waits for it first.
+    loop (``reservoir_draw`` of ``activations.c``), which runs on the
+    caller's thread within ``observe``.
     """
 
     def __init__(
@@ -95,15 +88,11 @@ class LayerStats:
         self.seen_count = 0
         self._modes = {}  # estimator kind -> eta of the current sample
         self._sorted = {}  # eta -> sorted |X - eta| of the current sample
-        self._pool = None  # the executor of deferred draws; None draws inline
-        self._pending = deque()  # futures of the deferred draws, oldest first
 
     @property
     def raw_reservoir(self) -> np.ndarray:
-        """The sample as a read-only view, once every deferred draw is done:
-        ``observe`` alone writes it, and clears the modes and sorted
-        magnitudes cached from it."""
-        self._settle()
+        """The sample as a read-only view: ``observe`` alone writes it, and
+        clears the modes and sorted magnitudes cached from it."""
         view = self._buf[: self.filled]
         view.setflags(write=False)
         return view
@@ -117,11 +106,9 @@ class LayerStats:
         ``Generator.integers(0, t)`` would (Lemire's bounded-integer method)
         from this generator's own bits, under its lock. So the sample and the
         generator state are those of numpy's vectorized formulation, bit for
-        bit. Inside ``drawing_on`` that loop gets a copy of the values and
-        runs on the executor; past ``DRAWS_IN_FLIGHT`` pending draws,
-        ``observe`` then waits for the oldest and raises its error, if any.
-        NaN or Inf raises ``DataError`` before anything is recorded; it
-        would otherwise make every threshold NaN.
+        bit. The loop reads the values in place, uncopied, and is done when
+        this returns. NaN or Inf raises ``DataError`` before anything is
+        recorded; it would otherwise make every threshold NaN.
         """
         flat = np.asarray(activations, dtype=np.float32).ravel()
         if not np.all(np.isfinite(flat)):
@@ -134,13 +121,7 @@ class LayerStats:
         self.seen_count += take
         rest = flat[take:]
         if rest.size:
-            if self._pool is None:
-                self._draw(rest, self.seen_count)
-            else:
-                # a copy: the caller may write to its tensor before the draw runs
-                self._pending.append(self._pool.submit(self._draw, rest.copy(), self.seen_count))
-                if len(self._pending) > DRAWS_IN_FLIGHT:
-                    self._pending.popleft().result()
+            self._draw(rest, self.seen_count)
             self.seen_count += rest.size
         return self
 
@@ -155,27 +136,6 @@ class LayerStats:
         with bitgen.lock:
             draw(values.ctypes.data, values.size, seen, self.capacity,
                  self._buf.ctypes.data, c.state_address, next64, next32)
-
-    @contextmanager
-    def drawing_on(self, pool: futures.Executor):
-        """Within the block, ``observe`` defers its compiled draws to
-        ``pool``, which must run tasks one at a time in submission order (a
-        one-thread executor), so they keep stream order. On leaving, waits
-        for every draw and raises the first error of one, and later observes
-        draw inline again."""
-        self._pool = pool
-        try:
-            yield self
-        finally:
-            self._pool = None
-            self._settle()
-
-    def _settle(self) -> None:
-        """Wait for every deferred draw; then raise the first that failed."""
-        pending, self._pending = self._pending, deque()
-        futures.wait(pending)
-        for f in pending:
-            f.result()
 
     def quantile_threshold(self, target_sparsity: float) -> float:
         """tau = linear-interpolation quantile of the reservoir's magnitudes."""

@@ -1,7 +1,7 @@
 """One run of each CLI command at its defaults, on one CPU, shared by every
 test that checks such a run, with all their spies installed while it runs;
-and a check, after every test, that no calibration draw thread and no child
-process is left running."""
+and a check, after every test, that no thread but the main one and the row
+pool's, and no child process, is left running."""
 
 import os
 import threading
@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from scap import analysis, cli, kernels, model, tensor
+from scap import cli, kernels, model, tensor
 
 # the calls a default run counts: name -> (owner, attribute)
 COUNTED = {
@@ -93,12 +93,15 @@ def forks(monkeypatch):
 
 
 @pytest.fixture(autouse=True)
-def no_draw_thread_left():
-    """Fails a test that leaves a calibration draw thread alive, each of
-    which lives for one ``analysis.calibrate`` call, or a child process
-    unreaped."""
+def no_thread_or_child_left():
+    """Fails a test that leaves a thread alive other than the main thread
+    and the row pool's (``tensor._row_pool``, named ``scap-row``), the only
+    threads the package starts, or a child process unreaped."""
     yield
-    left = [t.name for t in threading.enumerate() if t.name.startswith(analysis.DRAW_THREAD)]
-    assert not left, f"draw threads outlived their calibrate call: {left}"
+    left = [
+        t.name for t in threading.enumerate()
+        if t is not threading.main_thread() and not t.name.startswith("scap-row")
+    ]
+    assert not left, f"threads outlived their test: {left}"
     with pytest.raises(ChildProcessError):  # every forked share is reaped
         os.waitpid(-1, os.WNOHANG)

@@ -2,7 +2,6 @@
 
 import os
 import signal
-import sys
 import threading
 import time
 from collections import Counter
@@ -356,55 +355,26 @@ def test_calibrate_walk_equals_observing_whole_forward_captures(ffn, rmsnorm, re
             assert got[site]._rng.bit_generator.state == st._rng.bit_generator.state
 
 
-def _draw_threads() -> list:
-    return [t for t in threading.enumerate() if t.name.startswith(scap.analysis.DRAW_THREAD)]
-
-
 @pytest.mark.parametrize("pruned", [False, True])
 @pytest.mark.parametrize("blocks", [1, 3])
 @pytest.mark.parametrize("ffn", ["swiglu", "gelu"])
-def test_calibrate_draw_worker_equals_a_synchronous_fold(monkeypatch, ffn, blocks, pruned):
-    """Each ``LayerStats`` of ``calibrate`` draws on the worker thread; the
-    same tensors observed inline by statistics built outside ``calibrate``
-    leave the same reservoir bytes, seen count and generator state. The
-    capacity is below each site's stream, so draws run."""
+def test_calibrate_equals_an_inline_fold_of_what_it_observed(monkeypatch, ffn, blocks, pruned):
+    """The tensors each ``LayerStats`` of ``calibrate`` observed, folded
+    again by statistics built outside ``calibrate``, leave the same
+    reservoir bytes, seen count and generator state. The capacity is below
+    each site's stream, so draws run."""
     cfg = BlockConfig(ffn=ffn, d_model=8, d_hidden=24, n_blocks=blocks)
     model = init_weights(cfg, seed=6)
     specs = {h: PruneSpec(0.3, eta=0.05) for h in model.hook_points()} if pruned else None
-    _check_against_an_inline_fold(monkeypatch, model, synthetic_stream(8, 6, 16, seed=7), specs)
-
-
-def test_calibrate_draw_worker_equals_a_synchronous_fold_under_fast_switching(monkeypatch):
-    """The same check over 40 batches into a 50-value reservoir, with the
-    interpreter switching threads every microsecond, so that the caller's
-    fills and reads interleave with the draws as often as they can."""
-    model = _swiglu_model(blocks=2, d=8, h=24)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        _check_against_an_inline_fold(monkeypatch, model, synthetic_stream(8, 40, 8, seed=9))
-    finally:
-        sys.setswitchinterval(interval)
-
-
-def _check_against_an_inline_fold(monkeypatch, model, stream, specs=None):
-    seen, draw_threads = {}, set()
-    observe, draw = LayerStats.observe, LayerStats._draw
+    seen, observe = {}, LayerStats.observe
 
     def spy_observe(stats, x):
         seen.setdefault(id(stats), (stats, []))[1].append(np.array(x))
         return observe(stats, x)
 
-    def spy_draw(stats, values, n_seen):
-        draw_threads.add(threading.current_thread().name)
-        return draw(stats, values, n_seen)
-
     with monkeypatch.context() as mp:
         mp.setattr(LayerStats, "observe", spy_observe)
-        mp.setattr(LayerStats, "_draw", spy_draw)
-        got = calibrate(model, stream, capacity=50, seed=8, specs=specs)
-    assert not _draw_threads()
-    assert draw_threads and all(n.startswith(scap.analysis.DRAW_THREAD) for n in draw_threads)
+        got = calibrate(model, synthetic_stream(8, 6, 16, seed=7), capacity=50, seed=8, specs=specs)
     assert sorted(id(st_) for st_ in got.values()) == sorted(seen)
     for stats, tensors in seen.values():
         want = LayerStats(stats.layer_id, stats.capacity, stats.seed)
@@ -416,17 +386,16 @@ def _check_against_an_inline_fold(monkeypatch, model, stream, specs=None):
         assert stats._rng.bit_generator.state == want._rng.bit_generator.state
 
 
-def test_calibrate_raises_data_error_and_ends_its_draw_thread():
+def test_calibrate_raises_data_error():
     model = _swiglu_model(blocks=1)
     stream = synthetic_stream(16, 6, 32, seed=1)
     stream[4] = stream[4].copy()
     stream[4][3, 5] = np.nan
     with pytest.raises(DataError):
         calibrate(model, stream, capacity=64, seed=2)
-    assert not _draw_threads()
 
 
-def test_calibrate_propagates_a_failing_draw_and_ends_its_draw_thread(monkeypatch):
+def test_calibrate_propagates_a_failing_draw(monkeypatch):
     def kernel(source, name):
         def fail(*args):
             raise RuntimeError(f"{name} failed")
@@ -437,7 +406,6 @@ def test_calibrate_propagates_a_failing_draw_and_ends_its_draw_thread(monkeypatc
     monkeypatch.setattr(scap.calib, "_kernel", kernel)
     with pytest.raises(RuntimeError, match="reservoir_draw failed"):
         calibrate(_swiglu_model(blocks=2), synthetic_stream(16, 6, 32, seed=1), capacity=64)
-    assert not _draw_threads()
 
 
 def test_calibrate_rejects_an_unknown_site_before_observing(monkeypatch):
@@ -938,25 +906,32 @@ def test_fan_out_runs_contiguous_shares_in_item_order(monkeypatch, forks):
     assert pids == [os.getpid()] * 2 + [forks[0]] * 2 + [forks[1]] * 3
 
 
+def test_fan_out_forks_calibrations_that_draw(monkeypatch, forks):
+    """Each item runs a ``calibrate`` whose reservoirs draw (capacity 50
+    is below each site's stream), forked after this process has drawn: the
+    shares return the reservoir bytes, seen counts and generator states of
+    the loop run here, so a child inherits no lock a draw holds."""
+    model = _swiglu_model(d=8, h=24)
+    stream = synthetic_stream(8, 6, 16, seed=7)
+
+    def work(seed):
+        stats = calibrate(model, stream, capacity=50, seed=seed).values()
+        return [(st.seen_count, st.raw_reservoir.tobytes(), st._rng.bit_generator.state) for st in stats]
+
+    seeds = list(range(5))
+    want = [work(seed) for seed in seeds]
+    assert all(seen > 50 for sample in want for seen, _, _ in sample)
+    _fork_always(monkeypatch)
+    assert scap.analysis._fan_out(work, seeds, 0) == want
+    assert len(forks) == 2
+
+
 @pytest.mark.parametrize(
-    "cpus, macs, drawing", [(1, 0, False), (3, -1, False), (3, 0, True)],
-    ids=["one-cpu", "below-threshold", "draw-thread-alive"],
+    "cpus, macs", [(1, 0), (3, -1)], ids=["one-cpu", "below-threshold"]
 )
-def test_fan_out_runs_every_item_here_when_it_cannot_gain(
-    monkeypatch, forks, cpus, macs, drawing
-):
+def test_fan_out_runs_every_item_here_when_it_cannot_gain(monkeypatch, forks, cpus, macs):
     _fork_always(monkeypatch, cpus)
-    done = threading.Event()
-    thread = threading.Thread(target=done.wait, name=scap.analysis.DRAW_THREAD + "_0")
-    if drawing:
-        thread.start()
-    try:
-        results = scap.analysis._fan_out(lambda i: (i, os.getpid()), [0, 1, 2], macs)
-    finally:
-        done.set()
-        if drawing:
-            thread.join(timeout=10)
-    assert not thread.is_alive()
+    results = scap.analysis._fan_out(lambda i: (i, os.getpid()), [0, 1, 2], macs)
     assert results == [(i, os.getpid()) for i in range(3)]
     assert forks == []
 
