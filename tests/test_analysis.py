@@ -366,6 +366,17 @@ def test_calibrate_equals_an_inline_fold_of_what_it_observed(monkeypatch, ffn, b
     cfg = BlockConfig(ffn=ffn, d_model=8, d_hidden=24, n_blocks=blocks)
     model = init_weights(cfg, seed=6)
     specs = {h: PruneSpec(0.3, eta=0.05) for h in model.hook_points()} if pruned else None
+    _check_against_an_inline_fold(monkeypatch, model, synthetic_stream(8, 6, 16, seed=7), specs)
+
+
+def test_calibrate_equals_an_inline_fold_over_many_small_batches(monkeypatch):
+    """The same check over 40 batches into a 50-value reservoir, so that
+    each site's generator carries its state across many observes that draw."""
+    model = _swiglu_model(blocks=2, d=8, h=24)
+    _check_against_an_inline_fold(monkeypatch, model, synthetic_stream(8, 40, 8, seed=9))
+
+
+def _check_against_an_inline_fold(monkeypatch, model, stream, specs=None):
     seen, observe = {}, LayerStats.observe
 
     def spy_observe(stats, x):
@@ -374,7 +385,7 @@ def test_calibrate_equals_an_inline_fold_of_what_it_observed(monkeypatch, ffn, b
 
     with monkeypatch.context() as mp:
         mp.setattr(LayerStats, "observe", spy_observe)
-        got = calibrate(model, synthetic_stream(8, 6, 16, seed=7), capacity=50, seed=8, specs=specs)
+        got = calibrate(model, stream, capacity=50, seed=8, specs=specs)
     assert sorted(id(st_) for st_ in got.values()) == sorted(seen)
     for stats, tensors in seen.values():
         want = LayerStats(stats.layer_id, stats.capacity, stats.seed)

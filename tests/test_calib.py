@@ -1,5 +1,7 @@
 """Calibration statistics: reservoirs, quantile thresholds, mode estimation."""
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -131,6 +133,26 @@ def test_observe_equals_the_numpy_draw(capacity, observes, seed):
         stats.observe(values)
         oracle.observe(values)
         _assert_same_reservoir(stats, oracle)
+
+
+def test_observe_draws_on_the_callers_thread_and_is_done_on_return(monkeypatch):
+    """Every draw runs on the thread that calls ``observe``, and writing to
+    the observed tensor after it returns leaves the sample as it was."""
+    threads, draw = [], LayerStats._draw
+
+    def spy_draw(stats, values, n_seen):
+        threads.append(threading.current_thread())
+        return draw(stats, values, n_seen)
+
+    monkeypatch.setattr(LayerStats, "_draw", spy_draw)
+    stats, oracle = LayerStats("t", capacity=64, seed=3), _NumpyReservoir(64, 3)
+    for i in range(4):
+        values = np.arange(100 * i, 100 * i + 100, dtype=np.float32)
+        stats.observe(values)
+        oracle.observe(values.copy())
+        values[:] = -1.0
+    assert threads == [threading.current_thread()] * 4
+    _assert_same_reservoir(stats, oracle)
 
 
 @pytest.mark.parametrize("seen", [2**31, 2**32 - 5, 2**62])
